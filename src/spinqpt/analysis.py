@@ -154,17 +154,23 @@ def _space_sector(space: str) -> int | None:
     raise ValueError(f"unknown space tag {space!r}")
 
 
-def solve_levels(cfg: PointConfig, g: float, k: int) -> tuple[EigenSolution, object]:
-    """Lowest k levels at one parameter value, dense or Lanczos by size."""
+def solve_levels(cfg: PointConfig, g: float, k: int, *,
+                 energies_only: bool = False) -> tuple[EigenSolution, object]:
+    """Lowest k levels at one parameter value, dense or Lanczos by size.
+
+    Residuals are taken with the matrix-free operator on both paths.
+    ``energies_only`` lets the dense path skip eigenvectors and
+    residuals; Lanczos produces vectors either way.
+    """
     lattice = cfg.lattice()
     basis = enumerate_sector(lattice, _space_sector(cfg.space))
     model = cfg.model_at(g)
+    action = HamiltonianAction(model, basis)
     if basis.dimension <= cfg.options.dense_cutoff:
         sol = dense_spectrum(hamiltonian_dense(model, basis, cap=max(
-            cfg.options.dense_cap, cfg.options.dense_cutoff)))
-        sol = EigenSolution(sol.energies[:k], sol.vectors[:, :k], sol.residuals[:k])
+            cfg.options.dense_cap, cfg.options.dense_cutoff)),
+            levels=k, vectors=not energies_only, apply=action)
     else:
-        action = HamiltonianAction(model, basis)
         sol = lanczos_lowest_k(action, basis.dimension, k,
                                tol=cfg.options.tol, seed=cfg.options.seed,
                                max_iter=cfg.options.max_iter)
@@ -226,15 +232,26 @@ class SweepResult:
 
 
 def _sweep_point(cfg: PointConfig, g: float) -> SweepPoint:
+    """One grid point; a point whose solve or observables fail is flagged
+    with the message, and the sweep carries on."""
     try:
         sol, basis = solve_levels(cfg, g, cfg.k_levels)
     except ConvergenceError as err:
-        nan = np.full(cfg.k_levels, np.nan)
-        return SweepPoint(g, nan, [], {}, flag=str(err))
+        flag = str(err)
+    else:
+        try:
+            return _observe_point(cfg, g, sol, basis)
+        except ValueError as err:  # an invalid state or RDM at this point only
+            flag = str(err)
+    return SweepPoint(g, np.full(cfg.k_levels, np.nan), [], {}, flag=flag)
+
+
+def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
     labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]
     # a degenerate ground level has no preferred eigenvector; pair
-    # observables then come from the ensemble over the solved multiplet,
-    # which is invariant under mixing within the degenerate subspace
+    # observables then come from the ensemble over the solved part of the
+    # multiplet, which is invariant under mixing within the degenerate
+    # subspace only when the whole multiplet lies within the k levels
     deg = 1e-9 * max(1.0, float(sol.energies[-1] - sol.energies[0]))
     mult = int(np.sum(sol.energies - sol.energies[0] <= deg)) if sol.k > 1 else 1
     pairs = {}
@@ -320,7 +337,7 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int, *,
         else 1e-9 * _spectral_width(sweep_result)
 
     def gap_at(g: float) -> float:
-        sol, _ = solve_levels(cfg, g, b + 1)
+        sol, _ = solve_levels(cfg, g, b + 1, energies_only=True)
         return float(sol.energies[b] - sol.energies[a])
 
     grid = sweep_result.grid
@@ -396,11 +413,13 @@ def _events_in_segment(sweep_result, seg, grid, gap, pair, deg, refine_tol, gap_
             events.append(_make_event(sweep_result, pair, loc,
                                       (g_seg[e], g_seg[e + 1]), min_gap, deg))
 
-    # interior dips that never reach the tolerance on the grid
+    # interior dips that never reach the tolerance on the grid; a dip must
+    # clear its neighbours by more than the tolerance, or last-bit noise
+    # on a flat gap would pass for one
     for i in range(1, len(idx) - 1):
         if degenerate[i - 1] or degenerate[i] or degenerate[i + 1]:
             continue
-        if gap_seg[i] < gap_seg[i - 1] and gap_seg[i] < gap_seg[i + 1]:
+        if gap_seg[i] < gap_seg[i - 1] - deg and gap_seg[i] < gap_seg[i + 1] - deg:
             lo, hi = g_seg[i - 1], g_seg[i + 1]
             loc, min_gap = _golden_min(gap_at, lo, hi, refine_tol)
             slope = (max(gap_seg[i - 1], gap_seg[i + 1]) - min_gap) / (hi - lo)

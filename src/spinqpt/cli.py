@@ -473,14 +473,16 @@ def cmd_sumrule(settings) -> dict:
         raise ConfigError(f"--operator must be one of {OPERATOR_TAGS} or 'all'")
     cap = settings.get("dense_cap", 4096)
     reports = []
+    sol = None  # one full spectrum serves every operator and the rearrangement
     for tag in tags:
-        rep = sum_rule_residual(model, lattice, tag, dense_cap=cap)
+        rep = sum_rule_residual(model, lattice, tag, dense_cap=cap, solution=sol)
+        sol = rep.solution
         reports.append({"operator": tag, "lhs": fmt(rep.lhs), "rhs": fmt(rep.rhs),
                         "residual": fmt(rep.residual)})
     payload = {"model": model.describe(), "n_sites": lattice.n_sites,
                "reports": reports}
     if model.family in ("xxz", "ising"):
-        re_rep = rearranged_sum_rule(model, lattice, dense_cap=cap)
+        re_rep = rearranged_sum_rule(model, lattice, dense_cap=cap, solution=sol)
         payload["rearranged"] = {"j_value": fmt(re_rep.j_value),
                                  "correlator_side": fmt(re_rep.correlator_side),
                                  "spectrum_side": fmt(re_rep.spectrum_side),

@@ -14,7 +14,7 @@ amplitude positive, and both report explicit residuals |H v - E v|.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh, eigh_tridiagonal
 
 
 class ConvergenceError(RuntimeError):
@@ -48,18 +48,34 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def dense_spectrum(matrix: np.ndarray, symmetry_tol: float = 1e-12) -> EigenSolution:
-    """All eigenpairs of a real symmetric matrix, ascending."""
+def dense_spectrum(matrix: np.ndarray, symmetry_tol: float = 1e-12, *,
+                   levels: int | None = None, vectors: bool = True,
+                   apply=None) -> EigenSolution:
+    """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
+    matrix, ascending.
+
+    Residuals are formed only for the returned columns, with ``apply``
+    (the operator the matrix was built from, acting on a block of
+    columns) when given, else with the matrix itself.  With
+    ``vectors=False`` LAPACK computes the energies alone; the solution
+    then has no vector columns and no residuals.
+    """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
     scale = max(1.0, float(np.max(np.abs(matrix))))
     if np.max(np.abs(matrix - matrix.T)) > symmetry_tol * scale:
         raise ValueError("matrix is not symmetric")
-    energies, vectors = np.linalg.eigh(matrix)
-    vectors = _fix_phases(vectors)
-    resid = np.linalg.norm(matrix @ vectors - vectors * energies, axis=0)
-    return EigenSolution(energies, vectors, resid)
+    dim = matrix.shape[0]
+    levels = dim if levels is None else levels
+    if not vectors:
+        energies = eigh(matrix, eigvals_only=True, subset_by_index=[0, levels - 1])
+        return EigenSolution(energies, np.empty((dim, 0)), np.empty(0))
+    energies, vecs = np.linalg.eigh(matrix)
+    energies, vecs = energies[:levels], _fix_phases(vecs[:, :levels])
+    applied = matrix @ vecs if apply is None else apply(vecs)
+    resid = np.linalg.norm(applied - vecs * energies, axis=0)
+    return EigenSolution(energies, vecs, resid)
 
 
 def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,

@@ -10,6 +10,7 @@ two legs are the even- and odd-indexed site sequences.
 """
 
 from dataclasses import dataclass, field
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -51,15 +52,17 @@ class SectorBasis:
     ``sz_twice`` is twice the total-Sz eigenvalue (an integer so that odd
     chains need no half-integers), or ``None`` for the full space.
     ``configs`` is strictly increasing, which makes ``index_of`` a binary
-    search and enumeration order reproducible by construction.
+    search and enumeration order reproducible by construction.  Bases
+    come from ``enumerate_sector``, which hands every caller the same
+    read-only instance per (lattice, sector).
     """
 
     lattice: LatticeSpec
     sz_twice: int | None
     configs: np.ndarray
 
-    # per-(i, j) flip tables reused by matrix-free operator application
-    _pair_cache: dict = field(default_factory=dict, repr=False)
+    # operator terms built once per basis; filled by spinqpt.models
+    _term_cache: dict = field(default_factory=dict, repr=False)
 
     @property
     def dimension(self) -> int:
@@ -73,50 +76,53 @@ class SectorBasis:
     def is_full(self) -> bool:
         return self.sz_twice is None
 
+    @cached_property
+    def popcounts(self) -> np.ndarray:
+        """Number of up spins of every configuration."""
+        counts = popcount(self.configs)
+        counts.setflags(write=False)
+        return counts
+
     def pair_table(self, i: int, j: int):
         """Flip targets and alignment for the site pair ``(i, j)``.
 
-        Returns ``(aligned, target, inside)`` where ``aligned[c]`` is True
-        when bits i and j agree, ``target[c]`` is the basis index of the
-        double-flipped configuration (undefined where ``inside`` is
-        False), and ``inside[c]`` marks flips that stay in the sector.
+        Returns ``(aligned, target)`` where ``aligned[c]`` is True when
+        bits i and j agree and ``target[c]`` is the basis index of the
+        double-flipped configuration; in an Sz sector only anti-aligned
+        flips stay inside, and ``target`` is 0 where ``aligned``.
+        Tables are not kept: operator terms built from them are cached
+        instead.
         """
-        key = (i, j) if i < j else (j, i)
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
-        mask = (1 << key[0]) | (1 << key[1])
-        flipped = self.configs ^ mask
-        bit_i = (self.configs >> key[0]) & 1
-        bit_j = (self.configs >> key[1]) & 1
-        aligned = bit_i == bit_j
+        flipped = self.configs ^ ((1 << i) | (1 << j))
+        aligned = ((self.configs >> i) & 1) == ((self.configs >> j) & 1)
         if self.is_full:
-            target = flipped
-            inside = np.ones(self.dimension, dtype=bool)
-        else:
-            # popcount is preserved exactly for anti-aligned flips
-            target = np.searchsorted(self.configs, flipped)
-            target[aligned] = 0
-            inside = ~aligned
-        entry = (aligned, target, inside)
-        self._pair_cache[key] = entry
-        return entry
+            return aligned, flipped
+        # popcount is preserved exactly for anti-aligned flips
+        target = np.searchsorted(self.configs, flipped)
+        target[aligned] = 0
+        return aligned, target
 
     def site_bits(self, i: int) -> np.ndarray:
         return ((self.configs >> i) & 1).astype(np.int64)
 
 
+@lru_cache(maxsize=16)
 def enumerate_sector(lattice: LatticeSpec, sz_twice: int | None) -> SectorBasis:
-    """Enumerate all configurations of a sector in ascending bitmask order."""
+    """Enumerate all configurations of a sector in ascending bitmask order.
+
+    The basis is built once per (lattice, sector) and shared, together
+    with the operator terms cached on it; its arrays are read-only.
+    """
     n = lattice.n_sites
     if sz_twice is None:
-        return SectorBasis(lattice, None, np.arange(2 ** n, dtype=np.int64))
-    if abs(sz_twice) > n or (n + sz_twice) % 2 != 0:
-        raise ValueError(f"sz_twice={sz_twice} impossible for {n} spins")
-    n_up = (n + sz_twice) // 2
-    all_configs = np.arange(2 ** n, dtype=np.int64)
-    pop = popcount(all_configs)
-    return SectorBasis(lattice, sz_twice, all_configs[pop == n_up])
+        configs = np.arange(2 ** n, dtype=np.int64)
+    else:
+        if abs(sz_twice) > n or (n + sz_twice) % 2 != 0:
+            raise ValueError(f"sz_twice={sz_twice} impossible for {n} spins")
+        all_configs = np.arange(2 ** n, dtype=np.int64)
+        configs = all_configs[popcount(all_configs) == (n + sz_twice) // 2]
+    configs.setflags(write=False)
+    return SectorBasis(lattice, sz_twice, configs)
 
 
 def popcount(configs) -> np.ndarray:

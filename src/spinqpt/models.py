@@ -24,6 +24,7 @@ which are solved in the full basis.
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .lattice import LatticeSpec, SectorBasis
 
@@ -184,38 +185,83 @@ def conserved_quantities(model: ModelSpec) -> ConservedQuantities:
     return ConservedQuantities(sz_conserved=sz, parity_conserved=True)
 
 
+def _term(basis: SectorBasis, pairs: tuple, part: str, cache: bool = True):
+    """One coupling-free operator term of the bonds ``pairs`` on ``basis``.
+
+    ``part`` is "zz" (diagonal: sum over bonds of +1 for an aligned pair,
+    -1 for an anti-aligned one), "anti" or "aligned" (CSR matrix summing
+    the double flips of anti-aligned or aligned pairs; duplicated bonds
+    give entries of 2).  Terms are cached on the basis, keyed by the bond
+    list, so every family and parameter value over one basis shares them.
+    """
+    key = (pairs, part)
+    hit = basis._term_cache.get(key)
+    if hit is not None:
+        return hit
+    if part == "aligned" and not basis.is_full:
+        raise ValueError("aligned pair flips leave the Sz sector; "
+                         "use the full basis")
+    dim = basis.dimension
+    if part == "zz":
+        term = np.zeros(dim)
+        for i, j in pairs:
+            aligned, _ = basis.pair_table(i, j)
+            term += np.where(aligned, 1.0, -1.0)
+        term.setflags(write=False)  # shared by every caller of the basis
+    else:
+        rows, cols = [], []
+        for i, j in pairs:
+            aligned, target = basis.pair_table(i, j)
+            src = np.flatnonzero(aligned if part == "aligned" else ~aligned)
+            rows.append(target[src].astype(np.int32))
+            cols.append(src.astype(np.int32))
+        rows, cols = np.concatenate(rows), np.concatenate(cols)
+        term = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    if cache:
+        basis._term_cache[key] = term
+    return term
+
+
+def _add_bonds(basis, pairs, couplings, diag, terms, cache=True):
+    """Add bonds with couplings (cx, cy, cz) as a diagonal plus scaled terms."""
+    cx, cy, cz = couplings
+    if cz != 0.0:
+        diag += (0.25 * cz) * _term(basis, pairs, "zz", cache)
+    for amp, part in ((0.25 * (cx + cy), "anti"), (0.25 * (cx - cy), "aligned")):
+        if amp != 0.0:
+            terms.append((amp, _term(basis, pairs, part, cache)))
+
+
+def _apply(diag, terms, vec):
+    out = diag[:, None] * vec if vec.ndim == 2 else diag * vec
+    for amp, term in terms:
+        out += amp * (term @ vec)
+    return out
+
+
 def apply_pair_coupling(basis: SectorBasis, i: int, j: int, cx, cy, cz, vec, out=None):
     """Accumulate (cx sx sx + cy sy sy + cz sz sz)_{ij} |vec> into ``out``.
 
     ``vec`` may be a vector ``(dim,)`` or a block of columns ``(dim, m)``.
     Aligned double flips (needed when cx != cy) require the full basis.
+    Builds the pair's terms without caching them.
     """
-    aligned, target, inside = basis.pair_table(i, j)
+    diag = np.zeros(basis.dimension)
+    terms = []
+    _add_bonds(basis, ((i, j),), (cx, cy, cz), diag, terms, cache=False)
     if out is None:
-        out = np.zeros_like(vec)
-    sign = np.where(aligned, 1.0, -1.0)
-    diag = (0.25 * cz) * sign
-    out += diag[:, None] * vec if vec.ndim == 2 else diag * vec
-    amp_anti = 0.25 * (cx + cy)
-    if amp_anti != 0.0:
-        src = ~aligned
-        contrib = amp_anti * vec[src]
-        out[target[src]] += contrib
-    amp_aligned = 0.25 * (cx - cy)
-    if amp_aligned != 0.0:
-        if not basis.is_full:
-            raise ValueError("aligned pair flips leave the Sz sector; "
-                             "use the full basis")
-        contrib = amp_aligned * vec[aligned]
-        out[target[aligned]] += contrib
+        return _apply(diag, terms, vec)
+    out += _apply(diag, terms, vec)
     return out
 
 
 class HamiltonianAction:
-    """Matrix-free H|v> built once per (model, basis) and applied many times.
+    """Matrix-free H|v> for one (model, basis).
 
-    The per-bond flip tables live on the basis, so constructing this for
-    many parameter values over the same basis stays cheap.
+    Every family is linear in its couplings: H = sum over bond kinds of
+    coefficient x cached term, plus a diagonal (zz terms and fields).
+    Building one for a new parameter value only combines the terms
+    cached on the basis.
     """
 
     def __init__(self, model: ModelSpec, basis: SectorBasis):
@@ -230,35 +276,22 @@ class HamiltonianAction:
         self.dim = basis.dimension
 
         diag = np.zeros(basis.dimension)
-        flips = []  # (source_mask, targets, amplitude)
-        for bond in graph.bonds:
-            cx, cy, cz = bond_couplings(model, bond.kind)
-            aligned, target, inside = basis.pair_table(bond.i, bond.j)
-            if cz != 0.0:
-                diag += (0.25 * cz) * np.where(aligned, 1.0, -1.0)
-            amp_anti = 0.25 * (cx + cy)
-            if amp_anti != 0.0:
-                src = ~aligned
-                flips.append((np.flatnonzero(src), target[src], amp_anti))
-            amp_al = 0.25 * (cx - cy)
-            if amp_al != 0.0:
-                src = aligned
-                flips.append((np.flatnonzero(src), target[src], amp_al))
+        terms = []  # (amplitude, CSR term shared through the basis cache)
+        for kind in dict.fromkeys(b.kind for b in graph.bonds):
+            pairs = tuple((b.i, b.j) for b in graph.bonds if b.kind == kind)
+            _add_bonds(basis, pairs, bond_couplings(model, kind), diag, terms)
         for term in graph.fields:
             coeff = field_coefficient(model, term)
             bits = basis.site_bits(term.site)
             diag += coeff * (bits - 0.5)
         self.diag = diag
-        self.flips = flips
+        self.terms = terms
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec)
         if vec.shape[0] != self.dim:
             raise ValueError("vector does not match basis dimension")
-        out = self.diag[:, None] * vec if vec.ndim == 2 else self.diag * vec
-        for src, tgt, amp in self.flips:
-            out[tgt] += amp * vec[src]
-        return out
+        return _apply(self.diag, self.terms, vec)
 
 
 def apply_hamiltonian(model: ModelSpec, basis: SectorBasis, vec: np.ndarray) -> np.ndarray:
@@ -276,4 +309,8 @@ def hamiltonian_dense(model: ModelSpec, basis: SectorBasis,
         raise ResourceLimitError(
             f"dimension {basis.dimension} exceeds dense cap {cap}")
     action = HamiltonianAction(model, basis)
-    return action(np.eye(basis.dimension))
+    mat = np.diag(action.diag)
+    for amp, term in action.terms:
+        rows = np.repeat(np.arange(basis.dimension), np.diff(term.indptr))
+        mat[rows, term.indices] += amp * term.data
+    return mat

@@ -8,13 +8,13 @@ B|psi> carries all the information needed for overlaps (|<n|A|0>|^2 =
 the same real formula as in the symmetric x/z cases.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import SectorBasis, enumerate_sector, popcount
-from .models import (ModelSpec, HamiltonianAction, apply_pair_coupling,
-                     coupling_graph, hamiltonian_dense, ResourceLimitError)
+from .lattice import SectorBasis, enumerate_sector
+from .models import (ModelSpec, HamiltonianAction, coupling_graph,
+                     hamiltonian_dense, ResourceLimitError)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
@@ -81,15 +81,19 @@ def bond_averaged_correlators(model: ModelSpec, basis: SectorBasis, vec: np.ndar
 def total_spin(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
     """(S, <S^2>) with S = None when <S^2> is not quantized.
 
-    S_total^2 = 3N/4 + 2 sum_{i<j} s_i . s_j, evaluated matrix-free.
+    Uses S^2 = S^- S^+ + Sz^2 + Sz, so <S^2> = |S^+ psi|^2 + <Sz (Sz + 1)>.
+    S^+ psi is built by one single-flip scatter per site into a buffer
+    indexed by configuration, which also holds states of mixed Sz.
     """
     _check_normalized(vec)
     n = basis.n_sites
-    acc = np.zeros_like(vec)
+    raised = np.zeros(2 ** n)
     for i in range(n):
-        for j in range(i + 1, n):
-            apply_pair_coupling(basis, i, j, 1.0, 1.0, 1.0, vec, out=acc)
-    s_sq = 0.75 * n + 2.0 * float(vec @ acc)
+        down = ((basis.configs >> i) & 1) == 0
+        # distinct configurations stay distinct, so the scatter is exact
+        raised[basis.configs[down] | (1 << i)] += vec[down]
+    sz = basis.popcounts - 0.5 * n
+    s_sq = float(raised @ raised) + float(np.sum(sz * (sz + 1.0) * vec * vec))
     s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * s_sq)))
     s_half = round(2.0 * s) / 2.0
     if abs(s_half * (s_half + 1.0) - s_sq) <= quantization_tol:
@@ -102,7 +106,7 @@ def parity(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
     if not basis.is_full:
         raise ValueError("parity labels are defined on the full basis only")
     _check_normalized(vec)
-    signs = 1.0 - 2.0 * ((basis.n_sites - popcount(basis.configs)) % 2)
+    signs = 1.0 - 2.0 * ((basis.n_sites - basis.popcounts) % 2)
     expect = float(np.sum(signs * vec * vec))
     if abs(expect) > 1.0 - quantization_tol:
         return 1 if expect > 0 else -1
@@ -114,7 +118,7 @@ def sz_twice_label(basis: SectorBasis, vec: np.ndarray, quantization_tol: float 
     if not basis.is_full:
         return basis.sz_twice
     _check_normalized(vec)
-    szt = 2.0 * (popcount(basis.configs) - 0.5 * basis.n_sites)
+    szt = 2.0 * basis.popcounts - basis.n_sites
     mean = float(np.sum(szt * vec * vec))
     var = float(np.sum(szt * szt * vec * vec)) - mean * mean
     if var <= quantization_tol:
@@ -221,33 +225,45 @@ class SumRuleReport:
     operator_tag: str
     lhs: float           # <0|[A,[H,A]]|0> by operator application
     rhs: float           # 2 sum_n (E_n - E_0) |<0|A|n>|^2
+    # the full spectrum the right side was summed over, for reuse
+    solution: EigenSolution | None = field(default=None, repr=False, compare=False)
 
     @property
     def residual(self) -> float:
         return abs(self.lhs - self.rhs)
 
 
+def _full_solution(model: ModelSpec, lattice, dense_cap: int, solution):
+    """The full basis and full spectrum of H, solved unless ``solution`` is given."""
+    basis = enumerate_sector(lattice, None)
+    if basis.dimension > dense_cap:
+        raise ResourceLimitError(
+            f"sum rules need the full spectrum; dim {basis.dimension} > cap {dense_cap}")
+    if solution is None:
+        solution = dense_spectrum(hamiltonian_dense(model, basis, cap=dense_cap))
+    return basis, solution
+
+
 def sum_rule_residual(model: ModelSpec, lattice, operator_tag: str,
-                      dense_cap: int = 4096) -> SumRuleReport:
+                      dense_cap: int = 4096,
+                      solution: EigenSolution | None = None) -> SumRuleReport:
     """Double-commutator identity check for one collective operator.
 
     The left side never materializes A or [H, A]: with u = B|0> and the
     real companion B it is 2(<u|H|u> - <u|B H|0>), identical in form for
     symmetric (x, z) and antisymmetric (y companion) operators.
+    ``solution`` is the full spectrum of ``model`` on the full basis, as
+    carried by an earlier report; it is solved when omitted.
     """
-    basis = enumerate_sector(lattice, None)
-    if basis.dimension > dense_cap:
-        raise ResourceLimitError(
-            f"sum rule needs the full spectrum; dim {basis.dimension} > cap {dense_cap}")
+    basis, sol = _full_solution(model, lattice, dense_cap, solution)
     axis, momentum = _parse_tag(operator_tag)
     action = HamiltonianAction(model, basis)
-    sol = dense_spectrum(hamiltonian_dense(model, basis, cap=dense_cap))
     e0, ground = sol.ground()
     u = collective_apply(basis, ground, axis, momentum)
     lhs = 2.0 * (u @ action(u) - u @ collective_apply(basis, action(ground), axis, momentum))
     tw = transition_weights(basis, ground, sol, operator_tag)
     rhs = 2.0 * float(tw.excitation_energies @ tw.weights)
-    return SumRuleReport(operator_tag, float(lhs), rhs)
+    return SumRuleReport(operator_tag, float(lhs), rhs, solution=sol)
 
 
 @dataclass
@@ -269,13 +285,12 @@ class RearrangedSumRule:
         return abs(self.correlator_side - self.spectrum_side)
 
 
-def rearranged_sum_rule(model: ModelSpec, lattice, dense_cap: int = 4096) -> RearrangedSumRule:
-    basis = enumerate_sector(lattice, None)
-    if basis.dimension > dense_cap:
-        raise ResourceLimitError(
-            f"rearranged sum rule needs the full spectrum; dim {basis.dimension}")
+def rearranged_sum_rule(model: ModelSpec, lattice, dense_cap: int = 4096,
+                        solution: EigenSolution | None = None) -> RearrangedSumRule:
+    """Both sides of the per-model rearrangement; ``solution`` as in
+    ``sum_rule_residual``."""
+    basis, sol = _full_solution(model, lattice, dense_cap, solution)
     n = lattice.n_sites
-    sol = dense_spectrum(hamiltonian_dense(model, basis, cap=dense_cap))
     e0, ground = sol.ground()
     cxx, cyy, czz = bond_averaged_correlators(model, basis, ground, kind="nn")
 

@@ -258,3 +258,43 @@ def test_detect_skips_flagged_segments():
     events = detect_crossings(good, 1, 2)
     assert any(e.kind == "true_crossing" and abs(e.location - 1.0) < 1e-6
                for e in events)
+
+
+def test_flat_gap_with_last_bit_noise_has_no_dips(monkeypatch):
+    import spinqpt.analysis as analysis
+    res = sweep("xxz", {}, GridSpec("delta", -1.9, -1.5, 0.02), chain(6),
+                k_levels=3, space="full")
+    base = 1.0 - 1.0 / np.sqrt(2.0)
+    ulp = np.spacing(base)
+    noise = [0, -1, 1, -1, 0, 1, -1, -1, 1, 0, -1, 1, 0, -1, 1, 1, -1, 0, -1, 1, 0]
+    assert len(noise) == len(res.points)
+    for p, k in zip(res.points, noise):
+        p.energies = np.array([-1.0, 0.0, base + k * ulp])
+    refined = []
+
+    def no_refinement(*args, **kwargs):
+        refined.append(args)
+        raise AssertionError("a flat gap must not be refined")
+
+    monkeypatch.setattr(analysis, "solve_levels", no_refinement)
+    assert detect_crossings(res, 1, 2) == []
+    assert refined == []
+
+
+def test_sweep_flags_a_bad_point_and_continues(monkeypatch):
+    import spinqpt.analysis as analysis
+    real = analysis.solve_levels
+
+    def unnormalized_at_one(cfg, g, k, **kwargs):
+        sol, basis = real(cfg, g, k, **kwargs)
+        if abs(g - 1.0) < 1e-12:
+            sol.vectors[:, 0] *= 2.0
+        return sol, basis
+
+    monkeypatch.setattr(analysis, "solve_levels", unnormalized_at_one)
+    res = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)
+    assert len(res.points) == 5
+    assert [p.g for p in res.flagged] == [pytest.approx(1.0)]
+    assert "not normalized" in res.flagged[0].flag
+    assert np.isnan(res.concurrence()[2])
+    assert not np.isnan(np.delete(res.concurrence(), 2)).any()

@@ -115,6 +115,26 @@ def test_sumrule_reports_residual(capsys):
     assert doc["payload"]["rearranged"]["residual"] <= 1e-10
 
 
+def test_sumrule_solves_one_spectrum_per_call(capsys, monkeypatch):
+    import spinqpt.observables as observables
+    solves = []
+    real = observables.dense_spectrum
+
+    def counted(*args, **kwargs):
+        solves.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(observables, "dense_spectrum", counted)
+    code, out, _ = run_capture(
+        ["sumrule", "--model", "xxz", "--delta", "0.6", "--sites", "6",
+         "--operator", "all"], capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert len(payload["reports"]) == 3 and len(solves) == 1
+    assert max(r["residual"] for r in payload["reports"]) <= 1e-10
+    assert payload["rearranged"]["residual"] <= 1e-10
+
+
 # --- scaling -----------------------------------------------------------------
 
 def test_scaling_payload(capsys):

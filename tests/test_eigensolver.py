@@ -36,6 +36,23 @@ def test_rejects_non_symmetric():
         dense_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
+def test_energies_only_match_full_eigh():
+    rng = np.random.RandomState(5)
+    a = rng.standard_normal((40, 40))
+    degenerate = hamiltonian_dense(xxz(-1.0), enumerate_sector(chain(8), None))
+    for m in (a + a.T, degenerate):
+        ref = np.linalg.eigh(m)[0]
+        for levels in (1, 6, len(m)):
+            sol = dense_spectrum(m, levels=levels, vectors=False)
+            assert sol.k == levels and sol.vectors.shape == (len(m), 0)
+            assert np.max(np.abs(sol.energies - ref[:levels])) <= 1e-12
+        lowest = dense_spectrum(m, levels=6)
+        full = dense_spectrum(m)
+        assert np.array_equal(lowest.energies, full.energies[:6])
+        assert np.array_equal(lowest.vectors, full.vectors[:, :6])
+        assert np.allclose(lowest.residuals, full.residuals[:6], atol=1e-13)
+
+
 def test_dense_reconstruction():
     basis = enumerate_sector(chain(6), 0)
     m = hamiltonian_dense(xxz(0.5), basis)

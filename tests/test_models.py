@@ -246,3 +246,40 @@ def test_apply_is_linear(family, a, b, seed):
     lhs = action(a * u + b * v)
     rhs = a * action(u) + b * action(v)
     assert np.allclose(lhs, rhs, atol=1e-10 * max(1.0, abs(a) + abs(b)))
+
+
+def _oracle_matrix(model, n):
+    p = model.as_dict()
+    ref = {"xxz": lambda: orc.h_xxz(n, p.get("delta")),
+           "j1j2": lambda: orc.h_j1j2(n, p.get("j1"), p.get("j2")),
+           "ising": lambda: orc.h_ising(n, p.get("lam")),
+           "xyz": lambda: orc.h_xyz(n, p.get("jx"), p.get("jy"), p.get("jz"),
+                                    p.get("h"))}[model.family]()
+    assert np.max(np.abs(ref.imag)) < 1e-14
+    return ref.real
+
+
+@pytest.mark.parametrize("model, n, sz", [
+    (j1j2(1.0, 0.6), 4, None),                     # duplicated NNN bonds
+    (j1j2(1.0, 0.6), 4, 0),
+    (xxz(-0.7), 5, None),                          # odd full-space chain
+    (transverse_ising(0.8), 5, None),
+    (general_xyz(0.9, 0.3, -0.5, h=0.4), 5, None),  # aligned flips and a field
+    (xxz(1.3), 6, 2),
+    (j1j2(1.0, 0.35), 6, -2),
+])
+def test_dense_matches_oracle_on_basis(model, n, sz):
+    basis = enumerate_sector(chain(n), sz)
+    ref = _oracle_matrix(model, n)[np.ix_(basis.configs, basis.configs)]
+    assert np.allclose(hamiltonian_dense(model, basis), ref, atol=1e-13)
+
+
+def test_actions_on_one_basis_share_cached_terms():
+    basis = enumerate_sector(chain(8), 0)
+    assert enumerate_sector(chain(8), 0) is basis
+    a = HamiltonianAction(j1j2(1.0, 0.2), basis)
+    b = HamiltonianAction(j1j2(1.0, 0.7), basis)
+    assert len(a.terms) == len(b.terms) == 2
+    assert all(ta is tb for (_, ta), (_, tb) in zip(a.terms, b.terms))
+    # nearest-neighbour flips serve every chain family on the basis
+    assert HamiltonianAction(xxz(0.5), basis).terms[0][1] is a.terms[0][1]

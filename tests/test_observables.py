@@ -148,6 +148,19 @@ def test_total_spin_mixed_label():
         np.array([0, 1 / SQ2, 0, 1 / SQ2]), 2), abs=1e-12)
 
 
+@pytest.mark.parametrize("n, sz", [(5, None), (6, None), (6, 0), (6, 2), (7, -1)])
+def test_total_spin_matches_oracle_on_random_states(n, sz):
+    # full-space draws mix every Sz sector; sector draws are lifted first
+    basis = enumerate_sector(chain(n), sz)
+    rng = np.random.RandomState(10 * n + (sz or 0))
+    for _ in range(3):
+        vec = rng.standard_normal(basis.dimension)
+        vec /= np.linalg.norm(vec)
+        _, lifted = lift_to_full(basis, vec)
+        _, s_sq = total_spin(basis, vec)
+        assert s_sq == pytest.approx(orc.total_spin_sq(lifted, n), abs=1e-12)
+
+
 def test_parity_examples():
     basis = enumerate_sector(chain(4), None)
     vec = np.zeros(16)
