@@ -19,11 +19,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .lattice import LatticeSpec, chain, ladder, enumerate_sector
-from . import models
-from .models import ModelSpec, HamiltonianAction, hamiltonian_dense
-from .eigensolver import (EigenSolution, dense_spectrum, lanczos_lowest_k,
-                          ConvergenceError)
+from .lattice import LatticeSpec, SectorBasis, enumerate_sector
+from .models import (ModelSpec, HamiltonianAction, build_model, family_spec,
+                     hamiltonian_dense)
+from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
+                          lanczos_lowest_k, ConvergenceError)
 from .observables import PAIR_OPS, StateLabels, label_state, two_site_rdm
 from .entanglement import wootters_concurrence
 
@@ -61,22 +61,6 @@ class SolverOptions:
     dense_cutoff: int = 512      # sweep points at or below this use LAPACK
     dense_cap: int = 4096
     max_iter: int | None = None
-
-
-def build_model(family: str, params: dict) -> ModelSpec:
-    params = dict(params)
-    if family == "xxz":
-        return models.xxz(params.pop("delta"))
-    if family == "j1j2":
-        return models.j1j2(params.pop("j1", 1.0), params.pop("j2", 0.0))
-    if family == "ising":
-        return models.transverse_ising(params.pop("lam"))
-    if family == "ladder":
-        return models.ladder_model(params.pop("j_rung"), params.pop("j_leg", 1.0))
-    if family == "xyz":
-        return models.general_xyz(params.pop("jx", 1.0), params.pop("jy", 1.0),
-                                  params.pop("jz", 1.0), params.pop("h", 0.0))
-    raise ValueError(f"unknown model family {family!r}")
 
 
 def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
@@ -131,14 +115,14 @@ class PointConfig:
         return build_model(self.family, params)
 
 
-def _choose_space(family, fixed_params, lattice, space, options) -> str:
+def _choose_space(family, lattice, space, options) -> str:
     if space != "auto":
         return space
     if 2 ** lattice.n_sites <= options.dense_cutoff:
         return "full"
-    # xxz / j1j2 / ladder conserve Sz for every coupling value; xyz may
-    # cross between symmetry classes along a sweep, so it stays full
-    if family in ("xxz", "j1j2", "ladder") and lattice.n_sites % 2 == 0:
+    # a family that may cross between symmetry classes along a sweep
+    # stays in the full space
+    if family_spec(family).sz_conserved and lattice.n_sites % 2 == 0:
         return "sz0"
     return "full"
 
@@ -154,27 +138,30 @@ def _space_sector(space: str) -> int | None:
     raise ValueError(f"unknown space tag {space!r}")
 
 
-def solve_levels(cfg: PointConfig, g: float, k: int, *,
-                 energies_only: bool = False) -> tuple[EigenSolution, object]:
-    """Lowest k levels at one parameter value, dense or Lanczos by size.
+def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
+                options: SolverOptions, *, energies_only: bool = False) -> EigenSolution:
+    """Lowest k levels of one model on one basis, dense or Lanczos by size.
 
     Residuals are taken with the matrix-free operator on both paths.
-    ``energies_only`` lets the dense path skip eigenvectors and
-    residuals; Lanczos produces vectors either way.
+    ``energies_only`` lets the dense path skip eigenvectors, residuals
+    and the operator; Lanczos produces vectors either way.
     """
-    lattice = cfg.lattice()
-    basis = enumerate_sector(lattice, _space_sector(cfg.space))
-    model = cfg.model_at(g)
-    action = HamiltonianAction(model, basis)
-    if basis.dimension <= cfg.options.dense_cutoff:
-        sol = dense_spectrum(hamiltonian_dense(model, basis, cap=max(
-            cfg.options.dense_cap, cfg.options.dense_cutoff)),
-            levels=k, vectors=not energies_only, apply=action)
-    else:
-        sol = lanczos_lowest_k(action, basis.dimension, k,
-                               tol=cfg.options.tol, seed=cfg.options.seed,
-                               max_iter=cfg.options.max_iter)
-    return sol, basis
+    if basis.dimension > options.dense_cutoff:
+        return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
+                                tol=options.tol, seed=options.seed,
+                                max_iter=options.max_iter)
+    matrix = hamiltonian_dense(model, basis,
+                               cap=max(options.dense_cap, options.dense_cutoff))
+    return dense_spectrum(matrix, levels=k, vectors=not energies_only,
+                          apply=None if energies_only else HamiltonianAction(model, basis))
+
+
+def solve_levels(cfg: PointConfig, g: float, k: int, *,
+                 energies_only: bool = False) -> tuple[EigenSolution, SectorBasis]:
+    """Lowest k levels of a sweep's model at one parameter value."""
+    basis = enumerate_sector(cfg.lattice(), _space_sector(cfg.space))
+    return solve_model(cfg.model_at(g), basis, k, cfg.options,
+                       energies_only=energies_only), basis
 
 
 @dataclass
@@ -252,7 +239,7 @@ def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> Swe
     # observables then come from the ensemble over the solved part of the
     # multiplet, which is invariant under mixing within the degenerate
     # subspace only when the whole multiplet lies within the k levels
-    deg = 1e-9 * max(1.0, float(sol.energies[-1] - sol.energies[0]))
+    deg = degeneracy_tolerance(float(sol.energies[-1] - sol.energies[0]))
     mult = int(np.sum(sol.energies - sol.energies[0] <= deg)) if sol.k > 1 else 1
     pairs = {}
     for name, sites in cfg.pair_items:
@@ -277,7 +264,7 @@ def sweep(family: str, fixed_params: dict, swept: GridSpec, lattice: LatticeSpec
     if k_levels < 2:
         raise ValueError("crossing analysis needs at least two levels")
     pair_map = resolve_pairs(lattice, pairs)
-    chosen = _choose_space(family, fixed_params, lattice, space, options)
+    chosen = _choose_space(family, lattice, space, options)
     cfg = PointConfig(family=family, fixed_params=tuple(sorted(fixed_params.items())),
                       swept_name=swept.name, geometry=lattice.geometry,
                       n_sites=lattice.n_sites, space=chosen, k_levels=k_levels,
@@ -311,7 +298,7 @@ def _spectral_width(sweep_result: SweepResult) -> float:
         if p.flag is None:
             lo = min(lo, p.energies[0])
             hi = max(hi, p.energies[-1])
-    return max(1.0, hi - lo) if hi > lo else 1.0
+    return hi - lo if hi > lo else 0.0
 
 
 def _labels_agree(la: StateLabels, lb: StateLabels):
@@ -334,7 +321,7 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int, *,
         raise ValueError(f"levels ({a}, {b}) not contained in the sweep")
     cfg = sweep_result.config
     deg = degeneracy_tol if degeneracy_tol is not None \
-        else 1e-9 * _spectral_width(sweep_result)
+        else degeneracy_tolerance(_spectral_width(sweep_result))
 
     def gap_at(g: float) -> float:
         sol, _ = solve_levels(cfg, g, b + 1, energies_only=True)
@@ -694,8 +681,8 @@ def fit_inverse_size(sizes, locations):
 
 
 def scaling_study(family: str, fixed_params: dict, swept: GridSpec,
-                  sizes, derivative_order: int, *, geometry: str = "chain",
-                  pairs=("nn",), k_levels: int = 2, space: str = "auto",
+                  sizes, derivative_order: int, *, pairs=("nn",),
+                  k_levels: int = 2, space: str = "auto",
                   extremum_kind: str = "min", use_raw: bool = False,
                   options: SolverOptions = SolverOptions(),
                   threads: int = 1) -> ScalingResult:
@@ -707,7 +694,7 @@ def scaling_study(family: str, fixed_params: dict, swept: GridSpec,
     entries = []
     skipped = []
     for n in sizes:
-        lattice = chain(n) if geometry == "chain" else ladder(n)
+        lattice = family_spec(family).lattice(n)
         result = sweep(family, fixed_params, swept, lattice, k_levels=k_levels,
                        pairs=pairs, space=space, options=options, threads=threads)
         conc = result.concurrence(raw=use_raw)

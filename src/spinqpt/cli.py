@@ -22,12 +22,13 @@ import time
 import numpy as np
 
 from . import __version__
-from .lattice import chain, ladder, enumerate_sector
+from .lattice import enumerate_sector
+from .models import FAMILY_TABLE, build_model, family_spec
 from .eigensolver import ConvergenceError
 from .observables import (OPERATOR_TAGS, label_solution, rearranged_sum_rule,
                           sum_rule_residual)
-from .analysis import (GridSpec, SolverOptions, build_model, classify,
-                       scaling_study, solve_levels, sweep, PointConfig)
+from .analysis import (GridSpec, SolverOptions, _space_sector, classify,
+                       scaling_study, solve_model, sweep)
 
 SCHEMA_VERSION = "1"
 
@@ -36,17 +37,8 @@ class ConfigError(Exception):
     pass
 
 
-MODEL_PARAM_FLAGS = {
-    "xxz": ("delta",),
-    "j1j2": ("j1", "j2"),
-    "ising": ("lam",),
-    "ladder": ("j_rung", "j_leg"),
-    "xyz": ("jx", "jy", "jz", "h"),
-}
-ALL_PARAM_FLAGS = sorted({f for flags in MODEL_PARAM_FLAGS.values() for f in flags})
-
-SWEEPABLE = {"delta": "xxz", "j2": "j1j2", "lambda": "ising", "j_rung": "ladder",
-             "jx": "xyz", "jy": "xyz", "jz": "xyz", "h": "xyz"}
+# every family's parameters: each is a flag, a [model] key and maybe a sweep name
+MODEL_PARAMS = {p.name: p for spec in FAMILY_TABLE.values() for p in spec.params}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -58,18 +50,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--model", choices=sorted(MODEL_PARAM_FLAGS))
+        p.add_argument("--model", choices=sorted(FAMILY_TABLE))
         p.add_argument("--sites", type=int, help="total number of spins")
-        p.add_argument("--delta", type=float)
-        p.add_argument("--j1", type=float)
-        p.add_argument("--j2", type=float)
-        p.add_argument("--lambda", dest="lam", type=float)
-        p.add_argument("--j-rung", dest="j_rung", type=float)
-        p.add_argument("--j-leg", dest="j_leg", type=float)
-        p.add_argument("--jx", type=float)
-        p.add_argument("--jy", type=float)
-        p.add_argument("--jz", type=float)
-        p.add_argument("--hz", dest="h", type=float)
+        for param in MODEL_PARAMS.values():
+            p.add_argument(param.cli_flag, dest=param.name, type=float)
         p.add_argument("--seed", type=lambda s: int(s, 0))
         p.add_argument("--tol", type=float)
         p.add_argument("--dense-cap", dest="dense_cap", type=int)
@@ -118,7 +102,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 CONFIG_KEYS = {
-    "model": {"model"} | set(ALL_PARAM_FLAGS),
+    "model": {"model"} | set(MODEL_PARAMS),
     "lattice": {"sites"},
     "grid": {"sweep", "levels", "pairs", "space", "sizes", "order", "kind",
              "raw", "sector"},
@@ -128,7 +112,7 @@ CONFIG_KEYS = {
 }
 _INT_KEYS = {"sites", "levels", "dense_cap", "dense_cutoff", "threads",
              "max_order", "order"}
-_FLOAT_KEYS = set(ALL_PARAM_FLAGS) | {"tol", "jump_tol"}
+_FLOAT_KEYS = set(MODEL_PARAMS) | {"tol", "jump_tol"}
 
 
 def load_config_file(path: str) -> dict:
@@ -177,40 +161,37 @@ def _require(settings, key, what=None):
     return settings[key]
 
 
-def _model_params(settings, family, exclude=()):
+def _model_params(settings, fam, exclude=()):
+    """The family's parameters in the settings; a required one unless swept."""
+    for name in sorted(MODEL_PARAMS):
+        if settings.get(name) is not None and MODEL_PARAMS[name] not in fam.params:
+            raise ConfigError(f"--{name.replace('_', '-')} does not apply to {fam.name}")
     params = {}
-    for flag in MODEL_PARAM_FLAGS[family]:
-        if flag in exclude:
+    for p in fam.params:
+        if p.name in exclude:
             continue
-        if settings.get(flag) is not None:
-            params[flag] = settings[flag]
-    for flag in ALL_PARAM_FLAGS:
-        if settings.get(flag) is not None and flag not in MODEL_PARAM_FLAGS[family]:
-            raise ConfigError(f"--{flag.replace('_', '-')} does not apply to {family}")
+        if p.default is None:
+            params[p.name] = _require(settings, p.name, p.cli_flag)
+        elif settings.get(p.name) is not None:
+            params[p.name] = settings[p.name]
     return params
 
 
-def _lattice_for(family, sites):
-    if sites is None:
-        raise ConfigError("missing required setting --sites")
-    try:
-        return ladder(sites) if family == "ladder" else chain(sites)
-    except ValueError as err:
-        raise ConfigError(str(err))
-
-
-def _parse_sweep(text) -> GridSpec:
-    parts = str(text).split(":")
+def _parse_sweep(settings, fam) -> GridSpec:
+    parts = str(_require(settings, "sweep")).split(":")
     if len(parts) != 4:
         raise ConfigError("--sweep must look like name:start:stop:step")
     name = parts[0].strip()
-    if name not in SWEEPABLE:
-        raise ConfigError(f"cannot sweep {name!r}; choose from {sorted(SWEEPABLE)}")
+    sweepable = {p.alias or p.name: p.name for p in MODEL_PARAMS.values() if p.sweepable}
+    if name not in sweepable:
+        raise ConfigError(f"cannot sweep {name!r}; choose from {sorted(sweepable)}")
     try:
         start, stop, step = (float(p) for p in parts[1:])
-        grid = GridSpec("lam" if name == "lambda" else name, start, stop, step)
+        grid = GridSpec(sweepable[name], start, stop, step)
     except ValueError as err:
         raise ConfigError(f"bad sweep grid: {err}")
+    if MODEL_PARAMS[grid.name] not in fam.params:
+        raise ConfigError(f"swept parameter {grid.name!r} belongs to another family")
     return grid
 
 
@@ -222,10 +203,10 @@ def _solver_options(settings) -> SolverOptions:
     return SolverOptions(**kw)
 
 
-def _parse_pairs(settings, family):
+def _parse_pairs(settings, fam):
     text = settings.get("pairs")
     if text is None:
-        return ("leg", "rung") if family == "ladder" else ("nn",)
+        return fam.pairs
     return tuple(tok.strip() for tok in str(text).split(",") if tok.strip())
 
 
@@ -353,29 +334,18 @@ def make_envelope(command: str, settings: dict, payload) -> dict:
 # commands
 
 def cmd_spectrum(settings) -> dict:
-    family = _require(settings, "model")
-    lattice = _lattice_for(family, settings.get("sites"))
-    model = build_model(family, _model_params(settings, family))
-    k = settings.get("levels", 4)
+    fam = family_spec(_require(settings, "model"))
+    lattice = fam.lattice(_require(settings, "sites"))
+    model = build_model(fam.name, _model_params(settings, fam))
     sector = str(settings.get("sector", "auto"))
-    opts = _solver_options(settings)
-    if sector in ("auto", "full"):
-        space = "full"
-    elif sector == "sz0":
-        space = "sz0"
-    else:
+    space = "full" if sector == "auto" else sector
+    if space not in ("full", "sz0"):
         try:
-            space = f"sz:{int(sector)}"
+            space = f"sz:{int(space)}"
         except ValueError:
             raise ConfigError("--sector must be full, sz0, auto, or an integer 2*Sz")
-    cfg = PointConfig(family=family, fixed_params=tuple(sorted(model.as_dict().items())),
-                      swept_name=next(iter(model.as_dict())), geometry=lattice.geometry,
-                      n_sites=lattice.n_sites, space=space, k_levels=k,
-                      pair_items=(), options=opts)
-    # re-solve with the model's own parameters: sweeping nothing means the
-    # swept name simply overwrites the identical fixed value
-    g = model.as_dict()[cfg.swept_name]
-    sol, basis = solve_levels(cfg, g, k)
+    basis = enumerate_sector(lattice, _space_sector(space))
+    sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
     label_solution(basis, sol)
     return {"model": model.describe(), "n_sites": lattice.n_sites,
             "space": space, "dimension": basis.dimension,
@@ -385,14 +355,12 @@ def cmd_spectrum(settings) -> dict:
 
 
 def _run_sweep(settings):
-    family = _require(settings, "model")
-    lattice = _lattice_for(family, settings.get("sites"))
-    grid = _parse_sweep(_require(settings, "sweep"))
-    if SWEEPABLE[grid.name if grid.name != "lam" else "lambda"] != family:
-        raise ConfigError(f"swept parameter {grid.name!r} belongs to another family")
-    fixed = _model_params(settings, family, exclude=(grid.name,))
-    pairs = _parse_pairs(settings, family)
-    return sweep(family, fixed, grid, lattice,
+    fam = family_spec(_require(settings, "model"))
+    lattice = fam.lattice(_require(settings, "sites"))
+    grid = _parse_sweep(settings, fam)
+    fixed = _model_params(settings, fam, exclude=(grid.name,))
+    pairs = _parse_pairs(settings, fam)
+    return sweep(fam.name, fixed, grid, lattice,
                  k_levels=settings.get("levels", 3),
                  pairs=pairs, space=settings.get("space", "auto"),
                  options=_solver_options(settings),
@@ -447,8 +415,8 @@ def _preset_table1(settings) -> dict:
         sub.pop("pair", None)
         sub.update(model=spec_row["family"], sweep=spec_row["sweep"],
                    sites=spec_row["sites"], levels=max(settings.get("levels") or 0, 6))
-        for flag in ALL_PARAM_FLAGS:
-            sub.pop(flag, None)
+        for name in MODEL_PARAMS:
+            sub.pop(name, None)
         result = _run_sweep(sub)
         report = classify(result, pair=spec_row.get("pair"))
         entry = {"row": spec_row["row"], "expected_type": spec_row["expected"],
@@ -460,13 +428,12 @@ def _preset_table1(settings) -> dict:
 
 
 def cmd_sumrule(settings) -> dict:
-    family = _require(settings, "model")
-    lattice = _lattice_for(family, settings.get("sites"))
-    model = build_model(family, _model_params(settings, family))
+    fam = family_spec(_require(settings, "model"))
+    lattice = fam.lattice(_require(settings, "sites"))
+    model = build_model(fam.name, _model_params(settings, fam))
     choice = settings.get("operator", "all")
     if choice == "all":
-        tags = [t for t in OPERATOR_TAGS
-                if t.startswith("staggered" if family != "ising" else "uniform")]
+        tags = fam.operators
     elif choice in OPERATOR_TAGS:
         tags = [choice]
     else:
@@ -481,7 +448,7 @@ def cmd_sumrule(settings) -> dict:
                         "residual": fmt(rep.residual)})
     payload = {"model": model.describe(), "n_sites": lattice.n_sites,
                "reports": reports}
-    if model.family in ("xxz", "ising"):
+    if fam.rearranged is not None:
         re_rep = rearranged_sum_rule(model, lattice, dense_cap=cap, solution=sol)
         payload["rearranged"] = {"j_value": fmt(re_rep.j_value),
                                  "correlator_side": fmt(re_rep.correlator_side),
@@ -491,28 +458,25 @@ def cmd_sumrule(settings) -> dict:
 
 
 def cmd_scaling(settings) -> dict:
-    family = _require(settings, "model")
-    grid = _parse_sweep(_require(settings, "sweep"))
-    if SWEEPABLE[grid.name if grid.name != "lam" else "lambda"] != family:
-        raise ConfigError(f"swept parameter {grid.name!r} belongs to another family")
+    fam = family_spec(_require(settings, "model"))
+    grid = _parse_sweep(settings, fam)
     sizes_text = _require(settings, "sizes")
     try:
         sizes = [int(tok) for tok in str(sizes_text).split(",")]
     except ValueError:
         raise ConfigError("--sizes must be a comma list of integers")
     order = _require(settings, "order")
-    fixed = _model_params(settings, family, exclude=(grid.name,))
-    pairs = _parse_pairs(settings, family)
+    fixed = _model_params(settings, fam, exclude=(grid.name,))
+    pairs = _parse_pairs(settings, fam)
     result = scaling_study(
-        family, fixed, grid, sizes, order,
-        geometry="ladder" if family == "ladder" else "chain",
+        fam.name, fixed, grid, sizes, order,
         pairs=pairs, k_levels=settings.get("levels", 2),
         space=settings.get("space", "auto"),
         extremum_kind=settings.get("kind", "min"),
         use_raw=bool(settings.get("raw", False)),
         options=_solver_options(settings),
         threads=settings.get("threads", 1))
-    payload = {"model": family, "swept": grid.name, "derivative_order": order,
+    payload = {"model": fam.name, "swept": grid.name, "derivative_order": order,
                "extremum_kind": result.extremum_kind,
                "entries": [{"n_sites": e.n_sites, "location": fmt(e.location),
                             "value": fmt(e.value)} for e in result.entries],

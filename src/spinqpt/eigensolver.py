@@ -41,6 +41,11 @@ class EigenSolution:
         return float(self.energies[0]), self.vectors[:, 0]
 
 
+def degeneracy_tolerance(width: float) -> float:
+    """Levels closer than this are one multiplet; ``width`` counts as at least 1."""
+    return 1e-9 * max(1.0, width)
+
+
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     idx = np.argmax(np.abs(vectors), axis=0)
     signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
@@ -111,9 +116,6 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
         if found.shape[1]:
             w -= found @ (found.T @ w)
         return w
-
-    def deg_tol():
-        return degeneracy_tol if degeneracy_tol is not None else 1e-9 * max(1.0, width)
 
     certified = False
     while restarts <= max_restarts:
@@ -195,7 +197,8 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
                 pass_min = float(theta[col])
         if pass_min is not None and len(found_vals) > k:
             kth = np.sort(found_vals)[k - 1]
-            certified = pass_min > kth + deg_tol()
+            certified = pass_min > kth + (degeneracy_tol if degeneracy_tol is not None
+                                          else degeneracy_tolerance(width))
         restarts += 1
 
     if not certified and len(found_vals) >= k:

@@ -9,6 +9,11 @@ operators s^a = sigma^a / 2:
 * ``ladder`` H = J_leg sum_legs s.s + J_rung sum_rungs s.s
 * ``xyz``    H = sum_i (Jx sx sx + Jy sy sy + Jz sz sz) + h sum_i sz
 
+Each family is declared once, in ``FAMILY_TABLE`` (lattice, bond kinds,
+parameters with their defaults and command-line spellings, couplings, z
+field, Sz symmetry, sum-rule data); model building, symmetry checks, the
+sweep space, the sum rules and the command line all read it.
+
 Every family is real symmetric in the sz product basis: sy sy only ever
 appears pairwise and contributes real matrix elements, so state vectors
 stay real throughout.
@@ -22,13 +27,12 @@ which are solved in the full basis.
 """
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 from scipy import sparse
 
 from .lattice import LatticeSpec, SectorBasis
-
-FAMILIES = ("j1j2", "xxz", "ising", "ladder", "xyz")
 
 
 class ResourceLimitError(RuntimeError):
@@ -81,6 +85,82 @@ def general_xyz(jx: float, jy: float, jz: float, h: float = 0.0) -> ModelSpec:
 
 
 @dataclass(frozen=True)
+class Param:
+    """One family parameter; a ``default`` of None marks it required."""
+    name: str
+    default: float | None = None
+    sweepable: bool = False
+    alias: str | None = None  # command-line flag and sweep name, if not ``name``
+    flag: str | None = None   # command-line flag alone, if it differs again
+
+    @property
+    def cli_flag(self) -> str:
+        return "--" + (self.flag or (self.alias or self.name).replace("_", "-"))
+
+
+@dataclass(frozen=True)
+class Family:
+    """Everything the toolkit knows about one model family."""
+    name: str
+    geometry: str                   # "chain" | "ladder"
+    bond_kinds: tuple               # in coupling-graph order
+    params: tuple                   # Param entries
+    make: Callable                  # the public constructor, by parameter name
+    couplings: Callable             # (params dict, bond kind) -> (cx, cy, cz)
+    field: Callable | None = None   # params dict -> z field as written in H
+    field_sign: float = 1.0         # the overall sign H gives that field
+    sz_conserved: bool = True       # at every parameter value
+    pairs: tuple = ("nn",)          # default pairs for pair observables
+    operators: tuple = ("staggered_x", "staggered_y", "staggered_z")  # sum-rule set
+    # rearranged sum rule (observables.RearrangedSumRule), when it has one:
+    # (params, nn-bond cxx, cyy, czz) -> (J, correlator side, sign)
+    rearranged: Callable | None = None
+
+    def lattice(self, n_sites: int) -> LatticeSpec:
+        return LatticeSpec(self.geometry, n_sites)
+
+
+FAMILY_TABLE = {spec.name: spec for spec in (
+    Family("xxz", "chain", ("nn",), (Param("delta", sweepable=True),), xxz,
+           couplings=lambda p, kind: (1.0, 1.0, p["delta"]),
+           rearranged=lambda p, x, y, z: (2.0 + p["delta"], -(x + y + z), 1.0)),
+    Family("j1j2", "chain", ("nn", "nnn"),
+           (Param("j1", 1.0), Param("j2", 0.0, sweepable=True)), j1j2,
+           couplings=lambda p, kind: (p["j1"] if kind == "nn" else p["j2"],) * 3),
+    Family("ising", "chain", ("nn",),
+           (Param("lam", sweepable=True, alias="lambda"),), transverse_ising,
+           couplings=lambda p, kind: (-p["lam"], 0.0, 0.0),
+           field=lambda p: 0.5, field_sign=-1.0, sz_conserved=False,
+           operators=("uniform_x", "uniform_y", "uniform_z"),
+           rearranged=lambda p, x, y, z: (-p["lam"], x - y - z, -1.0)),
+    Family("ladder", "ladder", ("leg", "rung"),
+           (Param("j_rung", sweepable=True), Param("j_leg", 1.0)), ladder_model,
+           couplings=lambda p, kind: (p["j_leg"] if kind == "leg" else p["j_rung"],) * 3,
+           pairs=("leg", "rung")),
+    Family("xyz", "chain", ("nn",),
+           (Param("jx", 1.0, sweepable=True), Param("jy", 1.0, sweepable=True),
+            Param("jz", 1.0, sweepable=True), Param("h", 0.0, sweepable=True, flag="hz")),
+           general_xyz,
+           couplings=lambda p, kind: (p["jx"], p["jy"], p["jz"]),
+           field=lambda p: p["h"], sz_conserved=False),
+)}
+
+
+def family_spec(name: str) -> Family:
+    if name not in FAMILY_TABLE:
+        raise ValueError(f"unknown model family {name!r}")
+    return FAMILY_TABLE[name]
+
+
+def build_model(family: str, params: dict) -> ModelSpec:
+    """A family's model from a parameter dict; a parameter left out takes its
+    default or, when required, raises KeyError.  Other names are ignored."""
+    fam = family_spec(family)
+    return fam.make(**{p.name: params[p.name] if p.default is None
+                       else params.get(p.name, p.default) for p in fam.params})
+
+
+@dataclass(frozen=True)
 class Bond:
     i: int
     j: int
@@ -99,70 +179,39 @@ class CouplingGraph:
     """One bond / field entry per literal summand of the Hamiltonian.
 
     Field strengths are the coefficients as written inside the family's
-    defining sum; the ising family's overall minus sign is applied by
-    the coupling resolution, not stored here.
+    defining sum; the ising family's overall minus sign is its table
+    ``field_sign``, applied by the operator build, not stored here.
     """
 
     bonds: tuple
     fields: tuple
 
 
+# bond kind -> its site pairs on a lattice, one per literal summand
+_BOND_PAIRS = {
+    "nn": lambda lat: [(i, (i + 1) % lat.n_sites) for i in range(lat.n_sites)],
+    # the literal sum over i keeps duplicated NNN pairs on 4-site rings
+    "nnn": lambda lat: [(i, (i + 2) % lat.n_sites) for i in range(lat.n_sites)],
+    "leg": lambda lat: [(2 * k + base, (2 * (k + 1) + base) % lat.n_sites)
+                        for k in range(lat.rungs) for base in (0, 1)],
+    "rung": lambda lat: [(2 * k, 2 * k + 1) for k in range(lat.rungs)],
+}
+
+
 def coupling_graph(model: ModelSpec, lattice: LatticeSpec) -> CouplingGraph:
-    fam = model.family
-    n = lattice.n_sites
-    if fam == "ladder":
-        if lattice.geometry != "ladder":
-            raise ValueError("ladder model requires a ladder lattice")
-        bonds = []
-        rungs = lattice.rungs
-        for k in range(rungs):
-            for base in (0, 1):
-                bonds.append(Bond(2 * k + base, (2 * (k + 1) + base) % n, "leg"))
-        for k in range(rungs):
-            bonds.append(Bond(2 * k, 2 * k + 1, "rung"))
-        return CouplingGraph(tuple(bonds), ())
-    if lattice.geometry != "chain":
-        raise ValueError(f"{fam} model requires a chain lattice")
-    bonds = [Bond(i, (i + 1) % n, "nn") for i in range(n)]
-    fields = []
-    if fam == "j1j2":
-        # literal sum over i keeps duplicated NNN pairs on 4-site rings
-        bonds += [Bond(i, (i + 2) % n, "nnn") for i in range(n)]
-    elif fam == "ising":
-        fields = [FieldTerm(i, "z", 0.5) for i in range(n)]
-    elif fam == "xyz":
-        h = model.param("h")
-        if h != 0.0:
-            fields = [FieldTerm(i, "z", h) for i in range(n)]
-    elif fam != "xxz":
-        raise ValueError(f"unknown family {fam!r}")
-    return CouplingGraph(tuple(bonds), tuple(fields))
+    fam = family_spec(model.family)
+    if lattice.geometry != fam.geometry:
+        raise ValueError(f"{fam.name} model requires a {fam.geometry} lattice")
+    bonds = tuple(Bond(i, j, kind) for kind in fam.bond_kinds
+                  for i, j in _BOND_PAIRS[kind](lattice))
+    h = fam.field(model.as_dict()) if fam.field else 0.0
+    fields = tuple(FieldTerm(i, "z", h) for i in range(lattice.n_sites)) if h != 0.0 else ()
+    return CouplingGraph(bonds, fields)
 
 
 def bond_couplings(model: ModelSpec, kind: str) -> tuple[float, float, float]:
     """(cx, cy, cz) multiplying s^a s^a on a bond, signs included."""
-    fam = model.family
-    if fam == "j1j2":
-        j = model.param("j1") if kind == "nn" else model.param("j2")
-        return (j, j, j)
-    if fam == "xxz":
-        return (1.0, 1.0, model.param("delta"))
-    if fam == "ising":
-        return (-model.param("lam"), 0.0, 0.0)
-    if fam == "ladder":
-        j = model.param("j_leg") if kind == "leg" else model.param("j_rung")
-        return (j, j, j)
-    if fam == "xyz":
-        return (model.param("jx"), model.param("jy"), model.param("jz"))
-    raise ValueError(f"unknown family {fam!r}")
-
-
-def field_coefficient(model: ModelSpec, term: FieldTerm) -> float:
-    """Coefficient of s^z_site in H (the ising family carries a global -1)."""
-    if term.axis != "z":
-        raise ValueError("only z-axis fields occur in these families")
-    sign = -1.0 if model.family == "ising" else 1.0
-    return sign * term.strength
+    return family_spec(model.family).couplings(model.as_dict(), kind)
 
 
 @dataclass(frozen=True)
@@ -172,16 +221,15 @@ class ConservedQuantities:
 
 
 def conserved_quantities(model: ModelSpec) -> ConservedQuantities:
-    """U(1) and global spin-flip parity symmetries of a family.
+    """U(1) and global spin-flip parity symmetries of a model.
 
     Sz is conserved whenever cx == cy on every bond; the parity operator
     prod_i(2 s_i^z) commutes with all pair couplings (double flips) and
     with z fields, so it is conserved for every family here.
     """
-    if model.family == "xyz":
-        sz = model.param("jx") == model.param("jy")
-    else:
-        sz = model.family != "ising"
+    fam = family_spec(model.family)
+    sz = all(cx == cy for cx, cy, _ in (bond_couplings(model, kind)
+                                        for kind in fam.bond_kinds))
     return ConservedQuantities(sz_conserved=sz, parity_conserved=True)
 
 
@@ -280,10 +328,10 @@ class HamiltonianAction:
         for kind in dict.fromkeys(b.kind for b in graph.bonds):
             pairs = tuple((b.i, b.j) for b in graph.bonds if b.kind == kind)
             _add_bonds(basis, pairs, bond_couplings(model, kind), diag, terms)
+        sign = family_spec(model.family).field_sign  # every field is along z
         for term in graph.fields:
-            coeff = field_coefficient(model, term)
             bits = basis.site_bits(term.site)
-            diag += coeff * (bits - 0.5)
+            diag += (sign * term.strength) * (bits - 0.5)
         self.diag = diag
         self.terms = terms
 

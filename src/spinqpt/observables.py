@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import SectorBasis, enumerate_sector
-from .models import (ModelSpec, HamiltonianAction, coupling_graph,
-                     hamiltonian_dense, ResourceLimitError)
+from .models import (FAMILY_TABLE, ModelSpec, HamiltonianAction, coupling_graph,
+                     family_spec, hamiltonian_dense, ResourceLimitError)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
@@ -269,7 +269,8 @@ def sum_rule_residual(model: ModelSpec, lattice, operator_tag: str,
 @dataclass
 class RearrangedSumRule:
     """The per-model rearrangement relating bond correlators to the
-    ground-state energy plus collective-mode weights.
+    ground-state energy plus collective-mode weights (``rearranged`` in
+    the family table):
 
     xxz:   -sum_a <s^a s^a>            = E0/(JN) + (1/NJ) sum w,  J = 2 + Delta
     ising: <s^x s^x> - <s^y s^y> - <s^z s^z>
@@ -294,23 +295,16 @@ def rearranged_sum_rule(model: ModelSpec, lattice, dense_cap: int = 4096,
     e0, ground = sol.ground()
     cxx, cyy, czz = bond_averaged_correlators(model, basis, ground, kind="nn")
 
-    if model.family == "xxz":
-        j = 2.0 + model.param("delta")
-        tags = ("staggered_x", "staggered_y", "staggered_z")
-        corr_side = -(cxx + cyy + czz)
-        sign = 1.0
-    elif model.family == "ising":
-        j = -model.param("lam")
-        tags = ("uniform_x", "uniform_y", "uniform_z")
-        corr_side = cxx - cyy - czz
-        sign = -1.0
-    else:
-        raise ValueError("rearranged sum rule is defined for xxz and ising")
+    fam = family_spec(model.family)
+    if fam.rearranged is None:
+        names = [spec.name for spec in FAMILY_TABLE.values() if spec.rearranged]
+        raise ValueError(f"rearranged sum rule is defined for {' and '.join(names)}")
+    j, corr_side, sign = fam.rearranged(model.as_dict(), cxx, cyy, czz)
     if j == 0.0:
         raise ValueError("rearranged form is singular at J = 0")
 
     weight_sum = 0.0
-    for tag in tags:
+    for tag in fam.operators:
         tw = transition_weights(basis, ground, sol, tag)
         weight_sum += float(tw.excitation_energies @ tw.weights)
     spec_side = sign * (e0 / (j * n) + weight_sum / (n * j))

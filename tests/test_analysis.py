@@ -148,6 +148,23 @@ def test_sweep_records_structure():
     assert res.concurrence().shape == (5,)
 
 
+@pytest.mark.parametrize("family, grid, lattice, expected", [
+    ("xxz", GridSpec("delta", 0.5, 0.5, 0.1), chain(10), "sz0"),
+    ("j1j2", GridSpec("j2", 0.2, 0.2, 0.1), chain(10), "sz0"),
+    ("ladder", GridSpec("j_rung", 0.5, 0.5, 0.1), ladder(10), "sz0"),
+    ("ising", GridSpec("lam", 0.5, 0.5, 0.1), chain(10), "full"),
+    ("xyz", GridSpec("jz", 0.5, 0.5, 0.1), chain(10), "full"),
+    ("xxz", GridSpec("delta", 0.5, 0.5, 0.1), chain(9), "full"),
+])
+def test_auto_space_follows_family_sz_symmetry(family, grid, lattice, expected):
+    # a cutoff below 2**9 keeps every case past the small-space rule, so
+    # the choice rests on the family's Sz symmetry and the parity of N
+    res = sweep(family, {}, grid, lattice, k_levels=2, pairs=("0-1",),
+                options=SolverOptions(dense_cutoff=256))
+    assert res.config.space == expected
+    assert not res.flagged
+
+
 def test_sweep_requires_two_levels():
     with pytest.raises(ValueError):
         sweep("xxz", {}, GridSpec("delta", 0.8, 1.2, 0.1), chain(6), k_levels=1)

@@ -189,6 +189,17 @@ def test_missing_required_flag_is_config_error(capsys):
     assert "sweep" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["spectrum", "--model", "xxz", "--sites", "4"], "--delta"),
+    (["sumrule", "--model", "ising", "--sites", "4"], "--lambda"),
+    (["spectrum", "--model", "ladder", "--sites", "4"], "--j-rung"),
+])
+def test_missing_model_parameter_is_config_error(argv, flag, capsys):
+    code, _, err = run_capture(argv, capsys)
+    assert code == 2
+    assert f"missing required setting {flag}" in err
+
+
 def test_wrong_family_parameter_rejected(capsys):
     code, _, err = run_capture(
         ["sweep", "--model", "xxz", "--sweep", "delta:0:1:0.5", "--sites", "4",
