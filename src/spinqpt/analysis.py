@@ -21,7 +21,7 @@ import numpy as np
 
 from .lattice import LatticeSpec, SectorBasis, enumerate_sector
 from .models import (ModelSpec, HamiltonianAction, build_model, family_spec,
-                     hamiltonian_dense)
+                     hamiltonian_dense, symmetry_blocks)
 from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
                           lanczos_lowest_k, ConvergenceError)
 from .observables import PAIR_OPS, StateLabels, label_state, two_site_rdm
@@ -142,6 +142,7 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
                 options: SolverOptions, *, energies_only: bool = False) -> EigenSolution:
     """Lowest k levels of one model on one basis, dense or Lanczos by size.
 
+    The dense path solves each symmetry block of the basis on its own.
     Residuals are taken with the matrix-free operator on both paths.
     ``energies_only`` lets the dense path skip eigenvectors, residuals
     and the operator; Lanczos produces vectors either way.
@@ -153,7 +154,8 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
     matrix = hamiltonian_dense(model, basis,
                                cap=max(options.dense_cap, options.dense_cutoff))
     return dense_spectrum(matrix, levels=k, vectors=not energies_only,
-                          apply=None if energies_only else HamiltonianAction(model, basis))
+                          apply=None if energies_only else HamiltonianAction(model, basis),
+                          blocks=symmetry_blocks(model, basis))
 
 
 def solve_levels(cfg: PointConfig, g: float, k: int, *,

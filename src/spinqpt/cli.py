@@ -165,7 +165,7 @@ def _model_params(settings, fam, exclude=()):
     """The family's parameters in the settings; a required one unless swept."""
     for name in sorted(MODEL_PARAMS):
         if settings.get(name) is not None and MODEL_PARAMS[name] not in fam.params:
-            raise ConfigError(f"--{name.replace('_', '-')} does not apply to {fam.name}")
+            raise ConfigError(f"{MODEL_PARAMS[name].cli_flag} does not apply to {fam.name}")
     params = {}
     for p in fam.params:
         if p.name in exclude:

@@ -1,6 +1,11 @@
 """Dense and Lanczos eigensolvers for real symmetric operators.
 
-``dense_spectrum`` wraps LAPACK for small matrices and is the oracle
+``dense_spectrum`` wraps LAPACK for small matrices.  Given a partition
+of the basis into blocks the matrix leaves invariant (Sz sectors, or
+spin-flip parity where Sz is not conserved; see
+``models.symmetry_blocks``), it solves each block on its own and merges
+the levels, so each eigenvector carries the block's quantum number.
+Called without one, it solves the whole matrix and is the oracle
 everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
 iteration with full reorthogonalization; degenerate levels are recovered
 by restarting with deflation against everything already converged (a
@@ -55,31 +60,58 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
 
 def dense_spectrum(matrix: np.ndarray, symmetry_tol: float = 1e-12, *,
                    levels: int | None = None, vectors: bool = True,
-                   apply=None) -> EigenSolution:
+                   apply=None, blocks=None) -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
     matrix, ascending.
 
-    Residuals are formed only for the returned columns, with ``apply``
-    (the operator the matrix was built from, acting on a block of
-    columns) when given, else with the matrix itself.  With
-    ``vectors=False`` LAPACK computes the energies alone; the solution
-    then has no vector columns and no residuals.
+    ``blocks`` are ascending index arrays partitioning the rows into
+    invariant blocks (one block of everything by default).  Each block
+    is solved on its own and the levels are merged by a stable sort, so
+    every returned vector is supported on one block; a nonzero entry
+    outside the blocks raises ValueError.  Residuals are formed only for
+    the returned columns, with ``apply`` (the operator the matrix was
+    built from, acting on a block of columns) when given, else block by
+    block with the matrix itself.  With ``vectors=False`` LAPACK computes
+    the energies alone; the solution then has no vector columns and no
+    residuals.
     """
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError("expected a square matrix")
-    scale = max(1.0, float(np.max(np.abs(matrix))))
-    if np.max(np.abs(matrix - matrix.T)) > symmetry_tol * scale:
-        raise ValueError("matrix is not symmetric")
     dim = matrix.shape[0]
+    blocks = (np.arange(dim),) if blocks is None else blocks
+    subs = [matrix if len(idx) == dim else matrix[np.ix_(idx, idx)] for idx in blocks]
+    if len(subs) > 1 and sum(map(np.count_nonzero, subs)) != np.count_nonzero(matrix):
+        raise ValueError("matrix has entries outside its symmetry blocks")
+    scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
+    if max(float(np.max(np.abs(sub - sub.T))) for sub in subs) > symmetry_tol * scale:
+        raise ValueError("matrix is not symmetric")
     levels = dim if levels is None else levels
     if not vectors:
-        energies = eigh(matrix, eigvals_only=True, subset_by_index=[0, levels - 1])
-        return EigenSolution(energies, np.empty((dim, 0)), np.empty(0))
-    energies, vecs = np.linalg.eigh(matrix)
-    energies, vecs = energies[:levels], _fix_phases(vecs[:, :levels])
-    applied = matrix @ vecs if apply is None else apply(vecs)
-    resid = np.linalg.norm(applied - vecs * energies, axis=0)
+        energies = np.concatenate([
+            eigh(sub, eigvals_only=True, subset_by_index=[0, min(levels, len(sub)) - 1])
+            for sub in subs])
+        return EigenSolution(np.sort(energies, kind="stable")[:levels],
+                             np.empty((dim, 0)), np.empty(0))
+    pairs = [np.linalg.eigh(sub) for sub in subs]
+    # each block's levels stay ascending in the merge, so the kept ones of
+    # a block are its lowest
+    owner = np.repeat(np.arange(len(pairs)), [len(e) for e, _ in pairs])
+    owner = owner[np.argsort(np.concatenate([e for e, _ in pairs]), kind="stable")[:levels]]
+    energies = np.empty(len(owner))
+    vecs = np.zeros((dim, len(owner)))
+    resid = np.empty(len(owner))
+    for b, (idx, sub, (e_b, v_b)) in enumerate(zip(blocks, subs, pairs)):
+        cols = np.flatnonzero(owner == b)
+        if not len(cols):
+            continue
+        e_b, v_b = e_b[:len(cols)], _fix_phases(v_b[:, :len(cols)])
+        energies[cols] = e_b
+        vecs[np.ix_(idx, cols)] = v_b
+        if apply is None:
+            resid[cols] = np.linalg.norm(sub @ v_b - v_b * e_b, axis=0)
+    if apply is not None:
+        resid = np.linalg.norm(apply(vecs) - vecs * energies, axis=0)
     return EigenSolution(energies, vecs, resid)
 
 

@@ -154,8 +154,12 @@ def family_spec(name: str) -> Family:
 
 def build_model(family: str, params: dict) -> ModelSpec:
     """A family's model from a parameter dict; a parameter left out takes its
-    default or, when required, raises KeyError.  Other names are ignored."""
+    default or, when required, raises KeyError.  A name the family does not
+    have raises ValueError."""
     fam = family_spec(family)
+    stray = sorted(set(params) - {p.name for p in fam.params})
+    if stray:
+        raise ValueError(f"{fam.name} has no parameter {', '.join(stray)}")
     return fam.make(**{p.name: params[p.name] if p.default is None
                        else params.get(p.name, p.default) for p in fam.params})
 
@@ -231,6 +235,25 @@ def conserved_quantities(model: ModelSpec) -> ConservedQuantities:
     sz = all(cx == cy for cx, cy, _ in (bond_couplings(model, kind)
                                         for kind in fam.bond_kinds))
     return ConservedQuantities(sz_conserved=sz, parity_conserved=True)
+
+
+def symmetry_blocks(model: ModelSpec, basis: SectorBasis) -> tuple:
+    """Ascending index arrays partitioning ``basis`` into blocks H leaves
+    invariant: Sz sectors (popcount) when the model conserves Sz, else
+    spin-flip parity (popcount mod 2).  A sector basis is one block.
+    Full-basis partitions are cached on the basis.
+    """
+    if not basis.is_full:
+        return (np.arange(basis.dimension),)
+    kind = "sz" if conserved_quantities(model).sz_conserved else "parity"
+    blocks = basis._term_cache.get(("blocks", kind))
+    if blocks is None:
+        label = basis.popcounts if kind == "sz" else basis.popcounts % 2
+        blocks = tuple(np.flatnonzero(label == v) for v in np.unique(label))
+        for idx in blocks:
+            idx.setflags(write=False)  # shared by every caller of the basis
+        basis._term_cache[("blocks", kind)] = blocks
+    return blocks
 
 
 def _term(basis: SectorBasis, pairs: tuple, part: str, cache: bool = True):

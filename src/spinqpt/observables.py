@@ -14,7 +14,8 @@ import numpy as np
 
 from .lattice import SectorBasis, enumerate_sector
 from .models import (FAMILY_TABLE, ModelSpec, HamiltonianAction, coupling_graph,
-                     family_spec, hamiltonian_dense, ResourceLimitError)
+                     family_spec, hamiltonian_dense, symmetry_blocks,
+                     ResourceLimitError)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
@@ -78,20 +79,38 @@ def bond_averaged_correlators(model: ModelSpec, basis: SectorBasis, vec: np.ndar
     return acc / len(bonds)
 
 
+def _raising_flips(basis: SectorBasis):
+    """All single flips s_i^+ on the basis, site after site: the basis
+    index of each configuration with site i down and the configuration
+    the flip takes it to; cached on the basis."""
+    flips = basis._term_cache.get("s_plus")
+    if flips is None:
+        # filled in place, so building allocates little beyond what is kept
+        count = int(np.sum(basis.n_sites - basis.popcounts))
+        src, dst = np.empty(count, np.int32), np.empty(count, np.int32)
+        at = 0
+        for i in range(basis.n_sites):
+            down = np.flatnonzero(((basis.configs >> i) & 1) == 0)
+            src[at:at + len(down)] = down
+            dst[at:at + len(down)] = basis.configs[down] | (1 << i)
+            at += len(down)
+        flips = basis._term_cache["s_plus"] = (src, dst)
+    return flips
+
+
 def total_spin(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
     """(S, <S^2>) with S = None when <S^2> is not quantized.
 
     Uses S^2 = S^- S^+ + Sz^2 + Sz, so <S^2> = |S^+ psi|^2 + <Sz (Sz + 1)>.
-    S^+ psi is built by one single-flip scatter per site into a buffer
+    S^+ psi is one scatter of the cached single flips into a buffer
     indexed by configuration, which also holds states of mixed Sz.
     """
     _check_normalized(vec)
     n = basis.n_sites
-    raised = np.zeros(2 ** n)
-    for i in range(n):
-        down = ((basis.configs >> i) & 1) == 0
-        # distinct configurations stay distinct, so the scatter is exact
-        raised[basis.configs[down] | (1 << i)] += vec[down]
+    src, dst = _raising_flips(basis)
+    # bincount adds in array order, so each configuration sums its flips
+    # site after site, as one scatter per site would
+    raised = np.bincount(dst, weights=vec[src], minlength=2 ** n)
     sz = basis.popcounts - 0.5 * n
     s_sq = float(raised @ raised) + float(np.sum(sz * (sz + 1.0) * vec * vec))
     s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * s_sq)))
@@ -240,7 +259,8 @@ def _full_solution(model: ModelSpec, lattice, dense_cap: int, solution):
         raise ResourceLimitError(
             f"sum rules need the full spectrum; dim {basis.dimension} > cap {dense_cap}")
     if solution is None:
-        solution = dense_spectrum(hamiltonian_dense(model, basis, cap=dense_cap))
+        solution = dense_spectrum(hamiltonian_dense(model, basis, cap=dense_cap),
+                                  blocks=symmetry_blocks(model, basis))
     return basis, solution
 
 

@@ -32,6 +32,13 @@ def test_build_model_dispatch():
         build_model("kagome", {})
 
 
+def test_build_model_rejects_a_parameter_the_family_lacks():
+    with pytest.raises(ValueError, match="xxz has no parameter j2"):
+        build_model("xxz", {"delta": 0.5, "j2": 0.5})
+    with pytest.raises(ValueError, match="xxz has no parameter j2"):
+        sweep("xxz", {"j2": 0.5}, GridSpec("delta", 0.0, 1.0, 0.5), chain(4))
+
+
 def test_resolve_pairs():
     assert resolve_pairs(chain(6), ("nn",)) == {"nn": (0, 1)}
     assert resolve_pairs(ladder(8), ("rung", "leg")) == {"rung": (0, 1), "leg": (0, 2)}

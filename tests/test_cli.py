@@ -208,6 +208,15 @@ def test_wrong_family_parameter_rejected(capsys):
     assert "j2" in err
 
 
+@pytest.mark.parametrize("flag, value", [("--lambda", "0.5"), ("--hz", "0.2")])
+def test_wrong_family_parameter_error_names_the_flag(flag, value, capsys):
+    code, _, err = run_capture(
+        ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4", flag, value],
+        capsys)
+    assert code == 2
+    assert f"{flag} does not apply to xxz" in err
+
+
 def test_swept_name_must_match_family(capsys):
     code, _, err = run_capture(
         ["sweep", "--model", "xxz", "--sweep", "j2:0:1:0.5", "--sites", "4"],

@@ -3,8 +3,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinqpt.lattice import chain, enumerate_sector
-from spinqpt.models import HamiltonianAction, hamiltonian_dense, xxz
+from spinqpt.models import (HamiltonianAction, conserved_quantities, family_spec,
+                            general_xyz, hamiltonian_dense, j1j2, ladder_model,
+                            symmetry_blocks, transverse_ising, xxz)
 from spinqpt.eigensolver import dense_spectrum, lanczos_lowest_k, ConvergenceError
+from spinqpt.observables import parity, sz_twice_label
 
 
 def test_two_by_two_exchange_block():
@@ -51,6 +54,48 @@ def test_energies_only_match_full_eigh():
         assert np.array_equal(lowest.energies, full.energies[:6])
         assert np.array_equal(lowest.vectors, full.vectors[:, :6])
         assert np.allclose(lowest.residuals, full.residuals[:6], atol=1e-13)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("model", [xxz(-0.7), j1j2(1.0, 0.3), transverse_ising(0.8),
+                                   ladder_model(0.6), general_xyz(0.8, 1.2, 0.9, 0.3)],
+                         ids=lambda m: m.family)
+def test_block_solve_matches_full_space(model, n):
+    basis = enumerate_sector(family_spec(model.family).lattice(n), None)
+    blocks = symmetry_blocks(model, basis)
+    assert symmetry_blocks(model, basis) is blocks
+    owner = np.empty(basis.dimension, dtype=int)
+    for b, idx in enumerate(blocks):
+        owner[idx] = b
+    mat = hamiltonian_dense(model, basis)
+    ref = dense_spectrum(mat)
+    full = dense_spectrum(mat, blocks=blocks)
+    assert np.max(np.abs(full.energies - ref.energies)) <= 1e-12
+    assert np.max(full.residuals) <= 1e-12
+    for levels in (1, 6):
+        sol = dense_spectrum(mat, levels=levels, blocks=blocks,
+                             apply=HamiltonianAction(model, basis))
+        assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
+        assert np.max(sol.residuals) <= 1e-12
+        sol = dense_spectrum(mat, levels=levels, vectors=False, blocks=blocks)
+        assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
+    sz_conserved = conserved_quantities(model).sz_conserved
+    for c in range(full.k):
+        vec = full.vectors[:, c]
+        assert len(set(owner[np.flatnonzero(vec)])) == 1
+        if sz_conserved:
+            assert sz_twice_label(basis, vec) is not None
+        else:
+            assert parity(basis, vec) is not None
+
+
+def test_block_solve_rejects_blocks_the_matrix_leaves():
+    basis = enumerate_sector(chain(6), None)
+    with pytest.raises(ValueError, match="outside"):
+        dense_spectrum(hamiltonian_dense(transverse_ising(1.0), basis),
+                       blocks=symmetry_blocks(xxz(1.0), basis))
+    sector = enumerate_sector(chain(6), 0)
+    assert len(symmetry_blocks(xxz(1.0), sector)) == 1
 
 
 def test_dense_reconstruction():
