@@ -7,10 +7,13 @@ spin-flip parity where Sz is not conserved; see
 the levels, so each eigenvector carries the block's quantum number.
 Called without one, it solves the whole matrix and is the oracle
 everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
-iteration with full reorthogonalization; degenerate levels are recovered
-by restarting with deflation against everything already converged (a
-single Krylov sequence carries one vector per distinct eigenvalue, so
-multiplets need the restarts).
+iteration with full reorthogonalization: each step takes one classical
+Gram-Schmidt pass against the Krylov basis and the converged states, and
+a second only when the first leaves less than 1/sqrt(2) of the vector's
+norm (the DGKS test).  Degenerate levels are recovered by restarting
+with deflation against everything already converged (a single Krylov
+sequence carries one vector per distinct eigenvalue, so multiplets need
+the restarts).
 
 Both solvers fix eigenvector phase by making the largest-magnitude
 amplitude positive, and both report explicit residuals |H v - E v|.
@@ -126,7 +129,11 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
     symmetric.  ``tol`` and ``degeneracy_tol`` are relative to the
     spectral width estimated from the Krylov process itself.  Runs are
     deterministic for a fixed seed: start vectors come from a seeded
-    generator, one fresh draw per deflation restart.
+    generator, one fresh draw per deflation restart.  ``meta`` counts
+    the deflation ``restarts``, the calls to ``apply`` (``matvecs``) and
+    the second Gram-Schmidt passes taken (``second_passes``), and keeps
+    the first sequence's lowest Ritz values (``ritz_history``) and the
+    ``spectral_width`` estimate.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -138,15 +145,29 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
         max_restarts = 3 * k + 12
 
     found_vals: list[float] = []
-    found = np.empty((dim, 0))
+    found = np.empty((0, dim))  # converged vectors, one per row
     width = 1.0
     history: list[float] = []
     restarts = 0
     best_resid = np.inf
+    matvecs = 0
+    second_passes = 0
+
+    def matvec(v):
+        nonlocal matvecs
+        matvecs += 1
+        return apply(v)
 
     def deflate(w):
-        if found.shape[1]:
-            w -= found @ (found.T @ w)
+        if len(found):
+            w -= (found @ w) @ found
+        return w
+
+    def gram_schmidt(w, krylov):
+        # one classical pass against the deflated converged states and the
+        # Krylov rows; both are row blocks, so each product is a plain gemv
+        w = deflate(w)
+        w -= (krylov @ w) @ krylov
         return w
 
     certified = False
@@ -171,24 +192,29 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
             continue
 
         steps = min(max_iter, dim - len(found_vals))
-        q_mat = np.empty((dim, steps + 1))
-        q_mat[:, 0] = q / norm
+        q_rows = np.empty((steps + 1, dim))
+        q_rows[0] = q / norm
         alphas = np.empty(steps)
         betas = np.empty(steps)
         ritz = None
         m_used = 0
         for m in range(steps):
-            w = apply(q_mat[:, m])
-            alphas[m] = q_mat[:, m] @ w
-            w -= alphas[m] * q_mat[:, m]
+            w = matvec(q_rows[m])
+            alphas[m] = q_rows[m] @ w
+            w -= alphas[m] * q_rows[m]
             if m > 0:
-                w -= betas[m - 1] * q_mat[:, m - 1]
-            # full reorthogonalization against the Krylov block and the
-            # deflated converged states; twice is enough in floating point
-            for _ in range(2):
-                w = deflate(w)
-                w -= q_mat[:, :m + 1] @ (q_mat[:, :m + 1].T @ w)
+                w -= betas[m - 1] * q_rows[m - 1]
+            # full reorthogonalization; a second pass only when the first
+            # cancelled most of w (DGKS: Daniel, Gragg, Kaufman & Stewart,
+            # Math. Comp. 30, 772 (1976)), after which w is orthogonal to
+            # working precision
+            before = float(np.linalg.norm(w))
+            w = gram_schmidt(w, q_rows[:m + 1])
             beta = float(np.linalg.norm(w))
+            if beta < before / np.sqrt(2.0):
+                second_passes += 1
+                w = gram_schmidt(w, q_rows[:m + 1])
+                beta = float(np.linalg.norm(w))
             betas[m] = beta
             m_used = m + 1
             exhausted = beta <= 1e-13 * max(1.0, width)
@@ -204,7 +230,7 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
                     break
             if exhausted:
                 break
-            q_mat[:, m + 1] = w / beta
+            q_rows[m + 1] = w / beta
 
         if ritz is None:
             restarts += 1
@@ -213,18 +239,17 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
         abs_tol = tol * max(1.0, width)
         pass_min = None
         for col in range(min(want, len(theta))):
-            vec = q_mat[:, :m_used] @ s_mat[:, col]
-            vec = deflate(vec)
+            vec = deflate(s_mat[:, col] @ q_rows[:m_used])
             nrm = np.linalg.norm(vec)
             if nrm < 1e-8:
                 continue
             vec /= nrm
-            resid = float(np.linalg.norm(apply(vec) - theta[col] * vec))
+            resid = float(np.linalg.norm(matvec(vec) - theta[col] * vec))
             best_resid = min(best_resid, resid)
             if resid > abs_tol:
                 break  # extremal Ritz pairs converge first; later ones are worse
             found_vals.append(float(theta[col]))
-            found = np.column_stack([found, vec])
+            found = np.vstack([found, vec])
             if pass_min is None:
                 pass_min = float(theta[col])
         if pass_min is not None and len(found_vals) > k:
@@ -244,9 +269,10 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
 
     order = np.argsort(found_vals)[:k]
     energies = np.array([found_vals[i] for i in order])
-    vectors = _fix_phases(found[:, order])
-    resid = np.array([np.linalg.norm(apply(vectors[:, c]) - energies[c] * vectors[:, c])
+    vectors = _fix_phases(found[order].T)
+    resid = np.array([np.linalg.norm(matvec(vectors[:, c]) - energies[c] * vectors[:, c])
                       for c in range(k)])
     return EigenSolution(energies, vectors, resid,
                          meta={"restarts": restarts, "ritz_history": history,
-                               "spectral_width": width})
+                               "spectral_width": width, "matvecs": matvecs,
+                               "second_passes": second_passes})

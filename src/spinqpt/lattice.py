@@ -61,8 +61,8 @@ class SectorBasis:
     sz_twice: int | None
     configs: np.ndarray
 
-    # operator terms and symmetry-block partitions built once per basis;
-    # filled by spinqpt.models and spinqpt.observables
+    # operator terms, symmetry-block partitions and label arrays built once
+    # per basis; filled by spinqpt.models and spinqpt.observables
     _term_cache: dict = field(default_factory=dict, repr=False)
 
     @property

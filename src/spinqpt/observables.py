@@ -120,12 +120,23 @@ def total_spin(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e
     return None, s_sq
 
 
+def _label_array(basis: SectorBasis, key: str, make):
+    """``make(basis)``, built once per basis and kept read-only in its cache."""
+    arr = basis._term_cache.get(key)
+    if arr is None:
+        arr = make(basis)
+        arr.setflags(write=False)  # shared by every caller of the basis
+        basis._term_cache[key] = arr
+    return arr
+
+
 def parity(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
     """Global spin-flip parity prod_i(2 s_i^z): +1, -1, or None for mixed."""
     if not basis.is_full:
         raise ValueError("parity labels are defined on the full basis only")
     _check_normalized(vec)
-    signs = 1.0 - 2.0 * ((basis.n_sites - basis.popcounts) % 2)
+    signs = _label_array(basis, "parity_signs",
+                         lambda b: 1.0 - 2.0 * ((b.n_sites - b.popcounts) % 2))
     expect = float(np.sum(signs * vec * vec))
     if abs(expect) > 1.0 - quantization_tol:
         return 1 if expect > 0 else -1
@@ -137,7 +148,7 @@ def sz_twice_label(basis: SectorBasis, vec: np.ndarray, quantization_tol: float 
     if not basis.is_full:
         return basis.sz_twice
     _check_normalized(vec)
-    szt = 2.0 * basis.popcounts - basis.n_sites
+    szt = _label_array(basis, "sz_twice", lambda b: 2.0 * b.popcounts - b.n_sites)
     mean = float(np.sum(szt * vec * vec))
     var = float(np.sum(szt * szt * vec * vec)) - mean * mean
     if var <= quantization_tol:

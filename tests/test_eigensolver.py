@@ -188,3 +188,41 @@ def test_lanczos_oracle_equivalence_random_symmetric(seed):
     k = rng.randint(1, min(5, dim) + 1)
     lanc = lanczos_lowest_k(lambda v: m @ v, dim, k, seed=seed)
     assert np.allclose(lanc.energies, dense.energies[:k], atol=1e-9)
+
+
+def _fivefold_matrix():
+    rng = np.random.RandomState(3)
+    q, _ = np.linalg.qr(rng.standard_normal((20, 20)))
+    m = q @ np.diag(np.repeat([-2.0, -1.0, 0.5, 1.5], 5)) @ q.T
+    return 0.5 * (m + m.T)
+
+
+def _heisenberg_n4_full():
+    return hamiltonian_dense(xxz(1.0), enumerate_sector(chain(4), None))
+
+
+@pytest.mark.parametrize("make, k", [(_fivefold_matrix, 7), (_heisenberg_n4_full, 16)])
+def test_lanczos_second_pass_fires_when_the_krylov_space_runs_out(make, k):
+    # both restart until the Krylov space is exhausted; the last steps then
+    # cancel almost all of w, and the guarded second pass must run
+    m = make()
+    calls = []
+
+    def apply(v):
+        calls.append(1)
+        return m @ v
+
+    sol = lanczos_lowest_k(apply, len(m), k)
+    assert sol.meta["second_passes"] >= 1
+    assert sol.meta["matvecs"] == len(calls)
+    assert np.max(np.abs(sol.energies - dense_spectrum(m).energies[:k])) <= 1e-10
+    assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(k))) <= 1e-12
+
+
+def test_lanczos_majumdar_ghosh_pair_needs_no_second_pass():
+    # J2 = J1/2 ring of 12: the two dimer coverings, both at -3N/8
+    basis = enumerate_sector(chain(12), 0)
+    sol = lanczos_lowest_k(HamiltonianAction(j1j2(1.0, 0.5), basis), basis.dimension, 2)
+    assert np.max(np.abs(sol.energies + 4.5)) <= 1e-10
+    assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(2))) <= 1e-12
+    assert sol.meta["second_passes"] == 0
