@@ -21,7 +21,7 @@ import numpy as np
 
 from .lattice import LatticeSpec, SectorBasis, enumerate_sector
 from .models import (ModelSpec, HamiltonianAction, build_model, family_spec,
-                     hamiltonian_dense, symmetry_blocks)
+                     sector_matrices)
 from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
                           lanczos_lowest_k, ConvergenceError)
 from .observables import PAIR_OPS, StateLabels, label_state, two_site_rdm
@@ -140,22 +140,23 @@ def _space_sector(space: str) -> int | None:
 
 def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
                 options: SolverOptions, *, energies_only: bool = False) -> EigenSolution:
-    """Lowest k levels of one model on one basis, dense or Lanczos by size.
+    """Lowest k levels of one model on one basis, dense or Lanczos by size;
+    k above the dimension raises ValueError on both paths.
 
-    The dense path solves each symmetry block of the basis on its own.
+    The dense path solves each symmetry sector of the basis on its own.
     Residuals are taken with the matrix-free operator on both paths.
     ``energies_only`` lets the dense path skip eigenvectors, residuals
     and the operator; Lanczos produces vectors either way.
     """
+    if k > basis.dimension:
+        raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
     if basis.dimension > options.dense_cutoff:
         return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
                                 tol=options.tol, seed=options.seed,
                                 max_iter=options.max_iter)
-    matrix = hamiltonian_dense(model, basis,
-                               cap=max(options.dense_cap, options.dense_cutoff))
-    return dense_spectrum(matrix, levels=k, vectors=not energies_only,
-                          apply=None if energies_only else HamiltonianAction(model, basis),
-                          blocks=symmetry_blocks(model, basis))
+    blocks = sector_matrices(model, basis, cap=max(options.dense_cap, options.dense_cutoff))
+    return dense_spectrum(blocks, levels=k, vectors=not energies_only,
+                          apply=None if energies_only else HamiltonianAction(model, basis))
 
 
 def solve_levels(cfg: PointConfig, g: float, k: int, *,
@@ -316,14 +317,12 @@ def _labels_agree(la: StateLabels, lb: StateLabels):
 
 
 def detect_crossings(sweep_result: SweepResult, a: int, b: int, *,
-                     degeneracy_tol: float | None = None,
                      refine_tol: float = 1e-9) -> list[CrossingEvent]:
     """Crossing events between sorted levels ``a`` and ``b`` (a < b)."""
     if not 0 <= a < b < sweep_result.k_levels:
         raise ValueError(f"levels ({a}, {b}) not contained in the sweep")
     cfg = sweep_result.config
-    deg = degeneracy_tol if degeneracy_tol is not None \
-        else degeneracy_tolerance(_spectral_width(sweep_result))
+    deg = degeneracy_tolerance(_spectral_width(sweep_result))
 
     def gap_at(g: float) -> float:
         sol, _ = solve_levels(cfg, g, b + 1, energies_only=True)

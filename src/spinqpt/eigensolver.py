@@ -1,12 +1,10 @@
 """Dense and Lanczos eigensolvers for real symmetric operators.
 
-``dense_spectrum`` wraps LAPACK for small matrices.  Given a partition
-of the basis into blocks the matrix leaves invariant (Sz sectors, or
-spin-flip parity where Sz is not conserved; see
-``models.symmetry_blocks``), it solves each block on its own and merges
-the levels, so each eigenvector carries the block's quantum number.
-Called without one, it solves the whole matrix and is the oracle
-everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
+``dense_spectrum`` wraps LAPACK for small matrices.  Given one matrix
+per symmetry sector (``models.sector_matrices``), it solves each on its
+own and merges the levels, so each eigenvector carries its sector's
+quantum number; given one whole matrix, it is the oracle everything else
+is checked against.  ``lanczos_lowest_k`` is a Krylov
 iteration with full reorthogonalization: each step takes one classical
 Gram-Schmidt pass against the Krylov basis and the converged states, and
 a second only when the first leaves less than 1/sqrt(2) of the vector's
@@ -61,31 +59,28 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def dense_spectrum(matrix: np.ndarray, symmetry_tol: float = 1e-12, *,
+def dense_spectrum(matrix, symmetry_tol: float = 1e-12, *,
                    levels: int | None = None, vectors: bool = True,
-                   apply=None, blocks=None) -> EigenSolution:
+                   apply=None) -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
     matrix, ascending.
 
-    ``blocks`` are ascending index arrays partitioning the rows into
-    invariant blocks (one block of everything by default).  Each block
-    is solved on its own and the levels are merged by a stable sort, so
-    every returned vector is supported on one block; a nonzero entry
-    outside the blocks raises ValueError.  Residuals are formed only for
-    the returned columns, with ``apply`` (the operator the matrix was
-    built from, acting on a block of columns) when given, else block by
-    block with the matrix itself.  With ``vectors=False`` LAPACK computes
-    the energies alone; the solution then has no vector columns and no
-    residuals.
+    ``matrix`` is one matrix, or the invariant blocks of one as a list of
+    ``(rows, block)`` pairs whose ascending ``rows`` cover every row once.
+    Each block is solved on its own and the levels are merged by a stable
+    sort, so every returned vector is supported on one block.  Residuals
+    are formed only for the returned columns, with ``apply`` (the
+    operator the matrix was built from, acting on a block of columns)
+    when given, else block by block.  With ``vectors=False`` LAPACK
+    computes the energies alone; the solution then has no vector columns
+    and no residuals.
     """
-    matrix = np.asarray(matrix, dtype=float)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError("expected a square matrix")
-    dim = matrix.shape[0]
-    blocks = (np.arange(dim),) if blocks is None else blocks
-    subs = [matrix if len(idx) == dim else matrix[np.ix_(idx, idx)] for idx in blocks]
-    if len(subs) > 1 and sum(map(np.count_nonzero, subs)) != np.count_nonzero(matrix):
-        raise ValueError("matrix has entries outside its symmetry blocks")
+    if isinstance(matrix, np.ndarray):
+        matrix = [(np.arange(len(matrix)), matrix)]
+    rows, subs = zip(*((idx, np.asarray(sub, dtype=float)) for idx, sub in matrix))
+    if any(sub.shape != (len(idx), len(idx)) for idx, sub in zip(rows, subs)):
+        raise ValueError("expected square blocks matching their rows")
+    dim = sum(map(len, rows))
     scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
     if max(float(np.max(np.abs(sub - sub.T))) for sub in subs) > symmetry_tol * scale:
         raise ValueError("matrix is not symmetric")
@@ -104,7 +99,7 @@ def dense_spectrum(matrix: np.ndarray, symmetry_tol: float = 1e-12, *,
     energies = np.empty(len(owner))
     vecs = np.zeros((dim, len(owner)))
     resid = np.empty(len(owner))
-    for b, (idx, sub, (e_b, v_b)) in enumerate(zip(blocks, subs, pairs)):
+    for b, (idx, sub, (e_b, v_b)) in enumerate(zip(rows, subs, pairs)):
         cols = np.flatnonzero(owner == b)
         if not len(cols):
             continue
@@ -120,20 +115,20 @@ def dense_spectrum(matrix: np.ndarray, symmetry_tol: float = 1e-12, *,
 
 def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
                      tol: float = 1e-10, seed: int = 0x5EED,
-                     degeneracy_tol: float | None = None,
                      max_restarts: int | None = None,
                      check_every: int = 5) -> EigenSolution:
     """Lowest ``k`` eigenpairs of a symmetric operator given as a closure.
 
     ``apply`` maps a vector to H times that vector and must be linear and
-    symmetric.  ``tol`` and ``degeneracy_tol`` are relative to the
+    symmetric.  ``tol`` and the degeneracy tolerance are relative to the
     spectral width estimated from the Krylov process itself.  Runs are
     deterministic for a fixed seed: start vectors come from a seeded
     generator, one fresh draw per deflation restart.  ``meta`` counts
     the deflation ``restarts``, the calls to ``apply`` (``matvecs``) and
     the second Gram-Schmidt passes taken (``second_passes``), and keeps
     the first sequence's lowest Ritz values (``ritz_history``) and the
-    ``spectral_width`` estimate.
+    ``spectral_width`` estimate.  Each residual is the one measured when
+    its Ritz pair was accepted.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -145,6 +140,7 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
         max_restarts = 3 * k + 12
 
     found_vals: list[float] = []
+    found_resid: list[float] = []
     found = np.empty((0, dim))  # converged vectors, one per row
     width = 1.0
     history: list[float] = []
@@ -249,13 +245,13 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
             if resid > abs_tol:
                 break  # extremal Ritz pairs converge first; later ones are worse
             found_vals.append(float(theta[col]))
+            found_resid.append(resid)
             found = np.vstack([found, vec])
             if pass_min is None:
                 pass_min = float(theta[col])
         if pass_min is not None and len(found_vals) > k:
             kth = np.sort(found_vals)[k - 1]
-            certified = pass_min > kth + (degeneracy_tol if degeneracy_tol is not None
-                                          else degeneracy_tolerance(width))
+            certified = pass_min > kth + degeneracy_tolerance(width)
         restarts += 1
 
     if not certified and len(found_vals) >= k:
@@ -269,9 +265,9 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
 
     order = np.argsort(found_vals)[:k]
     energies = np.array([found_vals[i] for i in order])
+    # the phase rule only flips signs, which leaves each residual as measured
     vectors = _fix_phases(found[order].T)
-    resid = np.array([np.linalg.norm(matvec(vectors[:, c]) - energies[c] * vectors[:, c])
-                      for c in range(k)])
+    resid = np.array([found_resid[i] for i in order])
     return EigenSolution(energies, vectors, resid,
                          meta={"restarts": restarts, "ritz_history": history,
                                "spectral_width": width, "matvecs": matvecs,

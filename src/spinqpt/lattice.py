@@ -1,9 +1,9 @@
 """Spin-1/2 configuration bases for periodic chains and two-leg ladders.
 
 Configurations are integer bitmasks: bit ``i`` set means spin-up at site
-``i``.  A basis is either the full ``2**n`` space or the subspace with a
-fixed total-Sz eigenvalue (fixed popcount), stored as a sorted array so
-that membership lookups are binary searches.
+``i``.  A basis is the full ``2**n`` space or one sector of it, of fixed
+total Sz (popcount) or spin-flip parity (popcount mod 2), stored as a
+sorted array so that membership lookups are binary searches.
 
 Ladder site convention: sites ``2k`` and ``2k+1`` form rung ``k``; the
 two legs are the even- and odd-indexed site sequences.
@@ -50,19 +50,21 @@ class SectorBasis:
     """Ordered set of configurations spanning one symmetry sector.
 
     ``sz_twice`` is twice the total-Sz eigenvalue (an integer so that odd
-    chains need no half-integers), or ``None`` for the full space.
-    ``configs`` is strictly increasing, which makes ``index_of`` a binary
-    search and enumeration order reproducible by construction.  Bases
-    come from ``enumerate_sector``, which hands every caller the same
-    read-only instance per (lattice, sector).
+    chains need no half-integers) and ``popcount_parity`` the popcount
+    mod 2; both are ``None`` for the full space.  ``configs`` is strictly
+    increasing, which makes ``index_of`` a binary search and enumeration
+    order reproducible by construction.  Bases come from
+    ``enumerate_sector``, which hands every caller the same read-only
+    instance per (lattice, sector).
     """
 
     lattice: LatticeSpec
     sz_twice: int | None
     configs: np.ndarray
+    popcount_parity: int | None = None
 
-    # operator terms, symmetry-block partitions and label arrays built once
-    # per basis; filled by spinqpt.models and spinqpt.observables
+    # operator terms and label arrays built once per basis; filled by
+    # spinqpt.models and spinqpt.observables
     _term_cache: dict = field(default_factory=dict, repr=False)
 
     @property
@@ -75,7 +77,7 @@ class SectorBasis:
 
     @property
     def is_full(self) -> bool:
-        return self.sz_twice is None
+        return self.sz_twice is None and self.popcount_parity is None
 
     @cached_property
     def popcounts(self) -> np.ndarray:
@@ -90,7 +92,8 @@ class SectorBasis:
         Returns ``(aligned, target)`` where ``aligned[c]`` is True when
         bits i and j agree and ``target[c]`` is the basis index of the
         double-flipped configuration; in an Sz sector only anti-aligned
-        flips stay inside, and ``target`` is 0 where ``aligned``.
+        flips stay inside, and ``target`` is 0 where ``aligned``.  A flip
+        target that is not a member of the sector raises ValueError.
         Tables are not kept: operator terms built from them are cached
         instead.
         """
@@ -98,32 +101,36 @@ class SectorBasis:
         aligned = ((self.configs >> i) & 1) == ((self.configs >> j) & 1)
         if self.is_full:
             return aligned, flipped
-        # popcount is preserved exactly for anti-aligned flips
         target = np.searchsorted(self.configs, flipped)
-        target[aligned] = 0
+        if self.sz_twice is not None:  # aligned flips change Sz: drop them
+            target[aligned], flipped[aligned] = 0, self.configs[0]
+        if np.any(np.take(self.configs, target, mode="clip") != flipped):
+            raise ValueError(f"double flips of sites ({i}, {j}) leave the sector")
         return aligned, target
 
     def site_bits(self, i: int) -> np.ndarray:
         return ((self.configs >> i) & 1).astype(np.int64)
 
 
-@lru_cache(maxsize=16)
-def enumerate_sector(lattice: LatticeSpec, sz_twice: int | None) -> SectorBasis:
-    """Enumerate all configurations of a sector in ascending bitmask order.
+@lru_cache(maxsize=32)
+def enumerate_sector(lattice: LatticeSpec, sz_twice: int | None,
+                     popcount_parity: int | None = None) -> SectorBasis:
+    """Enumerate all configurations of a sector in ascending bitmask order;
+    with neither ``sz_twice`` nor ``popcount_parity`` it is the full space.
 
     The basis is built once per (lattice, sector) and shared, together
     with the operator terms cached on it; its arrays are read-only.
     """
     n = lattice.n_sites
-    if sz_twice is None:
-        configs = np.arange(2 ** n, dtype=np.int64)
-    else:
+    configs = np.arange(2 ** n, dtype=np.int64)
+    if sz_twice is not None:
         if abs(sz_twice) > n or (n + sz_twice) % 2 != 0:
             raise ValueError(f"sz_twice={sz_twice} impossible for {n} spins")
-        all_configs = np.arange(2 ** n, dtype=np.int64)
-        configs = all_configs[popcount(all_configs) == (n + sz_twice) // 2]
+        configs = configs[popcount(configs) == (n + sz_twice) // 2]
+    elif popcount_parity is not None:
+        configs = configs[popcount(configs) % 2 == popcount_parity]
     configs.setflags(write=False)
-    return SectorBasis(lattice, sz_twice, configs)
+    return SectorBasis(lattice, sz_twice, configs, popcount_parity)
 
 
 def popcount(configs) -> np.ndarray:

@@ -23,7 +23,7 @@ diagonal element cz/4 (aligned pair) or -cz/4 (anti-aligned), plus an
 off-diagonal element to the double-flipped configuration: (cx + cy)/4
 when the pair is anti-aligned and (cx - cy)/4 when aligned.  Aligned
 flips change total Sz, so they only occur for families with cx != cy,
-which are solved in the full basis.
+which are solved in the full basis or its spin-flip parity sectors.
 """
 
 from dataclasses import dataclass
@@ -32,7 +32,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .lattice import LatticeSpec, SectorBasis
+from .lattice import LatticeSpec, SectorBasis, enumerate_sector
 
 
 class ResourceLimitError(RuntimeError):
@@ -237,25 +237,6 @@ def conserved_quantities(model: ModelSpec) -> ConservedQuantities:
     return ConservedQuantities(sz_conserved=sz, parity_conserved=True)
 
 
-def symmetry_blocks(model: ModelSpec, basis: SectorBasis) -> tuple:
-    """Ascending index arrays partitioning ``basis`` into blocks H leaves
-    invariant: Sz sectors (popcount) when the model conserves Sz, else
-    spin-flip parity (popcount mod 2).  A sector basis is one block.
-    Full-basis partitions are cached on the basis.
-    """
-    if not basis.is_full:
-        return (np.arange(basis.dimension),)
-    kind = "sz" if conserved_quantities(model).sz_conserved else "parity"
-    blocks = basis._term_cache.get(("blocks", kind))
-    if blocks is None:
-        label = basis.popcounts if kind == "sz" else basis.popcounts % 2
-        blocks = tuple(np.flatnonzero(label == v) for v in np.unique(label))
-        for idx in blocks:
-            idx.setflags(write=False)  # shared by every caller of the basis
-        basis._term_cache[("blocks", kind)] = blocks
-    return blocks
-
-
 def _term(basis: SectorBasis, pairs: tuple, part: str, cache: bool = True):
     """One coupling-free operator term of the bonds ``pairs`` on ``basis``.
 
@@ -269,9 +250,9 @@ def _term(basis: SectorBasis, pairs: tuple, part: str, cache: bool = True):
     hit = basis._term_cache.get(key)
     if hit is not None:
         return hit
-    if part == "aligned" and not basis.is_full:
+    if part == "aligned" and basis.sz_twice is not None:
         raise ValueError("aligned pair flips leave the Sz sector; "
-                         "use the full basis")
+                         "use the full basis or a parity sector")
     dim = basis.dimension
     if part == "zz":
         term = np.zeros(dim)
@@ -314,7 +295,7 @@ def apply_pair_coupling(basis: SectorBasis, i: int, j: int, cx, cy, cz, vec, out
     """Accumulate (cx sx sx + cy sy sy + cz sz sz)_{ij} |vec> into ``out``.
 
     ``vec`` may be a vector ``(dim,)`` or a block of columns ``(dim, m)``.
-    Aligned double flips (needed when cx != cy) require the full basis.
+    Aligned double flips (needed when cx != cy) leave an Sz sector.
     Builds the pair's terms without caching them.
     """
     diag = np.zeros(basis.dimension)
@@ -337,9 +318,9 @@ class HamiltonianAction:
 
     def __init__(self, model: ModelSpec, basis: SectorBasis):
         sym = conserved_quantities(model)
-        if not sym.sz_conserved and not basis.is_full:
+        if not sym.sz_conserved and basis.sz_twice is not None:
             raise ValueError(f"{model.family} does not conserve Sz; "
-                             "solve it in the full basis")
+                             "solve it in the full basis or a parity sector")
         self.model = model
         self.basis = basis
         graph = coupling_graph(model, basis.lattice)
@@ -385,3 +366,20 @@ def hamiltonian_dense(model: ModelSpec, basis: SectorBasis,
         rows = np.repeat(np.arange(basis.dimension), np.diff(term.indptr))
         mat[rows, term.indices] += amp * term.data
     return mat
+
+
+def sector_matrices(model: ModelSpec, basis: SectorBasis,
+                    cap: int = DENSE_CAP_DEFAULT) -> list:
+    """``(rows, dense H)`` per symmetry sector of ``basis``, for
+    ``dense_spectrum``: the full basis splits into Sz sectors when the
+    model conserves Sz, else into the two parity sectors, by ascending
+    popcount (mod 2), and a sector's configurations are its rows there.
+    """
+    if not basis.is_full:
+        return [(np.arange(basis.dimension), hamiltonian_dense(model, basis, cap))]
+    n = basis.n_sites
+    if conserved_quantities(model).sz_conserved:
+        sectors = [enumerate_sector(basis.lattice, 2 * up - n) for up in range(n + 1)]
+    else:
+        sectors = [enumerate_sector(basis.lattice, None, popcount_parity=p) for p in (0, 1)]
+    return [(sector.configs, hamiltonian_dense(model, sector, cap)) for sector in sectors]

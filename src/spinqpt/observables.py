@@ -14,8 +14,7 @@ import numpy as np
 
 from .lattice import SectorBasis, enumerate_sector
 from .models import (FAMILY_TABLE, ModelSpec, HamiltonianAction, coupling_graph,
-                     family_spec, hamiltonian_dense, symmetry_blocks,
-                     ResourceLimitError)
+                     family_spec, sector_matrices, ResourceLimitError)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
@@ -270,8 +269,7 @@ def _full_solution(model: ModelSpec, lattice, dense_cap: int, solution):
         raise ResourceLimitError(
             f"sum rules need the full spectrum; dim {basis.dimension} > cap {dense_cap}")
     if solution is None:
-        solution = dense_spectrum(hamiltonian_dense(model, basis, cap=dense_cap),
-                                  blocks=symmetry_blocks(model, basis))
+        solution = dense_spectrum(sector_matrices(model, basis, cap=dense_cap))
     return basis, solution
 
 

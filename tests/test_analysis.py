@@ -173,8 +173,11 @@ def test_auto_space_follows_family_sz_symmetry(family, grid, lattice, expected):
 
 
 def test_sweep_requires_two_levels():
-    with pytest.raises(ValueError):
-        sweep("xxz", {}, GridSpec("delta", 0.8, 1.2, 0.1), chain(6), k_levels=1)
+    # the last two ask for more levels than the space has, dense and Lanczos
+    for n, k_levels, cutoff in ((6, 1, 512), (2, 6, 512), (2, 6, 1)):
+        with pytest.raises(ValueError):
+            sweep("xxz", {}, GridSpec("delta", 0.8, 1.2, 0.1), chain(n),
+                  k_levels=k_levels, options=SolverOptions(dense_cutoff=cutoff))
 
 
 def test_sweep_sector_space_matches_full_ground_state():

@@ -239,6 +239,19 @@ def test_bad_grid_is_config_error(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["sweep", "--sweep", "delta:0:1:0.1", "--format", "csv"],
+    ["classify", "--sweep", "delta:0:1:0.1"],
+    ["spectrum", "--delta", "1"],
+    ["spectrum", "--delta", "1", "--dense-cutoff", "1"],
+])
+def test_more_levels_than_the_space_is_config_error(argv, capsys):
+    code, out, err = run_capture(argv + ["--model", "xxz", "--sites", "2", "--levels", "6"],
+                                 capsys)
+    assert code == 2 and out == ""
+    assert "k=6 exceeds dimension" in err
+
+
 # --- reproducibility ---------------------------------------------------------
 
 def test_byte_identical_reruns(tmp_path):

@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinqpt.lattice import chain, enumerate_sector
+from spinqpt.lattice import SectorBasis, chain, enumerate_sector
 from spinqpt.models import (HamiltonianAction, conserved_quantities, family_spec,
                             general_xyz, hamiltonian_dense, j1j2, ladder_model,
-                            symmetry_blocks, transverse_ising, xxz)
+                            sector_matrices, transverse_ising, xxz)
 from spinqpt.eigensolver import dense_spectrum, lanczos_lowest_k, ConvergenceError
 from spinqpt.observables import parity, sz_twice_label
 
@@ -61,25 +61,24 @@ def test_energies_only_match_full_eigh():
                                    ladder_model(0.6), general_xyz(0.8, 1.2, 0.9, 0.3)],
                          ids=lambda m: m.family)
 def test_block_solve_matches_full_space(model, n):
+    # the blocks are the Sz or parity sectors, each built on its own basis
     basis = enumerate_sector(family_spec(model.family).lattice(n), None)
-    blocks = symmetry_blocks(model, basis)
-    assert symmetry_blocks(model, basis) is blocks
+    blocks = sector_matrices(model, basis)
     owner = np.empty(basis.dimension, dtype=int)
-    for b, idx in enumerate(blocks):
-        owner[idx] = b
-    mat = hamiltonian_dense(model, basis)
-    ref = dense_spectrum(mat)
-    full = dense_spectrum(mat, blocks=blocks)
+    for b, (rows, _) in enumerate(blocks):
+        owner[rows] = b
+    ref = dense_spectrum(hamiltonian_dense(model, basis))
+    full = dense_spectrum(blocks)
     assert np.max(np.abs(full.energies - ref.energies)) <= 1e-12
     assert np.max(full.residuals) <= 1e-12
     for levels in (1, 6):
-        sol = dense_spectrum(mat, levels=levels, blocks=blocks,
-                             apply=HamiltonianAction(model, basis))
+        sol = dense_spectrum(blocks, levels=levels, apply=HamiltonianAction(model, basis))
         assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
         assert np.max(sol.residuals) <= 1e-12
-        sol = dense_spectrum(mat, levels=levels, vectors=False, blocks=blocks)
+        sol = dense_spectrum(blocks, levels=levels, vectors=False)
         assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
     sz_conserved = conserved_quantities(model).sz_conserved
+    assert len(blocks) == (n + 1 if sz_conserved else 2)
     for c in range(full.k):
         vec = full.vectors[:, c]
         assert len(set(owner[np.flatnonzero(vec)])) == 1
@@ -90,12 +89,20 @@ def test_block_solve_matches_full_space(model, n):
 
 
 def test_block_solve_rejects_blocks_the_matrix_leaves():
-    basis = enumerate_sector(chain(6), None)
-    with pytest.raises(ValueError, match="outside"):
-        dense_spectrum(hamiltonian_dense(transverse_ising(1.0), basis),
-                       blocks=symmetry_blocks(xxz(1.0), basis))
+    # a sector basis H leaves raises while its terms are built
+    with pytest.raises(ValueError, match="does not conserve Sz"):
+        hamiltonian_dense(transverse_ising(1.0), enumerate_sector(chain(6), 0))
+    # an Sz = 0 basis of four sites missing 0b1001, which a flip of sites
+    # (0, 1) reaches from 0b1010
+    partial = SectorBasis(chain(4), 0, np.array([0b0011, 0b0101, 0b0110, 0b1010, 0b1100]))
+    with pytest.raises(ValueError, match="leave the sector"):
+        hamiltonian_dense(xxz(1.0), partial)
+    odd = SectorBasis(chain(4), None, np.array([0b0001, 0b0010, 0b0100, 0b1000]),
+                      popcount_parity=1)
+    with pytest.raises(ValueError, match="leave the sector"):
+        hamiltonian_dense(transverse_ising(1.0), odd)
     sector = enumerate_sector(chain(6), 0)
-    assert len(symmetry_blocks(xxz(1.0), sector)) == 1
+    assert len(sector_matrices(xxz(1.0), sector)) == 1
 
 
 def test_dense_reconstruction():
