@@ -56,11 +56,12 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    tol: float = 1e-10
-    seed: int = DEFAULT_SEED
-    dense_cutoff: int = 512      # sweep points at or below this use LAPACK
-    dense_cap: int = 4096
-    max_iter: int | None = None
+    """How ``solve_model`` solves one point.  The sum rules' full-spectrum
+    cap is not here: it is their own ``dense_cap`` argument."""
+    tol: float = 1e-10           # Lanczos residual tolerance, relative to the width
+    seed: int = DEFAULT_SEED     # Lanczos start vectors
+    dense_cutoff: int = 512      # spaces of this dimension or less use LAPACK
+    max_iter: int | None = None  # Krylov steps per Lanczos sequence; None: its default
 
 
 def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
@@ -154,7 +155,7 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
         return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
                                 tol=options.tol, seed=options.seed,
                                 max_iter=options.max_iter)
-    blocks = sector_matrices(model, basis, cap=max(options.dense_cap, options.dense_cutoff))
+    blocks = sector_matrices(model, basis, cap=options.dense_cutoff)
     return dense_spectrum(blocks, levels=k, vectors=not energies_only,
                           apply=None if energies_only else HamiltonianAction(model, basis))
 
@@ -330,50 +331,30 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int, *,
 
     grid = sweep_result.grid
     gap = sweep_result.energy(b) - sweep_result.energy(a)
-    valid = ~np.isnan(gap)
 
     events: list[CrossingEvent] = []
-    for seg in _segments(valid):
-        if len(seg) < 2:
-            continue
-        events.extend(_events_in_segment(
-            sweep_result, seg, grid, gap, (a, b), deg, refine_tol, gap_at))
+    for s, e in _runs(~np.isnan(gap)):
+        if e > s:
+            events.extend(_events_in_segment(sweep_result, np.arange(s, e + 1), grid,
+                                             gap, (a, b), deg, refine_tol, gap_at))
     events.sort(key=lambda e: e.location)
     return events
 
 
-def _segments(valid: np.ndarray):
-    run = []
-    for i, ok in enumerate(valid):
-        if ok:
-            run.append(i)
-        elif run:
-            yield run
-            run = []
-    if run:
-        yield run
+def _runs(mask) -> list[tuple[int, int]]:
+    """``(start, end)`` of every maximal run of True in ``mask``, end inclusive."""
+    edges = np.diff(np.asarray(mask, dtype=np.int8), prepend=0, append=0)
+    return list(zip(np.flatnonzero(edges == 1).tolist(),
+                    (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def _events_in_segment(sweep_result, seg, grid, gap, pair, deg, refine_tol, gap_at):
+def _events_in_segment(sweep_result, idx, grid, gap, pair, deg, refine_tol, gap_at):
     events = []
-    idx = np.array(seg)
     g_seg = grid[idx]
     gap_seg = gap[idx]
     degenerate = gap_seg <= deg
 
-    # maximal runs of degeneracy
-    runs = []
-    start = None
-    for i, d in enumerate(degenerate):
-        if d and start is None:
-            start = i
-        elif not d and start is not None:
-            runs.append((start, i - 1))
-            start = None
-    if start is not None:
-        runs.append((start, len(idx) - 1))
-
-    for s, e in runs:
+    for s, e in _runs(degenerate):
         left_edge = s == 0
         right_edge = e == len(idx) - 1
         if left_edge and right_edge:
@@ -427,10 +408,9 @@ def _make_event(sweep_result, pair, loc, bracket, min_gap, touch_tol):
     """
     grid = sweep_result.grid
     a, b = pair
-    below = np.where((grid < bracket[0] + 1e-15) &
-                     np.array([p.flag is None for p in sweep_result.points]))[0]
-    above = np.where((grid > bracket[1] - 1e-15) &
-                     np.array([p.flag is None for p in sweep_result.points]))[0]
+    ok = np.array([p.flag is None for p in sweep_result.points])
+    below = np.where((grid < bracket[0] + 1e-15) & ok)[0]
+    above = np.where((grid > bracket[1] - 1e-15) & ok)[0]
     lab_b = lab_a = None
     if len(below) and sweep_result.points[below[-1]].labels:
         pt = sweep_result.points[below[-1]]

@@ -197,7 +197,7 @@ def _parse_sweep(settings, fam) -> GridSpec:
 
 def _solver_options(settings) -> SolverOptions:
     kw = {}
-    for key in ("tol", "seed", "dense_cutoff", "dense_cap"):
+    for key in ("tol", "seed", "dense_cutoff"):
         if settings.get(key) is not None:
             kw[key] = settings[key]
     return SolverOptions(**kw)

@@ -13,6 +13,9 @@ Each family is declared once, in ``FAMILY_TABLE`` (lattice, bond kinds,
 parameters with their defaults and command-line spellings, couplings, z
 field, Sz symmetry, sum-rule data); model building, symmetry checks, the
 sweep space, the sum rules and the command line all read it.
+``HamiltonianAction`` reads it directly, scaling the terms cached on the
+basis by each bond kind's couplings; ``coupling_graph`` describes the
+same bonds summand by summand.
 
 Every family is real symmetric in the sz product basis: sy sy only ever
 appears pairwise and contributes real matrix elements, so state vectors
@@ -103,7 +106,7 @@ class Family:
     """Everything the toolkit knows about one model family."""
     name: str
     geometry: str                   # "chain" | "ladder"
-    bond_kinds: tuple               # in coupling-graph order
+    bond_kinds: tuple               # in coupling-graph and operator-term order
     params: tuple                   # Param entries
     make: Callable                  # the public constructor, by parameter name
     couplings: Callable             # (params dict, bond kind) -> (cx, cy, cz)
@@ -202,10 +205,14 @@ _BOND_PAIRS = {
 }
 
 
-def coupling_graph(model: ModelSpec, lattice: LatticeSpec) -> CouplingGraph:
-    fam = family_spec(model.family)
+def _check_geometry(fam: Family, lattice: LatticeSpec) -> None:
     if lattice.geometry != fam.geometry:
         raise ValueError(f"{fam.name} model requires a {fam.geometry} lattice")
+
+
+def coupling_graph(model: ModelSpec, lattice: LatticeSpec) -> CouplingGraph:
+    fam = family_spec(model.family)
+    _check_geometry(fam, lattice)
     bonds = tuple(Bond(i, j, kind) for kind in fam.bond_kinds
                   for i, j in _BOND_PAIRS[kind](lattice))
     h = fam.field(model.as_dict()) if fam.field else 0.0
@@ -237,7 +244,7 @@ def conserved_quantities(model: ModelSpec) -> ConservedQuantities:
     return ConservedQuantities(sz_conserved=sz, parity_conserved=True)
 
 
-def _term(basis: SectorBasis, pairs: tuple, part: str, cache: bool = True):
+def _term(basis: SectorBasis, pairs: tuple, part: str):
     """One coupling-free operator term of the bonds ``pairs`` on ``basis``.
 
     ``part`` is "zz" (diagonal: sum over bonds of +1 for an aligned pair,
@@ -251,8 +258,8 @@ def _term(basis: SectorBasis, pairs: tuple, part: str, cache: bool = True):
     if hit is not None:
         return hit
     if part == "aligned" and basis.sz_twice is not None:
-        raise ValueError("aligned pair flips leave the Sz sector; "
-                         "use the full basis or a parity sector")
+        raise ValueError("a bond with cx != cy does not conserve Sz; "
+                         "solve it in the full basis or a parity sector")
     dim = basis.dimension
     if part == "zz":
         term = np.zeros(dim)
@@ -269,19 +276,18 @@ def _term(basis: SectorBasis, pairs: tuple, part: str, cache: bool = True):
             cols.append(src.astype(np.int32))
         rows, cols = np.concatenate(rows), np.concatenate(cols)
         term = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
-    if cache:
-        basis._term_cache[key] = term
+    basis._term_cache[key] = term
     return term
 
 
-def _add_bonds(basis, pairs, couplings, diag, terms, cache=True):
+def _add_bonds(basis, pairs, couplings, diag, terms):
     """Add bonds with couplings (cx, cy, cz) as a diagonal plus scaled terms."""
     cx, cy, cz = couplings
     if cz != 0.0:
-        diag += (0.25 * cz) * _term(basis, pairs, "zz", cache)
+        diag += (0.25 * cz) * _term(basis, pairs, "zz")
     for amp, part in ((0.25 * (cx + cy), "anti"), (0.25 * (cx - cy), "aligned")):
         if amp != 0.0:
-            terms.append((amp, _term(basis, pairs, part, cache)))
+            terms.append((amp, _term(basis, pairs, part)))
 
 
 def _apply(diag, terms, vec):
@@ -296,11 +302,10 @@ def apply_pair_coupling(basis: SectorBasis, i: int, j: int, cx, cy, cz, vec, out
 
     ``vec`` may be a vector ``(dim,)`` or a block of columns ``(dim, m)``.
     Aligned double flips (needed when cx != cy) leave an Sz sector.
-    Builds the pair's terms without caching them.
     """
     diag = np.zeros(basis.dimension)
     terms = []
-    _add_bonds(basis, ((i, j),), (cx, cy, cz), diag, terms, cache=False)
+    _add_bonds(basis, ((i, j),), (cx, cy, cz), diag, terms)
     if out is None:
         return _apply(diag, terms, vec)
     out += _apply(diag, terms, vec)
@@ -311,31 +316,29 @@ class HamiltonianAction:
     """Matrix-free H|v> for one (model, basis).
 
     Every family is linear in its couplings: H = sum over bond kinds of
-    coefficient x cached term, plus a diagonal (zz terms and fields).
-    Building one for a new parameter value only combines the terms
-    cached on the basis.
+    coefficient x cached term, plus a diagonal (zz terms and fields),
+    with coefficients read from ``FAMILY_TABLE``.  Building one for a new
+    parameter value only combines the terms cached on the basis.  A
+    bond kind with cx != cy raises ValueError on an Sz sector.
     """
 
     def __init__(self, model: ModelSpec, basis: SectorBasis):
-        sym = conserved_quantities(model)
-        if not sym.sz_conserved and basis.sz_twice is not None:
-            raise ValueError(f"{model.family} does not conserve Sz; "
-                             "solve it in the full basis or a parity sector")
         self.model = model
         self.basis = basis
-        graph = coupling_graph(model, basis.lattice)
-        self.graph = graph
         self.dim = basis.dimension
+        fam = family_spec(model.family)
+        _check_geometry(fam, basis.lattice)
+        params = model.as_dict()
 
         diag = np.zeros(basis.dimension)
         terms = []  # (amplitude, CSR term shared through the basis cache)
-        for kind in dict.fromkeys(b.kind for b in graph.bonds):
-            pairs = tuple((b.i, b.j) for b in graph.bonds if b.kind == kind)
-            _add_bonds(basis, pairs, bond_couplings(model, kind), diag, terms)
-        sign = family_spec(model.family).field_sign  # every field is along z
-        for term in graph.fields:
-            bits = basis.site_bits(term.site)
-            diag += (sign * term.strength) * (bits - 0.5)
+        for kind in fam.bond_kinds:
+            pairs = tuple(_BOND_PAIRS[kind](basis.lattice))
+            _add_bonds(basis, pairs, fam.couplings(params, kind), diag, terms)
+        h = fam.field(params) if fam.field else 0.0
+        if h != 0.0:  # every field is along z
+            for site in range(basis.n_sites):
+                diag += (fam.field_sign * h) * (basis.site_bits(site) - 0.5)
         self.diag = diag
         self.terms = terms
 

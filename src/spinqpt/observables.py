@@ -131,8 +131,9 @@ def _label_array(basis: SectorBasis, key: str, make):
 
 def parity(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
     """Global spin-flip parity prod_i(2 s_i^z): +1, -1, or None for mixed."""
-    if not basis.is_full:
-        raise ValueError("parity labels are defined on the full basis only")
+    if basis.sz_twice is not None:
+        raise ValueError("parity labels are defined on the full basis "
+                         "and its parity sectors only")
     _check_normalized(vec)
     signs = _label_array(basis, "parity_signs",
                          lambda b: 1.0 - 2.0 * ((b.n_sites - b.popcounts) % 2))
@@ -144,7 +145,7 @@ def parity(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
 
 def sz_twice_label(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
     """2<Sz> as an integer label, or None when the state mixes sectors."""
-    if not basis.is_full:
+    if basis.sz_twice is not None:
         return basis.sz_twice
     _check_normalized(vec)
     szt = _label_array(basis, "sz_twice", lambda b: 2.0 * b.popcounts - b.n_sites)
@@ -165,7 +166,7 @@ class StateLabels:
 
 def label_state(basis: SectorBasis, vec: np.ndarray) -> StateLabels:
     s, s_sq = total_spin(basis, vec)
-    par = parity(basis, vec) if basis.is_full else None
+    par = parity(basis, vec) if basis.sz_twice is None else None
     return StateLabels(sz_twice=sz_twice_label(basis, vec), total_spin=s,
                        parity=par, s_squared=s_sq)
 

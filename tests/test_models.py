@@ -92,6 +92,14 @@ def test_two_site_singlet_is_heisenberg_eigenstate():
     assert np.allclose(out, -0.75 * vec, atol=1e-14)
 
 
+def test_pair_coupling_with_aligned_flips_rejects_sz_sector():
+    from spinqpt.models import apply_pair_coupling
+    basis = enumerate_sector(chain(4), 0)
+    vec = np.ones(basis.dimension) / np.sqrt(basis.dimension)
+    with pytest.raises(ValueError, match="does not conserve Sz"):
+        apply_pair_coupling(basis, 0, 1, 1.0, 0.5, 1.0, vec)
+
+
 def test_neel_state_action_xxz():
     n = 4
     basis = enumerate_sector(chain(n), None)
@@ -259,7 +267,7 @@ def _oracle_matrix(model, n):
     return ref.real
 
 
-@pytest.mark.parametrize("model, n, sz", [
+@pytest.mark.parametrize("model, n, sector", [  # sector: 2Sz, or "even"/"odd" popcount
     (j1j2(1.0, 0.6), 4, None),                     # duplicated NNN bonds
     (j1j2(1.0, 0.6), 4, 0),
     (xxz(-0.7), 5, None),                          # odd full-space chain
@@ -267,9 +275,16 @@ def _oracle_matrix(model, n):
     (general_xyz(0.9, 0.3, -0.5, h=0.4), 5, None),  # aligned flips and a field
     (xxz(1.3), 6, 2),
     (j1j2(1.0, 0.35), 6, -2),
+    (transverse_ising(0.8), 5, "even"),            # parity sectors with a field
+    (transverse_ising(0.8), 5, "odd"),
+    (general_xyz(0.9, 0.3, -0.5, h=0.4), 5, "even"),
+    (general_xyz(0.9, 0.3, -0.5, h=0.4), 5, "odd"),
 ])
-def test_dense_matches_oracle_on_basis(model, n, sz):
-    basis = enumerate_sector(chain(n), sz)
+def test_dense_matches_oracle_on_basis(model, n, sector):
+    if sector in ("even", "odd"):
+        basis = enumerate_sector(chain(n), None, popcount_parity=int(sector == "odd"))
+    else:
+        basis = enumerate_sector(chain(n), sector)
     ref = _oracle_matrix(model, n)[np.ix_(basis.configs, basis.configs)]
     assert np.allclose(hamiltonian_dense(model, basis), ref, atol=1e-13)
 
