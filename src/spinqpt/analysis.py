@@ -57,7 +57,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class SolverOptions:
     """How ``solve_model`` solves one point.  The sum rules' full-spectrum
-    cap is not here: it is their own ``dense_cap`` argument."""
+    cap is not here: it is ``models.DENSE_CAP_DEFAULT``."""
     tol: float = 1e-10           # Lanczos residual tolerance, relative to the width
     seed: int = DEFAULT_SEED     # Lanczos start vectors
     dense_cutoff: int = 512      # spaces of this dimension or less use LAPACK
@@ -142,13 +142,15 @@ def _space_sector(space: str) -> int | None:
 def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
                 options: SolverOptions, *, energies_only: bool = False) -> EigenSolution:
     """Lowest k levels of one model on one basis, dense or Lanczos by size;
-    k above the dimension raises ValueError on both paths.
+    k below 1 or above the dimension raises ValueError on both paths.
 
     The dense path solves each symmetry sector of the basis on its own.
     Residuals are taken with the matrix-free operator on both paths.
     ``energies_only`` lets the dense path skip eigenvectors, residuals
     and the operator; Lanczos produces vectors either way.
     """
+    if k < 1:
+        raise ValueError("need k >= 1")
     if k > basis.dimension:
         raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
     if basis.dimension > options.dense_cutoff:

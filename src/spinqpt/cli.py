@@ -1,12 +1,15 @@
 """Command-line front end: spectrum / sweep / classify / sumrule / scaling.
 
 Configuration comes from flags, optionally layered over an INI-style
-config file (``--config``); flags win.  Results are emitted as a JSON
-envelope (config echo, version, wall time, payload) or, for sweeps, as
-CSV.  Numbers carry 12 significant digits so residual claims can be
-checked from the files alone.
+config file (``--config``); flags win.  A config value is read by its
+flag's own argparse action, so it is converted and checked like the
+flag.  Results are emitted as a JSON envelope (config echo, version,
+wall time, payload) or, for sweeps, as CSV.  Numbers carry 12
+significant digits so residual claims can be checked from the files
+alone; the envelope rounds every float in one pass.
 
-Exit codes: 0 success, 1 numeric failure, 2 configuration error.
+Exit codes: 0 success, 1 numeric failure, 2 configuration error (bad
+settings, or a sum rule over a space above the dense cap).
 No environment variables are consulted.
 """
 
@@ -18,16 +21,15 @@ import json
 import os
 import sys
 import time
-
-import numpy as np
+from dataclasses import asdict
 
 from . import __version__
 from .lattice import enumerate_sector
-from .models import FAMILY_TABLE, build_model, family_spec
+from .models import FAMILY_TABLE, ResourceLimitError, build_model, family_spec
 from .eigensolver import ConvergenceError
 from .observables import (OPERATOR_TAGS, label_solution, rearranged_sum_rule,
                           sum_rule_residual)
-from .analysis import (GridSpec, SolverOptions, _space_sector, classify,
+from .analysis import (GridSpec, SolverOptions, SweepResult, _space_sector, classify,
                        scaling_study, solve_model, sweep)
 
 SCHEMA_VERSION = "1"
@@ -42,36 +44,42 @@ MODEL_PARAMS = {p.name: p for spec in FAMILY_TABLE.values() for p in spec.params
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The flags of every subcommand; ``parser.setting_actions`` maps each
+    setting's name to the action that reads it, for config-file values."""
     parser = argparse.ArgumentParser(
         prog="spinqpt",
         description="exact diagonalization, concurrence, and transition "
                     "classification for small spin-1/2 models")
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.setting_actions = {}
+
+    def add(p, *flags, **kw):
+        action = p.add_argument(*flags, **kw)
+        parser.setting_actions[action.dest] = action
 
     def common(p):
-        p.add_argument("--config", help="INI config file; flags override it")
-        p.add_argument("--model", choices=sorted(FAMILY_TABLE))
-        p.add_argument("--sites", type=int, help="total number of spins")
+        add(p, "--config", help="INI config file; flags override it")
+        add(p, "--model", choices=sorted(FAMILY_TABLE))
+        add(p, "--sites", type=int, help="total number of spins")
         for param in MODEL_PARAMS.values():
-            p.add_argument(param.cli_flag, dest=param.name, type=float)
-        p.add_argument("--seed", type=lambda s: int(s, 0))
-        p.add_argument("--tol", type=float)
-        p.add_argument("--dense-cap", dest="dense_cap", type=int)
-        p.add_argument("--dense-cutoff", dest="dense_cutoff", type=int)
-        p.add_argument("--threads", type=int)
-        p.add_argument("--format", choices=("csv", "json"))
-        p.add_argument("--out", help="output path (default: stdout)")
+            add(p, param.cli_flag, dest=param.name, type=float)
+        add(p, "--seed", type=lambda s: int(s, 0))
+        add(p, "--tol", type=float)
+        add(p, "--dense-cutoff", dest="dense_cutoff", type=int)
+        add(p, "--threads", type=int)
+        add(p, "--format", choices=("csv", "json"))
+        add(p, "--out", help="output path (default: stdout)")
 
     def sweepish(p):
-        p.add_argument("--sweep", help="name:start:stop:step, e.g. delta:0:2:0.01")
-        p.add_argument("--levels", type=int)
-        p.add_argument("--pairs", help="comma list: nn, rung, leg, or i-j")
-        p.add_argument("--space", choices=("auto", "full", "sz0"))
+        add(p, "--sweep", help="name:start:stop:step, e.g. delta:0:2:0.01")
+        add(p, "--levels", type=int)
+        add(p, "--pairs", help="comma list: nn, rung, leg, or i-j")
+        add(p, "--space", choices=("auto", "full", "sz0"))
 
     p = sub.add_parser("spectrum", help="low-lying levels with labels")
     common(p)
-    p.add_argument("--levels", type=int)
-    p.add_argument("--sector", help="full, sz0, or an integer 2*Sz")
+    add(p, "--levels", type=int)
+    add(p, "--sector", help="full, sz0, or an integer 2*Sz")
 
     p = sub.add_parser("sweep", help="levels and concurrence over a grid")
     common(p)
@@ -80,24 +88,24 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="transition type from a sweep")
     common(p)
     sweepish(p)
-    p.add_argument("--pair", help="pair used for the concurrence series")
-    p.add_argument("--jump-tol", dest="jump_tol", type=float)
-    p.add_argument("--max-order", dest="max_order", type=int)
-    p.add_argument("--preset", choices=("table1",),
-                   help="run the canonical desk-scale scenarios")
+    add(p, "--pair", help="pair used for the concurrence series")
+    add(p, "--jump-tol", dest="jump_tol", type=float)
+    add(p, "--max-order", dest="max_order", type=int)
+    add(p, "--preset", choices=("table1",),
+        help="run the canonical desk-scale scenarios")
 
     p = sub.add_parser("sumrule", help="double-commutator sum-rule residuals")
     common(p)
-    p.add_argument("--operator", help="operator tag or 'all'")
+    add(p, "--operator", help="operator tag or 'all'")
 
     p = sub.add_parser("scaling", help="derivative-extremum drift with size")
     common(p)
     sweepish(p)
-    p.add_argument("--sizes", help="comma list of site counts")
-    p.add_argument("--order", type=int, help="derivative order")
-    p.add_argument("--kind", choices=("min", "max"))
-    p.add_argument("--raw", action="store_true",
-                   help="differentiate the unclamped concurrence")
+    add(p, "--sizes", help="comma list of site counts")
+    add(p, "--order", type=int, help="derivative order")
+    add(p, "--kind", choices=("min", "max"))
+    add(p, "--raw", action="store_true",
+        help="differentiate the unclamped concurrence")
     return parser
 
 
@@ -106,16 +114,16 @@ CONFIG_KEYS = {
     "lattice": {"sites"},
     "grid": {"sweep", "levels", "pairs", "space", "sizes", "order", "kind",
              "raw", "sector"},
-    "solver": {"seed", "tol", "dense_cap", "dense_cutoff", "threads"},
+    "solver": {"seed", "tol", "dense_cutoff", "threads"},
     "output": {"format", "out"},
     "classify": {"pair", "jump_tol", "max_order", "preset"},
 }
-_INT_KEYS = {"sites", "levels", "dense_cap", "dense_cutoff", "threads",
-             "max_order", "order"}
-_FLOAT_KEYS = set(MODEL_PARAMS) | {"tol", "jump_tol"}
 
 
-def load_config_file(path: str) -> dict:
+def load_config_file(path: str, actions: dict) -> dict:
+    """Settings from an INI file, each read by the flag ``actions[key]``:
+    converted by its type (a switch by ``getboolean``), checked against
+    its choices."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} not found")
     ini = configparser.ConfigParser()
@@ -127,27 +135,29 @@ def load_config_file(path: str) -> dict:
     for section in ini.sections():
         if section not in CONFIG_KEYS:
             raise ConfigError(f"config file: unknown section [{section}]")
-        for key, value in ini.items(section):
+        for key, text in ini.items(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"config file: unknown key {key!r} in [{section}]")
-            if key == "seed":
-                out[key] = int(value, 0)
-            elif key in _INT_KEYS:
-                out[key] = int(value)
-            elif key in _FLOAT_KEYS:
-                out[key] = float(value)
-            elif key == "raw":
-                out[key] = ini.getboolean(section, key)
-            else:
-                out[key] = value
+            action = actions[key]
+            try:
+                if action.nargs == 0:
+                    value = ini.getboolean(section, key)
+                else:
+                    value = text if action.type is None else action.type(text)
+            except ValueError:
+                raise ConfigError(f"config file: bad value {text!r} for {key!r} in [{section}]")
+            if action.choices is not None and value not in action.choices:
+                raise ConfigError(f"config file: {key!r} in [{section}] must be one of "
+                                  f"{', '.join(action.choices)}, not {text!r}")
+            out[key] = value
     return out
 
 
-def merge_settings(args: argparse.Namespace) -> dict:
+def merge_settings(args: argparse.Namespace, actions: dict) -> dict:
     """CLI flags layered over config-file values."""
     settings = {}
     if getattr(args, "config", None):
-        settings.update(load_config_file(args.config))
+        settings.update(load_config_file(args.config, actions))
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None or value is False:
             continue
@@ -218,33 +228,34 @@ def fmt(x) -> float:
     return float(f"{float(x):.12g}")
 
 
-def _labels_dict(lab):
-    return {"sz_twice": lab.sz_twice,
-            "total_spin": None if lab.total_spin is None else fmt(lab.total_spin),
-            "parity": lab.parity,
-            "s_squared": fmt(lab.s_squared)}
+def _rounded(value):
+    """``value`` for JSON: every float through ``fmt``, tuples as lists."""
+    if isinstance(value, float):
+        return fmt(value)
+    if isinstance(value, dict):
+        return {key: _rounded(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_rounded(item) for item in value]
+    return value
 
 
 def _sweep_payload(result) -> dict:
     points = []
     for p in result.points:
-        entry = {"g": fmt(p.g)}
+        entry = {"g": p.g}
         if p.flag is not None:
             entry["flag"] = p.flag
             points.append(entry)
             continue
-        entry["energies"] = [fmt(e) for e in p.energies]
-        entry["labels"] = [_labels_dict(l) for l in p.labels]
+        entry["energies"] = list(p.energies)
+        entry["labels"] = [asdict(l) for l in p.labels]
         entry["pairs"] = {
-            name: {"sites": list(rec.sites), "cxx": fmt(rec.cxx),
-                   "cyy": fmt(rec.cyy), "czz": fmt(rec.czz),
-                   "concurrence_raw": fmt(rec.concurrence_raw),
-                   "concurrence": fmt(rec.concurrence)}
+            name: {"sites": rec.sites, "cxx": rec.cxx, "cyy": rec.cyy, "czz": rec.czz,
+                   "concurrence_raw": rec.concurrence_raw,
+                   "concurrence": rec.concurrence}
             for name, rec in p.pairs.items()}
         points.append(entry)
-    grid = result.grid_spec
-    return {"swept": {"name": grid.name, "start": fmt(grid.start),
-                      "stop": fmt(grid.stop), "step": fmt(grid.step)},
+    return {"swept": asdict(result.grid_spec),
             "k_levels": result.k_levels,
             "space": result.config.space,
             "pair_names": result.pair_names,
@@ -252,9 +263,8 @@ def _sweep_payload(result) -> dict:
 
 
 def _event_dict(e):
-    return {"level_pair": list(e.level_pair), "location": fmt(e.location),
-            "bracket": [fmt(e.bracket[0]), fmt(e.bracket[1])],
-            "kind": e.kind, "min_gap": fmt(e.min_gap)}
+    return {"level_pair": e.level_pair, "location": e.location,
+            "bracket": e.bracket, "kind": e.kind, "min_gap": e.min_gap}
 
 
 def _classify_payload(report) -> dict:
@@ -263,24 +273,13 @@ def _classify_payload(report) -> dict:
             "gs_lc": report.gs_lc,
             "es_lc": report.es_lc,
             "concurrence_behavior": report.concurrence_behavior,
-            "evidence": {
-                "gs_events": [_event_dict(e) for e in ev.gs_events],
-                "es_events": [_event_dict(e) for e in ev.es_events],
-                "jump": None if ev.jump is None else fmt(ev.jump),
-                "jump_location": None if ev.jump_location is None else fmt(ev.jump_location),
-                "jump_tol": None if ev.jump_tol is None else fmt(ev.jump_tol),
-                "argmax_location": None if ev.argmax_location is None else fmt(ev.argmax_location),
-                "argmax_value": None if ev.argmax_value is None else fmt(ev.argmax_value),
-                "derivative_order": ev.derivative_order,
-                "derivative_extrema": [
-                    {"location": fmt(x.location), "value": fmt(x.value),
-                     "kind": x.kind} for x in ev.derivative_extrema],
-            }}
+            "evidence": {**asdict(ev),
+                         "gs_events": [_event_dict(e) for e in ev.gs_events],
+                         "es_events": [_event_dict(e) for e in ev.es_events]}}
 
 
 def emit_csv(result) -> str:
     """CSV for a sweep: one row per grid point, constant column count."""
-    from .analysis import SweepResult
     if not isinstance(result, SweepResult):
         raise ValueError("CSV output is defined for sweep payloads only")
     k = result.k_levels
@@ -318,16 +317,12 @@ def emit_json(envelope: dict) -> str:
 
 
 def make_envelope(command: str, settings: dict, payload) -> dict:
-    echo = {}
-    for key in sorted(settings):
-        val = settings[key]
-        echo[key] = fmt(val) if isinstance(val, float) else val
-    return {"schema_version": SCHEMA_VERSION,
-            "toolkit_version": __version__,
-            "command": command,
-            "config": echo,
-            "wall_time_s": None,  # filled just before writing
-            "payload": payload}
+    return _rounded({"schema_version": SCHEMA_VERSION,
+                     "toolkit_version": __version__,
+                     "command": command,
+                     "config": dict(sorted(settings.items())),
+                     "wall_time_s": None,  # filled just before writing
+                     "payload": payload})
 
 
 # ---------------------------------------------------------------------------
@@ -349,9 +344,9 @@ def cmd_spectrum(settings) -> dict:
     label_solution(basis, sol)
     return {"model": model.describe(), "n_sites": lattice.n_sites,
             "space": space, "dimension": basis.dimension,
-            "energies": [fmt(e) for e in sol.energies],
-            "residuals": [fmt(r) for r in sol.residuals],
-            "labels": [_labels_dict(l) for l in sol.labels]}
+            "energies": list(sol.energies),
+            "residuals": list(sol.residuals),
+            "labels": [asdict(l) for l in sol.labels]}
 
 
 def _run_sweep(settings):
@@ -438,22 +433,21 @@ def cmd_sumrule(settings) -> dict:
         tags = [choice]
     else:
         raise ConfigError(f"--operator must be one of {OPERATOR_TAGS} or 'all'")
-    cap = settings.get("dense_cap", 4096)
     reports = []
     sol = None  # one full spectrum serves every operator and the rearrangement
     for tag in tags:
-        rep = sum_rule_residual(model, lattice, tag, dense_cap=cap, solution=sol)
+        rep = sum_rule_residual(model, lattice, tag, solution=sol)
         sol = rep.solution
-        reports.append({"operator": tag, "lhs": fmt(rep.lhs), "rhs": fmt(rep.rhs),
-                        "residual": fmt(rep.residual)})
+        reports.append({"operator": tag, "lhs": rep.lhs, "rhs": rep.rhs,
+                        "residual": rep.residual})
     payload = {"model": model.describe(), "n_sites": lattice.n_sites,
                "reports": reports}
     if fam.rearranged is not None:
-        re_rep = rearranged_sum_rule(model, lattice, dense_cap=cap, solution=sol)
-        payload["rearranged"] = {"j_value": fmt(re_rep.j_value),
-                                 "correlator_side": fmt(re_rep.correlator_side),
-                                 "spectrum_side": fmt(re_rep.spectrum_side),
-                                 "residual": fmt(re_rep.residual)}
+        re_rep = rearranged_sum_rule(model, lattice, solution=sol)
+        payload["rearranged"] = {"j_value": re_rep.j_value,
+                                 "correlator_side": re_rep.correlator_side,
+                                 "spectrum_side": re_rep.spectrum_side,
+                                 "residual": re_rep.residual}
     return payload
 
 
@@ -478,14 +472,16 @@ def cmd_scaling(settings) -> dict:
         threads=settings.get("threads", 1))
     payload = {"model": fam.name, "swept": grid.name, "derivative_order": order,
                "extremum_kind": result.extremum_kind,
-               "entries": [{"n_sites": e.n_sites, "location": fmt(e.location),
-                            "value": fmt(e.value)} for e in result.entries],
+               "entries": [asdict(e) for e in result.entries],
                "skipped": [{"n_sites": n, "reason": r} for n, r in result.skipped]}
     if result.intercept is not None:
-        payload["fit"] = {"intercept": fmt(result.intercept),
-                          "slope": fmt(result.slope),
-                          "residual_norm": fmt(result.residual_norm)}
+        payload["fit"] = {"intercept": result.intercept, "slope": result.slope,
+                          "residual_norm": result.residual_norm}
     return payload
+
+
+COMMANDS = {"spectrum": cmd_spectrum, "sweep": cmd_sweep, "classify": cmd_classify,
+            "sumrule": cmd_sumrule, "scaling": cmd_scaling}
 
 
 def run(argv=None) -> int:
@@ -493,34 +489,19 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        settings = merge_settings(args)
-        fmt_choice = settings.get("format", "json")
-        command = args.command
-        if command == "spectrum":
-            payload = cmd_spectrum(settings)
-        elif command == "sweep":
-            payload = cmd_sweep(settings)
-        elif command == "classify":
-            payload = cmd_classify(settings)
-        elif command == "sumrule":
-            payload = cmd_sumrule(settings)
-        elif command == "scaling":
-            payload = cmd_scaling(settings)
-        else:  # pragma: no cover - argparse enforces the choices
-            raise ConfigError(f"unknown command {command!r}")
-
-        if fmt_choice == "csv":
-            from .analysis import SweepResult
+        settings = merge_settings(args, parser.setting_actions)
+        payload = COMMANDS[args.command](settings)
+        if settings.get("format", "json") == "csv":
             if not isinstance(payload, SweepResult):
                 raise ConfigError("csv output is only available for sweep results")
             text = emit_csv(payload)
         else:
-            if not isinstance(payload, dict):
+            if isinstance(payload, SweepResult):
                 payload = _sweep_payload(payload)
-            envelope = make_envelope(command, settings, payload)
+            envelope = make_envelope(args.command, settings, payload)
             envelope["wall_time_s"] = fmt(time.perf_counter() - started)
             text = emit_json(envelope)
-    except (ConfigError, ValueError) as err:
+    except (ConfigError, ValueError, ResourceLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ConvergenceError as err:

@@ -13,8 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import SectorBasis, enumerate_sector
-from .models import (FAMILY_TABLE, ModelSpec, HamiltonianAction, coupling_graph,
-                     family_spec, sector_matrices, ResourceLimitError)
+from .models import (DENSE_CAP_DEFAULT, FAMILY_TABLE, ModelSpec, HamiltonianAction,
+                     coupling_graph, family_spec, sector_matrices, ResourceLimitError)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
@@ -263,19 +263,19 @@ class SumRuleReport:
         return abs(self.lhs - self.rhs)
 
 
-def _full_solution(model: ModelSpec, lattice, dense_cap: int, solution):
-    """The full basis and full spectrum of H, solved unless ``solution`` is given."""
+def _full_solution(model: ModelSpec, lattice, solution):
+    """The full basis and full spectrum of H, solved unless ``solution`` is
+    given; spaces above ``DENSE_CAP_DEFAULT`` raise before any solve."""
     basis = enumerate_sector(lattice, None)
-    if basis.dimension > dense_cap:
-        raise ResourceLimitError(
-            f"sum rules need the full spectrum; dim {basis.dimension} > cap {dense_cap}")
+    if basis.dimension > DENSE_CAP_DEFAULT:
+        raise ResourceLimitError(f"sum rules need the full spectrum; "
+                                 f"dim {basis.dimension} > cap {DENSE_CAP_DEFAULT}")
     if solution is None:
-        solution = dense_spectrum(sector_matrices(model, basis, cap=dense_cap))
+        solution = dense_spectrum(sector_matrices(model, basis))
     return basis, solution
 
 
 def sum_rule_residual(model: ModelSpec, lattice, operator_tag: str,
-                      dense_cap: int = 4096,
                       solution: EigenSolution | None = None) -> SumRuleReport:
     """Double-commutator identity check for one collective operator.
 
@@ -285,7 +285,7 @@ def sum_rule_residual(model: ModelSpec, lattice, operator_tag: str,
     ``solution`` is the full spectrum of ``model`` on the full basis, as
     carried by an earlier report; it is solved when omitted.
     """
-    basis, sol = _full_solution(model, lattice, dense_cap, solution)
+    basis, sol = _full_solution(model, lattice, solution)
     axis, momentum = _parse_tag(operator_tag)
     action = HamiltonianAction(model, basis)
     e0, ground = sol.ground()
@@ -316,11 +316,11 @@ class RearrangedSumRule:
         return abs(self.correlator_side - self.spectrum_side)
 
 
-def rearranged_sum_rule(model: ModelSpec, lattice, dense_cap: int = 4096,
+def rearranged_sum_rule(model: ModelSpec, lattice,
                         solution: EigenSolution | None = None) -> RearrangedSumRule:
     """Both sides of the per-model rearrangement; ``solution`` as in
     ``sum_rule_residual``."""
-    basis, sol = _full_solution(model, lattice, dense_cap, solution)
+    basis, sol = _full_solution(model, lattice, solution)
     n = lattice.n_sites
     e0, ground = sol.ground()
     cxx, cyy, czz = bond_averaged_correlators(model, basis, ground, kind="nn")

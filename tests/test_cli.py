@@ -252,6 +252,86 @@ def test_more_levels_than_the_space_is_config_error(argv, capsys):
     assert "k=6 exceeds dimension" in err
 
 
+@pytest.mark.parametrize("levels", ["0", "-1"])
+@pytest.mark.parametrize("cutoff", [[], ["--dense-cutoff", "1"]])
+def test_fewer_than_one_level_is_config_error(levels, cutoff, capsys):
+    code, out, err = run_capture(
+        ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4",
+         "--levels", levels] + cutoff, capsys)
+    assert code == 2 and out == ""
+    assert "need k >= 1" in err
+
+
+def test_oversized_sumrule_is_config_error_before_any_solve(capsys, monkeypatch):
+    import spinqpt.observables as observables
+
+    def never(*args, **kwargs):
+        raise AssertionError("solved a space above the cap")
+
+    monkeypatch.setattr(observables, "dense_spectrum", never)
+    code, out, err = run_capture(
+        ["sumrule", "--model", "xxz", "--delta", "1", "--sites", "13"], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: sum rules need the full spectrum; ")
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("output", "format", "xml"),
+    ("grid", "kind", "mid"),
+    ("classify", "preset", "table2"),
+    ("lattice", "sites", "eight"),
+    ("solver", "dense_cap", "10"),
+])
+def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    code, out, err = run_capture(
+        ["scaling", "--config", str(cfg), "--model", "ising", "--sweep",
+         "lambda:0.5:1.5:0.05", "--sizes", "4,6", "--order", "1"], capsys)
+    assert code == 2 and out == ""
+    assert key in err
+
+
+def test_config_values_read_like_flags(tmp_path, capsys):
+    cfg = tmp_path / "run.ini"
+    cfg.write_text("[solver]\nseed = 0x10\n[grid]\nraw = yes\n")
+    code, out, _ = run_capture(
+        ["spectrum", "--config", str(cfg), "--model", "xxz", "--delta", "1",
+         "--sites", "4", "--levels", "1"], capsys)
+    assert code == 0
+    echo = json.loads(out)["config"]
+    assert echo["seed"] == 16 and echo["raw"] is True
+
+
+def _floats(node):
+    if isinstance(node, float):
+        yield node
+    elif isinstance(node, dict):
+        for item in node.values():
+            yield from _floats(item)
+    elif isinstance(node, list):
+        for item in node:
+            yield from _floats(item)
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "xyz", "--jx", "0.91234567890123", "--jy", "1.1",
+     "--jz", "1", "--hz", "0.3", "--sites", "6", "--levels", "8"],
+    ["classify", "--model", "ising", "--sweep", "lambda:0.2:2:0.05", "--sites", "6",
+     "--levels", "4", "--jump-tol", "0.0123456789012345"],
+    ["sumrule", "--model", "xxz", "--delta", "0.61234567890123", "--sites", "6"],
+    ["scaling", "--model", "ising", "--sweep", "lambda:0.5:1.5:0.05",
+     "--sizes", "4,6,8", "--order", "1", "--tol", "1.23456789012345e-10"],
+])
+def test_json_floats_carry_12_digits(argv, capsys):
+    code, out, _ = run_capture(argv, capsys)
+    assert code == 0
+    doc = json.loads(out)
+    values = list(_floats(doc["config"])) + list(_floats(doc["payload"]))
+    assert len(values) > 5
+    assert all(x == float(f"{x:.12g}") for x in values)
+
+
 # --- reproducibility ---------------------------------------------------------
 
 def test_byte_identical_reruns(tmp_path):
