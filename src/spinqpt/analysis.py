@@ -6,14 +6,19 @@ Crossings are found on the sorted level curves of a sweep.  Because the
 solvers resolve degenerate multiplets exactly, a crossing shows up in
 the gap of an adjacent level pair either as a degenerate run that ends
 (two levels locked at zero gap on one side, split on the other) or as an
-interior dip that touches zero.  Both candidates are refined with fresh
-solves: runs by bisecting the "gap below tolerance" boundary, dips by a
-golden-section minimization of the gap.  A refined gap at or below the
-degeneracy tolerance is a true crossing; a dip that stays open between
-levels carrying the same quantum numbers is an avoided crossing.
+interior dip that touches zero.  ``_candidates`` lists the grid cells to
+refine, within each stretch of solved points: a cell around an isolated
+touch (a run of one or two degenerate points) or an open dip, searched
+for the gap minimum by golden section, and the cell at each end of a
+longer run, where the "gap below tolerance" boundary is bisected.  Every
+cell is refined with fresh solves in one loop.  A refined gap at or
+below the degeneracy tolerance is a true crossing; a dip that stays open
+between levels carrying the same quantum numbers is an avoided crossing,
+and one between levels of different symmetry is no event.
 """
 
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -24,7 +29,7 @@ from .models import (ModelSpec, HamiltonianAction, build_model, family_spec,
                      sector_matrices)
 from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
                           lanczos_lowest_k, ConvergenceError)
-from .observables import PAIR_OPS, StateLabels, label_state, two_site_rdm
+from .observables import StateLabels, label_state, pair_correlators, two_site_rdm
 from .entanglement import wootters_concurrence
 
 DEFAULT_SEED = 0x5EED
@@ -251,16 +256,11 @@ def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> Swe
     for name, sites in cfg.pair_items:
         rho = sum(two_site_rdm(basis, sol.vectors[:, c], *sites)
                   for c in range(mult)) / mult
-        cxx, cyy, czz = (float(np.sum(rho * PAIR_OPS[ax])) for ax in "xyz")
         conc = wootters_concurrence(rho)
-        pairs[name] = PairRecord(name, sites, cxx, cyy, czz,
+        pairs[name] = PairRecord(name, sites, *pair_correlators(rho),
                                  conc.value, conc.raw)
     return SweepPoint(g, sol.energies.copy(), labels, pairs,
                       gs_multiplicity=mult)
-
-
-def _sweep_task(args):
-    return _sweep_point(*args)
 
 
 def sweep(family: str, fixed_params: dict, swept: GridSpec, lattice: LatticeSpec,
@@ -276,9 +276,10 @@ def sweep(family: str, fixed_params: dict, swept: GridSpec, lattice: LatticeSpec
                       n_sites=lattice.n_sites, space=chosen, k_levels=k_levels,
                       pair_items=tuple(pair_map.items()), options=options)
     values = swept.values()
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            points = list(pool.map(_sweep_task, [(cfg, g) for g in values]))
+    workers = min(threads, len(values), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            points = list(pool.map(_sweep_point, [cfg] * len(values), values))
     else:
         points = [_sweep_point(cfg, g) for g in values]
     return SweepResult(cfg, swept, points)
@@ -333,12 +334,20 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int, *,
 
     grid = sweep_result.grid
     gap = sweep_result.energy(b) - sweep_result.energy(a)
-
     events: list[CrossingEvent] = []
-    for s, e in _runs(~np.isnan(gap)):
-        if e > s:
-            events.extend(_events_in_segment(sweep_result, np.arange(s, e + 1), grid,
-                                             gap, (a, b), deg, refine_tol, gap_at))
+    for inside, outside, dip in _candidates(gap, deg):
+        i, j = sorted((inside, outside))
+        if dip:
+            loc, min_gap = _golden_min(gap_at, grid[i], grid[j], refine_tol)
+            slope = (max(gap[i], gap[j]) - min_gap) / (grid[j] - grid[i])
+            touch_tol = max(deg, 4.0 * slope * refine_tol)
+        else:
+            loc, min_gap = _bisect_boundary(gap_at, grid[inside], grid[outside],
+                                            deg, refine_tol)
+            touch_tol = deg
+        event = _make_event(sweep_result, (a, b), loc, i, j, min_gap, touch_tol)
+        if event is not None:
+            events.append(event)
     events.sort(key=lambda e: e.location)
     return events
 
@@ -350,95 +359,64 @@ def _runs(mask) -> list[tuple[int, int]]:
                     (np.flatnonzero(edges == -1) - 1).tolist()))
 
 
-def _events_in_segment(sweep_result, idx, grid, gap, pair, deg, refine_tol, gap_at):
-    events = []
-    g_seg = grid[idx]
-    gap_seg = gap[idx]
-    degenerate = gap_seg <= deg
+def _candidates(gap: np.ndarray, deg: float) -> list[tuple[int, int, bool]]:
+    """Grid cells to refine, as ``(inside, outside, dip)`` point indices.
 
-    for s, e in _runs(degenerate):
-        left_edge = s == 0
-        right_edge = e == len(idx) - 1
-        if left_edge and right_edge:
-            continue  # identically degenerate pair, no event
-        if not left_edge and not right_edge and e - s <= 1:
-            # isolated touch: the gap dips through zero inside one cell
-            lo, hi = g_seg[s - 1], g_seg[e + 1]
-            loc, min_gap = _golden_min(gap_at, lo, hi, refine_tol)
-            slope = max(gap_seg[s - 1], gap_seg[e + 1]) / (hi - lo)
-            ev = _make_event(sweep_result, pair, loc, (lo, hi), min_gap,
-                             max(deg, 4.0 * slope * refine_tol))
-            if ev is not None:
-                events.append(ev)
-            continue
-        # an extended degenerate stretch: each end where it meets split
-        # levels is a crossing of its own
-        if not left_edge:
-            loc, min_gap = _bisect_boundary(gap_at, g_seg[s], g_seg[s - 1],
-                                            deg, refine_tol)
-            events.append(_make_event(sweep_result, pair, loc,
-                                      (g_seg[s - 1], g_seg[s]), min_gap, deg))
-        if not right_edge:
-            loc, min_gap = _bisect_boundary(gap_at, g_seg[e], g_seg[e + 1],
-                                            deg, refine_tol)
-            events.append(_make_event(sweep_result, pair, loc,
-                                      (g_seg[e], g_seg[e + 1]), min_gap, deg))
-
-    # interior dips that never reach the tolerance on the grid; a dip must
-    # clear its neighbours by more than the tolerance, or last-bit noise
-    # on a flat gap would pass for one
-    for i in range(1, len(idx) - 1):
-        if degenerate[i - 1] or degenerate[i] or degenerate[i + 1]:
-            continue
-        if gap_seg[i] < gap_seg[i - 1] - deg and gap_seg[i] < gap_seg[i + 1] - deg:
-            lo, hi = g_seg[i - 1], g_seg[i + 1]
-            loc, min_gap = _golden_min(gap_at, lo, hi, refine_tol)
-            slope = (max(gap_seg[i - 1], gap_seg[i + 1]) - min_gap) / (hi - lo)
-            ev = _make_event(sweep_result, pair, loc, (lo, hi), min_gap,
-                             max(deg, 4.0 * slope * refine_tol))
-            if ev is not None:
-                events.append(ev)
-    return events
+    The gap is split at unsolved (NaN) points.  In each solved segment,
+    a degenerate run of one or two points with split levels on both
+    sides is an isolated touch, and a point below both neighbours by more
+    than ``deg``, none of the three degenerate, is an open dip; either
+    gives ``(left, right, True)``, the cell around it for a golden-section
+    search.  Each end of a longer run that meets split levels gives
+    ``(run end, split neighbour, False)`` for bisection; a run that meets
+    the segment's end gives nothing there.
+    """
+    cells = []
+    for s, e in _runs(~np.isnan(gap)):
+        seg = gap[s:e + 1]
+        closed = seg <= deg
+        for r0, r1 in _runs(closed):
+            left, right = r0 > 0, r1 < e - s
+            if left and right and r1 - r0 <= 1:
+                cells.append((s + r0 - 1, s + r1 + 1, True))
+                continue
+            if left:
+                cells.append((s + r0, s + r0 - 1, False))
+            if right:
+                cells.append((s + r1, s + r1 + 1, False))
+        # a dip must clear its neighbours by more than the tolerance, or
+        # last-bit noise on a flat gap would pass for one
+        mid = seg[1:-1]
+        dips = (~(closed[:-2] | closed[1:-1] | closed[2:])
+                & (mid < seg[:-2] - deg) & (mid < seg[2:] - deg))
+        cells.extend((s + i, s + i + 2, True) for i in np.flatnonzero(dips).tolist())
+    return cells
 
 
-def _make_event(sweep_result, pair, loc, bracket, min_gap, touch_tol):
-    """Build an event, or None for a dip between unrelated levels.
+def _make_event(sweep_result, pair, loc, i, j, min_gap, touch_tol):
+    """The event refined in the cell from grid point ``i`` to ``j``, or
+    None for a dip between unrelated levels.
 
     ``touch_tol`` absorbs the refinement resolution: a transversal
     crossing probed down to a bracket of width w still shows a residual
     gap of order slope * w, which must not demote it to "avoided".
     """
-    grid = sweep_result.grid
-    a, b = pair
-    ok = np.array([p.flag is None for p in sweep_result.points])
-    below = np.where((grid < bracket[0] + 1e-15) & ok)[0]
-    above = np.where((grid > bracket[1] - 1e-15) & ok)[0]
-    lab_b = lab_a = None
-    if len(below) and sweep_result.points[below[-1]].labels:
-        pt = sweep_result.points[below[-1]]
-        lab_b = (pt.labels[a], pt.labels[b])
-    if len(above) and sweep_result.points[above[0]].labels:
-        pt = sweep_result.points[above[0]]
-        lab_a = (pt.labels[a], pt.labels[b])
-
+    below, above = sweep_result.points[i], sweep_result.points[j]
+    lab_b = tuple(below.labels[n] for n in pair)
+    lab_a = tuple(above.labels[n] for n in pair)
     if min_gap <= touch_tol:
         kind = "true_crossing"
     else:
-        agree = None
-        if lab_b is not None and lab_a is not None:
-            agree_b = _labels_agree(*lab_b)
-            agree_a = _labels_agree(*lab_a)
-            if agree_b is not None and agree_a is not None:
-                agree = agree_b and agree_a
-        if agree is None:
+        agree_b, agree_a = _labels_agree(*lab_b), _labels_agree(*lab_a)
+        if agree_b is None or agree_a is None:
             kind = "unresolved"
-        elif agree:
+        elif agree_b and agree_a:
             kind = "avoided"
         else:
             # levels of different symmetry passing near each other; the
             # gap stays open, so there is nothing to report
             return None
-    return CrossingEvent(level_pair=pair, location=loc, bracket=bracket,
+    return CrossingEvent(level_pair=pair, location=loc, bracket=(below.g, above.g),
                          kind=kind, min_gap=min_gap,
                          labels_below=lab_b, labels_above=lab_a)
 
@@ -536,6 +514,15 @@ def locate_extrema(grid: np.ndarray, values: np.ndarray) -> list[Extremum]:
     return out
 
 
+def _derivative_extrema(grid: np.ndarray, conc: np.ndarray, order: int):
+    """Extrema of the ``order``-th derivative of the solved points of
+    ``conc``, or None when too few points are solved for it."""
+    valid = ~np.isnan(conc)
+    if valid.sum() <= 2 * order + 2:
+        return None
+    return locate_extrema(*derivative(grid[valid], conc[valid], order))
+
+
 # ---------------------------------------------------------------------------
 # classification
 
@@ -619,10 +606,9 @@ def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
 
     # Type III: extremum in some low-order derivative
     for order in range(1, max_derivative_order + 1):
-        if valid.sum() <= 2 * order + 2:
+        extrema = _derivative_extrema(grid, conc, order)
+        if extrema is None:
             break
-        d_grid, d_vals = derivative(grid[valid], conc[valid], order)
-        extrema = locate_extrema(d_grid, d_vals)
         if extrema:
             evidence.derivative_order = order
             evidence.derivative_extrema = extrema
@@ -680,14 +666,12 @@ def scaling_study(family: str, fixed_params: dict, swept: GridSpec,
         lattice = family_spec(family).lattice(n)
         result = sweep(family, fixed_params, swept, lattice, k_levels=k_levels,
                        pairs=pairs, space=space, options=options, threads=threads)
-        conc = result.concurrence(raw=use_raw)
-        valid = ~np.isnan(conc)
-        if valid.sum() <= 2 * derivative_order + 2:
+        extrema = _derivative_extrema(result.grid, result.concurrence(raw=use_raw),
+                                      derivative_order)
+        if extrema is None:
             skipped.append((n, "too few valid points"))
             continue
-        d_grid, d_vals = derivative(result.grid[valid], conc[valid], derivative_order)
-        extrema = [e for e in locate_extrema(d_grid, d_vals)
-                   if e.kind == extremum_kind]
+        extrema = [e for e in extrema if e.kind == extremum_kind]
         if not extrema:
             skipped.append((n, f"no interior {extremum_kind}imum"))
             continue

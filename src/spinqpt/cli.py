@@ -43,9 +43,18 @@ class ConfigError(Exception):
 MODEL_PARAMS = {p.name: p for spec in FAMILY_TABLE.values() for p in spec.params}
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1, as an argparse type."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, not {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    """The flags of every subcommand; ``parser.setting_actions`` maps each
-    setting's name to the action that reads it, for config-file values."""
+    """The flags of every subcommand; ``parser.setting_actions[command]``
+    maps each setting of that subcommand to the action that reads it, for
+    config-file values."""
     parser = argparse.ArgumentParser(
         prog="spinqpt",
         description="exact diagonalization, concurrence, and transition "
@@ -55,9 +64,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add(p, *flags, **kw):
         action = p.add_argument(*flags, **kw)
-        parser.setting_actions[action.dest] = action
+        p.setting_actions[action.dest] = action
 
-    def common(p):
+    def command(name, help):
+        """A subcommand with the flags every subcommand has."""
+        p = sub.add_parser(name, help=help)
+        p.setting_actions = parser.setting_actions[name] = {}
         add(p, "--config", help="INI config file; flags override it")
         add(p, "--model", choices=sorted(FAMILY_TABLE))
         add(p, "--sites", type=int, help="total number of spins")
@@ -66,9 +78,10 @@ def build_parser() -> argparse.ArgumentParser:
         add(p, "--seed", type=lambda s: int(s, 0))
         add(p, "--tol", type=float)
         add(p, "--dense-cutoff", dest="dense_cutoff", type=int)
-        add(p, "--threads", type=int)
+        add(p, "--threads", type=positive_int)
         add(p, "--format", choices=("csv", "json"))
         add(p, "--out", help="output path (default: stdout)")
+        return p
 
     def sweepish(p):
         add(p, "--sweep", help="name:start:stop:step, e.g. delta:0:2:0.01")
@@ -76,17 +89,14 @@ def build_parser() -> argparse.ArgumentParser:
         add(p, "--pairs", help="comma list: nn, rung, leg, or i-j")
         add(p, "--space", choices=("auto", "full", "sz0"))
 
-    p = sub.add_parser("spectrum", help="low-lying levels with labels")
-    common(p)
+    p = command("spectrum", "low-lying levels with labels")
     add(p, "--levels", type=int)
     add(p, "--sector", help="full, sz0, or an integer 2*Sz")
 
-    p = sub.add_parser("sweep", help="levels and concurrence over a grid")
-    common(p)
+    p = command("sweep", "levels and concurrence over a grid")
     sweepish(p)
 
-    p = sub.add_parser("classify", help="transition type from a sweep")
-    common(p)
+    p = command("classify", "transition type from a sweep")
     sweepish(p)
     add(p, "--pair", help="pair used for the concurrence series")
     add(p, "--jump-tol", dest="jump_tol", type=float)
@@ -94,12 +104,10 @@ def build_parser() -> argparse.ArgumentParser:
     add(p, "--preset", choices=("table1",),
         help="run the canonical desk-scale scenarios")
 
-    p = sub.add_parser("sumrule", help="double-commutator sum-rule residuals")
-    common(p)
+    p = command("sumrule", "double-commutator sum-rule residuals")
     add(p, "--operator", help="operator tag or 'all'")
 
-    p = sub.add_parser("scaling", help="derivative-extremum drift with size")
-    common(p)
+    p = command("scaling", "derivative-extremum drift with size")
     sweepish(p)
     add(p, "--sizes", help="comma list of site counts")
     add(p, "--order", type=int, help="derivative order")
@@ -120,10 +128,11 @@ CONFIG_KEYS = {
 }
 
 
-def load_config_file(path: str, actions: dict) -> dict:
-    """Settings from an INI file, each read by the flag ``actions[key]``:
-    converted by its type (a switch by ``getboolean``), checked against
-    its choices."""
+def load_config_file(path: str, command: str, actions: dict) -> dict:
+    """Settings of ``command`` from an INI file, each read by the flag
+    ``actions[key]``: converted by its type (a switch by ``getboolean``),
+    checked against its choices.  A key ``command`` has no flag for is an
+    error, as the flag would be."""
     if not os.path.exists(path):
         raise ConfigError(f"config file {path!r} not found")
     ini = configparser.ConfigParser()
@@ -138,13 +147,16 @@ def load_config_file(path: str, actions: dict) -> dict:
         for key, text in ini.items(section):
             if key not in CONFIG_KEYS[section]:
                 raise ConfigError(f"config file: unknown key {key!r} in [{section}]")
+            if key not in actions:
+                raise ConfigError(f"config file: {key!r} in [{section}] is not a "
+                                  f"setting of {command}")
             action = actions[key]
             try:
                 if action.nargs == 0:
                     value = ini.getboolean(section, key)
                 else:
                     value = text if action.type is None else action.type(text)
-            except ValueError:
+            except (ValueError, argparse.ArgumentTypeError):
                 raise ConfigError(f"config file: bad value {text!r} for {key!r} in [{section}]")
             if action.choices is not None and value not in action.choices:
                 raise ConfigError(f"config file: {key!r} in [{section}] must be one of "
@@ -154,10 +166,11 @@ def load_config_file(path: str, actions: dict) -> dict:
 
 
 def merge_settings(args: argparse.Namespace, actions: dict) -> dict:
-    """CLI flags layered over config-file values."""
+    """CLI flags layered over config-file values; ``actions`` are the
+    subcommand's own."""
     settings = {}
     if getattr(args, "config", None):
-        settings.update(load_config_file(args.config, actions))
+        settings.update(load_config_file(args.config, args.command, actions))
     for key, value in vars(args).items():
         if key in ("config", "command") or value is None or value is False:
             continue
@@ -489,7 +502,7 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     started = time.perf_counter()
     try:
-        settings = merge_settings(args, parser.setting_actions)
+        settings = merge_settings(args, parser.setting_actions[args.command])
         payload = COMMANDS[args.command](settings)
         if settings.get("format", "json") == "csv":
             if not isinstance(payload, SweepResult):

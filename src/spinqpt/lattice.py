@@ -135,12 +135,7 @@ def enumerate_sector(lattice: LatticeSpec, sz_twice: int | None,
 
 def popcount(configs) -> np.ndarray:
     """Number of set bits, vectorized over an int64 array."""
-    c = np.asarray(configs, dtype=np.uint64).copy()
-    count = np.zeros(c.shape, dtype=np.int64)
-    while np.any(c):
-        count += (c & np.uint64(1)).astype(np.int64)
-        c >>= np.uint64(1)
-    return count
+    return np.bitwise_count(np.asarray(configs, dtype=np.uint64)).astype(np.int64)
 
 
 def index_of(basis: SectorBasis, config: int) -> int:

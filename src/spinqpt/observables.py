@@ -55,16 +55,14 @@ def two_site_rdm(basis: SectorBasis, vec: np.ndarray, i: int, j: int) -> np.ndar
     return table.T @ table
 
 
+def pair_correlators(rho: np.ndarray) -> tuple[float, float, float]:
+    """(cxx, cyy, czz) of a two-site RDM: <s^a s^a> = tr(rho s^a s^a)."""
+    return tuple(float(np.sum(rho * PAIR_OPS[ax])) for ax in "xyz")
+
+
 def correlator(basis: SectorBasis, vec: np.ndarray, axis: str, i: int, j: int) -> float:
     """<psi| s_i^axis s_j^axis |psi> via the two-site RDM."""
-    rho = two_site_rdm(basis, vec, i, j)
-    return float(np.sum(rho * PAIR_OPS[axis]))
-
-
-def nn_correlators(basis: SectorBasis, vec: np.ndarray, i: int, j: int):
-    """(cxx, cyy, czz) of one pair from a single RDM extraction."""
-    rho = two_site_rdm(basis, vec, i, j)
-    return tuple(float(np.sum(rho * PAIR_OPS[ax])) for ax in "xyz")
+    return dict(zip("xyz", pair_correlators(two_site_rdm(basis, vec, i, j))))[axis]
 
 
 def bond_averaged_correlators(model: ModelSpec, basis: SectorBasis, vec: np.ndarray,
@@ -74,7 +72,7 @@ def bond_averaged_correlators(model: ModelSpec, basis: SectorBasis, vec: np.ndar
     bonds = [b for b in graph.bonds if b.kind == kind]
     acc = np.zeros(3)
     for b in bonds:
-        acc += nn_correlators(basis, vec, b.i, b.j)
+        acc += pair_correlators(two_site_rdm(basis, vec, b.i, b.j))
     return acc / len(bonds)
 
 

@@ -188,6 +188,35 @@ def test_sweep_sector_space_matches_full_ground_state():
     assert np.allclose(full.concurrence(), sector.concurrence(), atol=1e-8)
 
 
+@pytest.mark.parametrize("threads, cpus, workers", [
+    (64, 3, 3), (64, 16, 5), (4, 16, 4), (2, 1, None), (4, None, None)])
+def test_sweep_pool_is_capped_by_points_and_cpus(threads, cpus, workers, monkeypatch):
+    import spinqpt.analysis as analysis
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(analysis.os, "cpu_count", lambda: cpus)
+    grid = GridSpec("delta", 0.9, 1.1, 0.05)
+    res = sweep("xxz", {}, grid, chain(4), k_levels=2, threads=threads)
+    assert started == ([] if workers is None else [workers])
+    serial = sweep("xxz", {}, grid, chain(4), k_levels=2)
+    assert np.array_equal(res.energy(0), serial.energy(0))
+    assert np.array_equal(res.concurrence(), serial.concurrence())
+
+
 def test_sweep_parallel_matches_serial():
     grid = GridSpec("delta", 0.9, 1.1, 0.05)
     serial = sweep("xxz", {}, grid, chain(6), k_levels=2)
@@ -306,6 +335,64 @@ def test_flat_gap_with_last_bit_noise_has_no_dips(monkeypatch):
     monkeypatch.setattr(analysis, "solve_levels", no_refinement)
     assert detect_crossings(res, 1, 2) == []
     assert refined == []
+
+
+def test_crossing_candidates_on_a_piecewise_linear_gap(monkeypatch):
+    import types
+    import spinqpt.analysis as analysis
+    from spinqpt.observables import StateLabels
+
+    # gap between levels 0 and 1 on the grid 0, 0.1, ..., 3.5: an isolated
+    # touch at 0.3, a closed stretch 0.75..1.25, a closed stretch
+    # 1.65..2.25 broken by a flagged point at 2.0, an open dip at 2.6
+    # between levels of the same spin, one at 2.9 between levels of
+    # different spin, and a touch two grid points wide at 3.2..3.3
+    knots = [(0, 1), (2, 1), (3, 0), (4, 1), (6.5, 1), (7.5, 0), (12.5, 0),
+             (13.5, 1), (15.5, 1), (16.5, 0), (22.5, 0), (23.5, 1), (25, 1),
+             (26, 0.3), (27, 1), (28, 1), (29, 0.4), (30, 1), (31, 1), (32, 0),
+             (33, 0), (34, 1), (35, 1)]
+    xs, ys = (np.array(v, dtype=float) for v in zip(*knots))
+
+    def gap(g):
+        return float(np.interp(10.0 * g, xs, ys))
+
+    def labels(s0, s1):
+        return [StateLabels(0, s0, None, s0 * (s0 + 1)),
+                StateLabels(0, s1, None, s1 * (s1 + 1))]
+
+    grid = GridSpec("delta", 0.0, 3.5, 0.1)
+    points = []
+    for i, g in enumerate(grid.values()):
+        if i == 20:
+            points.append(analysis.SweepPoint(g, np.full(2, np.nan), [], {},
+                                              flag="synthetic failure"))
+        else:
+            spins = (1.0, 1.0) if i in (25, 27) else (0.0, 1.0)
+            points.append(analysis.SweepPoint(g, np.array([0.0, gap(g)]),
+                                              labels(*spins), {}))
+    cfg = analysis.PointConfig("xxz", (), "delta", "chain", 4, "full", 2, (),
+                               SolverOptions())
+    res = analysis.SweepResult(cfg, grid, points)
+    solves = []
+
+    def piecewise_linear(cfg, g, k, **kwargs):
+        solves.append(g)
+        return types.SimpleNamespace(energies=np.array([0.0, gap(g)])), None
+
+    monkeypatch.setattr(analysis, "solve_levels", piecewise_linear)
+    events = detect_crossings(res, 0, 1)
+    g = grid.values()
+    assert [(e.kind, e.bracket) for e in events] == [
+        ("true_crossing", (g[2], g[4])),
+        ("true_crossing", (g[7], g[8])), ("true_crossing", (g[12], g[13])),
+        ("true_crossing", (g[16], g[17])), ("true_crossing", (g[22], g[23])),
+        ("avoided", (g[25], g[27])), ("true_crossing", (g[31], g[34]))]
+    assert [e.location for e in events[:-1]] == pytest.approx(
+        [0.3, 0.75, 1.25, 1.65, 2.25, 2.6], abs=1e-8)
+    assert 3.2 - 1e-8 <= events[-1].location <= 3.3 + 1e-8
+    assert events[-2].min_gap == pytest.approx(0.3, abs=1e-8)
+    assert all(e.min_gap <= 1e-8 for e in events[:-2] + events[-1:])
+    assert len(solves) == 281
 
 
 def test_sweep_flags_a_bad_point_and_continues(monkeypatch):

@@ -294,13 +294,57 @@ def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys)
 
 def test_config_values_read_like_flags(tmp_path, capsys):
     cfg = tmp_path / "run.ini"
-    cfg.write_text("[solver]\nseed = 0x10\n[grid]\nraw = yes\n")
+    cfg.write_text("[solver]\nseed = 0x10\n")
     code, out, _ = run_capture(
         ["spectrum", "--config", str(cfg), "--model", "xxz", "--delta", "1",
          "--sites", "4", "--levels", "1"], capsys)
     assert code == 0
-    echo = json.loads(out)["config"]
-    assert echo["seed"] == 16 and echo["raw"] is True
+    assert json.loads(out)["config"]["seed"] == 16
+    cfg.write_text("[grid]\nraw = yes\n")
+    code, out, _ = run_capture(
+        ["scaling", "--config", str(cfg), "--model", "ising", "--sweep",
+         "lambda:0.5:1.5:0.05", "--sizes", "4,6", "--order", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["raw"] is True
+
+
+def test_bad_preset_in_config_is_config_error(tmp_path, capsys):
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text("[classify]\npreset = table2\n")
+    code, out, err = run_capture(["classify", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "'preset' in [classify] must be one of table1" in err
+
+
+@pytest.mark.parametrize("section, key, value", [
+    ("classify", "preset", "table1"),
+    ("grid", "sizes", "4,6"),
+    ("grid", "raw", "yes"),
+])
+def test_config_key_of_another_subcommand_is_config_error(section, key, value,
+                                                          tmp_path, capsys):
+    cfg = tmp_path / "other.ini"
+    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+    code, out, err = run_capture(
+        ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4",
+         "--levels", "1", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert f"{key!r} in [{section}] is not a setting of spectrum" in err
+
+
+@pytest.mark.parametrize("value", ["0", "-2"])
+def test_threads_below_one_is_config_error(value, tmp_path, capsys):
+    argv = ["sweep", "--model", "xxz", "--sweep", "delta:0:1:0.5", "--sites", "4",
+            "--levels", "2", "--format", "csv"]
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv + ["--threads", value])
+    assert exit_info.value.code == 2
+    assert f"must be at least 1, not {value}" in capsys.readouterr().err
+    cfg = tmp_path / "threads.ini"
+    cfg.write_text(f"[solver]\nthreads = {value}\n")
+    code, out, err = run_capture(argv + ["--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert "'threads'" in err
 
 
 def _floats(node):
