@@ -5,20 +5,17 @@ __version__ = "0.1.0"
 
 from .lattice import (LatticeSpec, SectorBasis, chain, ladder,
                       enumerate_sector, index_of, lift_to_full)
-from .models import (ModelSpec, CouplingGraph, Bond, FieldTerm,
-                     ConservedQuantities, HamiltonianAction,
-                     ResourceLimitError, apply_hamiltonian,
-                     apply_pair_coupling, bond_couplings, conserved_quantities,
-                     coupling_graph, general_xyz, hamiltonian_dense, j1j2,
+from .models import (ModelSpec, HamiltonianAction, ResourceLimitError,
+                     apply_hamiltonian, general_xyz, hamiltonian_dense, j1j2,
                      ladder_model, transverse_ising, xxz)
 from .eigensolver import (ConvergenceError, EigenSolution, dense_spectrum,
                           lanczos_lowest_k)
 from .observables import (StateLabels, SumRuleReport, RearrangedSumRule,
                           TransitionWeights, bond_averaged_correlators,
-                          collective_apply, correlator, label_solution,
-                          label_state, parity, rearranged_sum_rule,
-                          structure_factor, sum_rule_residual, total_spin,
-                          transition_weights, two_site_rdm)
+                          collective_apply, correlator, label_state, parity,
+                          rearranged_sum_rule, structure_factor,
+                          sum_rule_residual, total_spin, transition_weights,
+                          two_site_rdm)
 from .entanglement import (ConcurrenceValue, ising_closed_form, spin_flip,
                            wootters_concurrence, xxz_closed_form)
 from .analysis import (CrossingEvent, Extremum, GridSpec, ScalingResult,

@@ -33,6 +33,8 @@ from .observables import StateLabels, label_state, pair_correlators, two_site_rd
 from .entanglement import wootters_concurrence
 
 DEFAULT_SEED = 0x5EED
+# width to which crossing refinement brackets a gap minimum or boundary
+REFINE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -320,8 +322,7 @@ def _labels_agree(la: StateLabels, lb: StateLabels):
     return same
 
 
-def detect_crossings(sweep_result: SweepResult, a: int, b: int, *,
-                     refine_tol: float = 1e-9) -> list[CrossingEvent]:
+def detect_crossings(sweep_result: SweepResult, a: int, b: int) -> list[CrossingEvent]:
     """Crossing events between sorted levels ``a`` and ``b`` (a < b)."""
     if not 0 <= a < b < sweep_result.k_levels:
         raise ValueError(f"levels ({a}, {b}) not contained in the sweep")
@@ -338,12 +339,12 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int, *,
     for inside, outside, dip in _candidates(gap, deg):
         i, j = sorted((inside, outside))
         if dip:
-            loc, min_gap = _golden_min(gap_at, grid[i], grid[j], refine_tol)
+            loc, min_gap = _golden_min(gap_at, grid[i], grid[j], REFINE_TOL)
             slope = (max(gap[i], gap[j]) - min_gap) / (grid[j] - grid[i])
-            touch_tol = max(deg, 4.0 * slope * refine_tol)
+            touch_tol = max(deg, 4.0 * slope * REFINE_TOL)
         else:
             loc, min_gap = _bisect_boundary(gap_at, grid[inside], grid[outside],
-                                            deg, refine_tol)
+                                            deg, REFINE_TOL)
             touch_tol = deg
         event = _make_event(sweep_result, (a, b), loc, i, j, min_gap, touch_tol)
         if event is not None:

@@ -27,7 +27,7 @@ from . import __version__
 from .lattice import enumerate_sector
 from .models import FAMILY_TABLE, ResourceLimitError, build_model, family_spec
 from .eigensolver import ConvergenceError
-from .observables import (OPERATOR_TAGS, label_solution, rearranged_sum_rule,
+from .observables import (OPERATOR_TAGS, label_state, rearranged_sum_rule,
                           sum_rule_residual)
 from .analysis import (GridSpec, SolverOptions, SweepResult, _space_sector, classify,
                        scaling_study, solve_model, sweep)
@@ -354,12 +354,12 @@ def cmd_spectrum(settings) -> dict:
             raise ConfigError("--sector must be full, sz0, auto, or an integer 2*Sz")
     basis = enumerate_sector(lattice, _space_sector(space))
     sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
-    label_solution(basis, sol)
+    labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]
     return {"model": model.describe(), "n_sites": lattice.n_sites,
             "space": space, "dimension": basis.dimension,
             "energies": list(sol.energies),
             "residuals": list(sol.residuals),
-            "labels": [asdict(l) for l in sol.labels]}
+            "labels": [asdict(l) for l in labels]}
 
 
 def _run_sweep(settings):

@@ -36,7 +36,6 @@ class EigenSolution:
     energies: np.ndarray       # ascending
     vectors: np.ndarray        # orthonormal columns, one per energy
     residuals: np.ndarray      # |H v - E v|_2 per state
-    labels: list | None = None  # attached by callers that know the basis
     meta: dict = field(default_factory=dict)
 
     @property
@@ -45,6 +44,10 @@ class EigenSolution:
 
     def ground(self) -> tuple[float, np.ndarray]:
         return float(self.energies[0]), self.vectors[:, 0]
+
+
+# largest asymmetry |A - A^T|, relative to max(1, max|A|), a matrix may carry
+SYMMETRY_TOL = 1e-12
 
 
 def degeneracy_tolerance(width: float) -> float:
@@ -59,8 +62,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors * signs
 
 
-def dense_spectrum(matrix, symmetry_tol: float = 1e-12, *,
-                   levels: int | None = None, vectors: bool = True,
+def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
                    apply=None) -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
     matrix, ascending.
@@ -82,7 +84,7 @@ def dense_spectrum(matrix, symmetry_tol: float = 1e-12, *,
         raise ValueError("expected square blocks matching their rows")
     dim = sum(map(len, rows))
     scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
-    if max(float(np.max(np.abs(sub - sub.T))) for sub in subs) > symmetry_tol * scale:
+    if max(float(np.max(np.abs(sub - sub.T))) for sub in subs) > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
     levels = dim if levels is None else levels
     if not vectors:

@@ -11,11 +11,11 @@ operators s^a = sigma^a / 2:
 
 Each family is declared once, in ``FAMILY_TABLE`` (lattice, bond kinds,
 parameters with their defaults and command-line spellings, couplings, z
-field, Sz symmetry, sum-rule data); model building, symmetry checks, the
-sweep space, the sum rules and the command line all read it.
-``HamiltonianAction`` reads it directly, scaling the terms cached on the
-basis by each bond kind's couplings; ``coupling_graph`` describes the
-same bonds summand by summand.
+field, Sz symmetry, sum-rule data), and each bond kind's site pairs once,
+in ``BOND_PAIRS``; the two together are the only description of a model.
+Model building, symmetry checks, the sweep space, the sum rules and the
+command line all read them.  ``HamiltonianAction`` scales the terms
+cached on the basis by each bond kind's couplings.
 
 Every family is real symmetric in the sz product basis: sy sy only ever
 appears pairwise and contributes real matrix elements, so state vectors
@@ -106,12 +106,11 @@ class Family:
     """Everything the toolkit knows about one model family."""
     name: str
     geometry: str                   # "chain" | "ladder"
-    bond_kinds: tuple               # in coupling-graph and operator-term order
+    bond_kinds: tuple               # in operator-term order
     params: tuple                   # Param entries
     make: Callable                  # the public constructor, by parameter name
     couplings: Callable             # (params dict, bond kind) -> (cx, cy, cz)
-    field: Callable | None = None   # params dict -> z field as written in H
-    field_sign: float = 1.0         # the overall sign H gives that field
+    field: Callable | None = None   # params dict -> signed coefficient of sum_i s_i^z
     sz_conserved: bool = True       # at every parameter value
     pairs: tuple = ("nn",)          # default pairs for pair observables
     operators: tuple = ("staggered_x", "staggered_y", "staggered_z")  # sum-rule set
@@ -133,7 +132,7 @@ FAMILY_TABLE = {spec.name: spec for spec in (
     Family("ising", "chain", ("nn",),
            (Param("lam", sweepable=True, alias="lambda"),), transverse_ising,
            couplings=lambda p, kind: (-p["lam"], 0.0, 0.0),
-           field=lambda p: 0.5, field_sign=-1.0, sz_conserved=False,
+           field=lambda p: -0.5, sz_conserved=False,
            operators=("uniform_x", "uniform_y", "uniform_z"),
            rearranged=lambda p, x, y, z: (-p["lam"], x - y - z, -1.0)),
     Family("ladder", "ladder", ("leg", "rung"),
@@ -167,35 +166,8 @@ def build_model(family: str, params: dict) -> ModelSpec:
                        else params.get(p.name, p.default) for p in fam.params})
 
 
-@dataclass(frozen=True)
-class Bond:
-    i: int
-    j: int
-    kind: str  # "nn" | "nnn" | "leg" | "rung"
-
-
-@dataclass(frozen=True)
-class FieldTerm:
-    site: int
-    axis: str
-    strength: float
-
-
-@dataclass(frozen=True)
-class CouplingGraph:
-    """One bond / field entry per literal summand of the Hamiltonian.
-
-    Field strengths are the coefficients as written inside the family's
-    defining sum; the ising family's overall minus sign is its table
-    ``field_sign``, applied by the operator build, not stored here.
-    """
-
-    bonds: tuple
-    fields: tuple
-
-
 # bond kind -> its site pairs on a lattice, one per literal summand
-_BOND_PAIRS = {
+BOND_PAIRS = {
     "nn": lambda lat: [(i, (i + 1) % lat.n_sites) for i in range(lat.n_sites)],
     # the literal sum over i keeps duplicated NNN pairs on 4-site rings
     "nnn": lambda lat: [(i, (i + 2) % lat.n_sites) for i in range(lat.n_sites)],
@@ -210,38 +182,13 @@ def _check_geometry(fam: Family, lattice: LatticeSpec) -> None:
         raise ValueError(f"{fam.name} model requires a {fam.geometry} lattice")
 
 
-def coupling_graph(model: ModelSpec, lattice: LatticeSpec) -> CouplingGraph:
+def _conserves_sz(model: ModelSpec) -> bool:
+    """Whether ``model`` conserves Sz: cx == cy on every bond kind.  This
+    is per model, not per family (xyz with jx == jy conserves it)."""
     fam = family_spec(model.family)
-    _check_geometry(fam, lattice)
-    bonds = tuple(Bond(i, j, kind) for kind in fam.bond_kinds
-                  for i, j in _BOND_PAIRS[kind](lattice))
-    h = fam.field(model.as_dict()) if fam.field else 0.0
-    fields = tuple(FieldTerm(i, "z", h) for i in range(lattice.n_sites)) if h != 0.0 else ()
-    return CouplingGraph(bonds, fields)
-
-
-def bond_couplings(model: ModelSpec, kind: str) -> tuple[float, float, float]:
-    """(cx, cy, cz) multiplying s^a s^a on a bond, signs included."""
-    return family_spec(model.family).couplings(model.as_dict(), kind)
-
-
-@dataclass(frozen=True)
-class ConservedQuantities:
-    sz_conserved: bool
-    parity_conserved: bool
-
-
-def conserved_quantities(model: ModelSpec) -> ConservedQuantities:
-    """U(1) and global spin-flip parity symmetries of a model.
-
-    Sz is conserved whenever cx == cy on every bond; the parity operator
-    prod_i(2 s_i^z) commutes with all pair couplings (double flips) and
-    with z fields, so it is conserved for every family here.
-    """
-    fam = family_spec(model.family)
-    sz = all(cx == cy for cx, cy, _ in (bond_couplings(model, kind)
-                                        for kind in fam.bond_kinds))
-    return ConservedQuantities(sz_conserved=sz, parity_conserved=True)
+    params = model.as_dict()
+    return all(cx == cy for cx, cy, _ in (fam.couplings(params, kind)
+                                          for kind in fam.bond_kinds))
 
 
 def _term(basis: SectorBasis, pairs: tuple, part: str):
@@ -297,21 +244,6 @@ def _apply(diag, terms, vec):
     return out
 
 
-def apply_pair_coupling(basis: SectorBasis, i: int, j: int, cx, cy, cz, vec, out=None):
-    """Accumulate (cx sx sx + cy sy sy + cz sz sz)_{ij} |vec> into ``out``.
-
-    ``vec`` may be a vector ``(dim,)`` or a block of columns ``(dim, m)``.
-    Aligned double flips (needed when cx != cy) leave an Sz sector.
-    """
-    diag = np.zeros(basis.dimension)
-    terms = []
-    _add_bonds(basis, ((i, j),), (cx, cy, cz), diag, terms)
-    if out is None:
-        return _apply(diag, terms, vec)
-    out += _apply(diag, terms, vec)
-    return out
-
-
 class HamiltonianAction:
     """Matrix-free H|v> for one (model, basis).
 
@@ -333,12 +265,12 @@ class HamiltonianAction:
         diag = np.zeros(basis.dimension)
         terms = []  # (amplitude, CSR term shared through the basis cache)
         for kind in fam.bond_kinds:
-            pairs = tuple(_BOND_PAIRS[kind](basis.lattice))
+            pairs = tuple(BOND_PAIRS[kind](basis.lattice))
             _add_bonds(basis, pairs, fam.couplings(params, kind), diag, terms)
         h = fam.field(params) if fam.field else 0.0
         if h != 0.0:  # every field is along z
             for site in range(basis.n_sites):
-                diag += (fam.field_sign * h) * (basis.site_bits(site) - 0.5)
+                diag += h * (basis.site_bits(site) - 0.5)
         self.diag = diag
         self.terms = terms
 
@@ -377,11 +309,13 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis,
     ``dense_spectrum``: the full basis splits into Sz sectors when the
     model conserves Sz, else into the two parity sectors, by ascending
     popcount (mod 2), and a sector's configurations are its rows there.
+    Spin-flip parity prod_i(2 s_i^z) commutes with every bond (double
+    flips) and with z fields, so every model conserves it.
     """
     if not basis.is_full:
         return [(np.arange(basis.dimension), hamiltonian_dense(model, basis, cap))]
     n = basis.n_sites
-    if conserved_quantities(model).sz_conserved:
+    if _conserves_sz(model):
         sectors = [enumerate_sector(basis.lattice, 2 * up - n) for up in range(n + 1)]
     else:
         sectors = [enumerate_sector(basis.lattice, None, popcount_parity=p) for p in (0, 1)]

@@ -13,11 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import SectorBasis, enumerate_sector
-from .models import (DENSE_CAP_DEFAULT, FAMILY_TABLE, ModelSpec, HamiltonianAction,
-                     coupling_graph, family_spec, sector_matrices, ResourceLimitError)
+from .models import (BOND_PAIRS, DENSE_CAP_DEFAULT, FAMILY_TABLE, ModelSpec,
+                     HamiltonianAction, ResourceLimitError, _check_geometry,
+                     family_spec, sector_matrices)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
+# how far an expectation may sit from a quantum number and still carry its label
+QUANTIZATION_TOL = 1e-6
 
 # two-site operators s^a (x) s^a over the pair basis (uu, ud, du, dd)
 _OP_XX = 0.25 * np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
@@ -67,13 +70,17 @@ def correlator(basis: SectorBasis, vec: np.ndarray, axis: str, i: int, j: int) -
 
 def bond_averaged_correlators(model: ModelSpec, basis: SectorBasis, vec: np.ndarray,
                               kind: str = "nn"):
-    """Per-axis correlators averaged over all bonds of one kind."""
-    graph = coupling_graph(model, basis.lattice)
-    bonds = [b for b in graph.bonds if b.kind == kind]
+    """Per-axis correlators averaged over all bonds of one kind of the
+    model; a kind the model does not have raises ValueError."""
+    fam = family_spec(model.family)
+    _check_geometry(fam, basis.lattice)
+    if kind not in fam.bond_kinds:
+        raise ValueError(f"{fam.name} model has no {kind!r} bonds")
+    pairs = BOND_PAIRS[kind](basis.lattice)
     acc = np.zeros(3)
-    for b in bonds:
-        acc += pair_correlators(two_site_rdm(basis, vec, b.i, b.j))
-    return acc / len(bonds)
+    for i, j in pairs:
+        acc += pair_correlators(two_site_rdm(basis, vec, i, j))
+    return acc / len(pairs)
 
 
 def _raising_flips(basis: SectorBasis):
@@ -95,7 +102,7 @@ def _raising_flips(basis: SectorBasis):
     return flips
 
 
-def total_spin(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
+def total_spin(basis: SectorBasis, vec: np.ndarray):
     """(S, <S^2>) with S = None when <S^2> is not quantized.
 
     Uses S^2 = S^- S^+ + Sz^2 + Sz, so <S^2> = |S^+ psi|^2 + <Sz (Sz + 1)>.
@@ -112,7 +119,7 @@ def total_spin(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e
     s_sq = float(raised @ raised) + float(np.sum(sz * (sz + 1.0) * vec * vec))
     s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * s_sq)))
     s_half = round(2.0 * s) / 2.0
-    if abs(s_half * (s_half + 1.0) - s_sq) <= quantization_tol:
+    if abs(s_half * (s_half + 1.0) - s_sq) <= QUANTIZATION_TOL:
         return s_half, s_sq
     return None, s_sq
 
@@ -127,7 +134,7 @@ def _label_array(basis: SectorBasis, key: str, make):
     return arr
 
 
-def parity(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
+def parity(basis: SectorBasis, vec: np.ndarray):
     """Global spin-flip parity prod_i(2 s_i^z): +1, -1, or None for mixed."""
     if basis.sz_twice is not None:
         raise ValueError("parity labels are defined on the full basis "
@@ -136,12 +143,12 @@ def parity(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
     signs = _label_array(basis, "parity_signs",
                          lambda b: 1.0 - 2.0 * ((b.n_sites - b.popcounts) % 2))
     expect = float(np.sum(signs * vec * vec))
-    if abs(expect) > 1.0 - quantization_tol:
+    if abs(expect) > 1.0 - QUANTIZATION_TOL:
         return 1 if expect > 0 else -1
     return None
 
 
-def sz_twice_label(basis: SectorBasis, vec: np.ndarray, quantization_tol: float = 1e-6):
+def sz_twice_label(basis: SectorBasis, vec: np.ndarray):
     """2<Sz> as an integer label, or None when the state mixes sectors."""
     if basis.sz_twice is not None:
         return basis.sz_twice
@@ -149,7 +156,7 @@ def sz_twice_label(basis: SectorBasis, vec: np.ndarray, quantization_tol: float 
     szt = _label_array(basis, "sz_twice", lambda b: 2.0 * b.popcounts - b.n_sites)
     mean = float(np.sum(szt * vec * vec))
     var = float(np.sum(szt * szt * vec * vec)) - mean * mean
-    if var <= quantization_tol:
+    if var <= QUANTIZATION_TOL:
         return int(round(mean))
     return None
 
@@ -167,11 +174,6 @@ def label_state(basis: SectorBasis, vec: np.ndarray) -> StateLabels:
     par = parity(basis, vec) if basis.sz_twice is None else None
     return StateLabels(sz_twice=sz_twice_label(basis, vec), total_spin=s,
                        parity=par, s_squared=s_sq)
-
-
-def label_solution(basis: SectorBasis, sol: EigenSolution) -> EigenSolution:
-    sol.labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]
-    return sol
 
 
 # ---------------------------------------------------------------------------

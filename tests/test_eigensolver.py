@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from spinqpt.lattice import SectorBasis, chain, enumerate_sector
-from spinqpt.models import (HamiltonianAction, conserved_quantities, family_spec,
+from spinqpt.models import (HamiltonianAction, family_spec,
                             general_xyz, hamiltonian_dense, j1j2, ladder_model,
                             sector_matrices, transverse_ising, xxz)
 from spinqpt.eigensolver import dense_spectrum, lanczos_lowest_k, ConvergenceError
@@ -77,7 +77,7 @@ def test_block_solve_matches_full_space(model, n):
         assert np.max(sol.residuals) <= 1e-12
         sol = dense_spectrum(blocks, levels=levels, vectors=False)
         assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
-    sz_conserved = conserved_quantities(model).sz_conserved
+    sz_conserved = family_spec(model.family).sz_conserved
     assert len(blocks) == (n + 1 if sz_conserved else 2)
     for c in range(full.k):
         vec = full.vectors[:, c]

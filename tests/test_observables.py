@@ -385,3 +385,14 @@ def test_bond_averaged_matches_single_bond_when_invariant():
     avg = bond_averaged_correlators(model, basis, g, kind="nn")
     single = [correlator(basis, g, ax, 0, 1) for ax in "xyz"]
     assert np.allclose(avg, single, atol=1e-10)
+
+
+@pytest.mark.parametrize("model, lattice, kind", [
+    (ladder_model(0.5), ladder(8), "nn"),
+    (xxz(1.0), chain(6), "nnn"),
+])
+def test_bond_average_over_a_kind_the_model_lacks_is_rejected(model, lattice, kind):
+    basis = enumerate_sector(lattice, 0)
+    vec = np.ones(basis.dimension) / np.sqrt(basis.dimension)
+    with pytest.raises(ValueError, match=f"no '{kind}' bonds"):
+        bond_averaged_correlators(model, basis, vec, kind=kind)

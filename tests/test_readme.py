@@ -1,0 +1,14 @@
+"""Every ```python block of README.md runs against the package, so a public
+name the docs use cannot be removed unnoticed."""
+
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_python_blocks_run():
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.M | re.S)
+    assert blocks, "README.md has no python block"
+    for source in blocks:
+        exec(compile(source, str(README), "exec"), {"__name__": "readme"})
