@@ -11,7 +11,8 @@ refine, within each stretch of solved points: a cell around an isolated
 touch (a run of one or two degenerate points) or an open dip, searched
 for the gap minimum by golden section, and the cell at each end of a
 longer run, where the "gap below tolerance" boundary is bisected.  Every
-cell is refined with fresh solves in one loop.  A refined gap at or
+cell is refined in one loop; each probe value is solved once per sweep,
+energies only, and every level pair reads it.  A refined gap at or
 below the degeneracy tolerance is a true crossing; a dip that stays open
 between levels carrying the same quantum numbers is an avoided crossing,
 and one between levels of different symmetry is no event.
@@ -203,6 +204,9 @@ class SweepResult:
     config: PointConfig
     grid_spec: GridSpec
     points: list[SweepPoint]
+    # g -> energies-only levels solved there by crossing refinement, shared
+    # by every level pair of this sweep
+    _probes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def grid(self) -> np.ndarray:
@@ -330,8 +334,11 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int) -> list[Crossing
     deg = degeneracy_tolerance(_spectral_width(sweep_result))
 
     def gap_at(g: float) -> float:
-        sol, _ = solve_levels(cfg, g, b + 1, energies_only=True)
-        return float(sol.energies[b] - sol.energies[a])
+        levels = sweep_result._probes.get(g)
+        if levels is None:
+            sol, _ = solve_levels(cfg, g, cfg.k_levels, energies_only=True)
+            levels = sweep_result._probes[g] = sol.energies
+        return float(levels[b] - levels[a])
 
     grid = sweep_result.grid
     gap = sweep_result.energy(b) - sweep_result.energy(a)

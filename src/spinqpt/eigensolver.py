@@ -1,10 +1,10 @@
 """Dense and Lanczos eigensolvers for real symmetric operators.
 
 ``dense_spectrum`` wraps LAPACK for small matrices.  Given one matrix
-per symmetry sector (``models.sector_matrices``), it solves each on its
-own and merges the levels, so each eigenvector carries its sector's
-quantum number; given one whole matrix, it is the oracle everything else
-is checked against.  ``lanczos_lowest_k`` is a Krylov
+per symmetry sector (``models.sector_matrices``), it solves each
+distinct one once and merges the levels, so each eigenvector carries its
+sector's quantum number; given one whole matrix, it is the oracle
+everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
 iteration with full reorthogonalization: each step takes one classical
 Gram-Schmidt pass against the Krylov basis and the converged states, and
 a second only when the first leaves less than 1/sqrt(2) of the vector's
@@ -20,7 +20,7 @@ amplitude positive, and both report explicit residuals |H v - E v|.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh, eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal
 
 
 class ConvergenceError(RuntimeError):
@@ -68,32 +68,46 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
     matrix, ascending.
 
     ``matrix`` is one matrix, or the invariant blocks of one as a list of
-    ``(rows, block)`` pairs whose ascending ``rows`` cover every row once.
-    Each block is solved on its own and the levels are merged by a stable
-    sort, so every returned vector is supported on one block.  Residuals
-    are formed only for the returned columns, with ``apply`` (the
-    operator the matrix was built from, acting on a block of columns)
-    when given, else block by block.  With ``vectors=False`` LAPACK
-    computes the energies alone; the solution then has no vector columns
-    and no residuals.
+    ``(rows, block)`` pairs: row i of a block is row ``rows[i]`` of the
+    whole, and the ``rows`` may come in any order but must together
+    cover 0 ... dim - 1 exactly once.  LAPACK runs once per distinct
+    block object, so a block listed twice (a mirrored Sz sector, see
+    ``models.sector_matrices``) is solved once.  The levels of all blocks
+    are merged by a stable sort, so equal levels keep the order of their
+    blocks, and every returned vector is supported on one block.
+    Residuals are formed only for the returned columns, with ``apply``
+    (the operator the matrix was built from, acting on a block of
+    columns) when given, else block by block.  With ``vectors=False``
+    LAPACK computes every energy alone and the lowest ``levels`` are
+    kept, so each kept level is bitwise the same for any ``levels``; the
+    solution then has no vector columns and no residuals.  A LAPACK
+    failure raises ConvergenceError.
     """
     if isinstance(matrix, np.ndarray):
         matrix = [(np.arange(len(matrix)), matrix)]
-    rows, subs = zip(*((idx, np.asarray(sub, dtype=float)) for idx, sub in matrix))
+    rows, subs = zip(*((np.asarray(idx), np.asarray(sub, dtype=float))
+                       for idx, sub in matrix))
     if any(sub.shape != (len(idx), len(idx)) for idx, sub in zip(rows, subs)):
         raise ValueError("expected square blocks matching their rows")
     dim = sum(map(len, rows))
-    scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in subs))
-    if max(float(np.max(np.abs(sub - sub.T))) for sub in subs) > SYMMETRY_TOL * scale:
+    if not np.array_equal(np.sort(np.concatenate(rows)), np.arange(dim)):
+        raise ValueError("block rows must cover 0 ... dim - 1 exactly once")
+    distinct = {id(sub): sub for sub in subs}
+    scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in distinct.values()))
+    asym = max(float(np.max(np.abs(sub - sub.T))) for sub in distinct.values())
+    if asym > SYMMETRY_TOL * scale:
         raise ValueError("matrix is not symmetric")
+    solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    try:
+        solved = {key: solve(sub) for key, sub in distinct.items()}
+    except np.linalg.LinAlgError as err:
+        raise ConvergenceError(f"dense eigensolver failed: {err}") from err
     levels = dim if levels is None else levels
     if not vectors:
-        energies = np.concatenate([
-            eigh(sub, eigvals_only=True, subset_by_index=[0, min(levels, len(sub)) - 1])
-            for sub in subs])
+        energies = np.concatenate([solved[id(sub)] for sub in subs])
         return EigenSolution(np.sort(energies, kind="stable")[:levels],
                              np.empty((dim, 0)), np.empty(0))
-    pairs = [np.linalg.eigh(sub) for sub in subs]
+    pairs = [solved[id(sub)] for sub in subs]
     # each block's levels stay ascending in the merge, so the kept ones of
     # a block are its lowest
     owner = np.repeat(np.arange(len(pairs)), [len(e) for e, _ in pairs])

@@ -311,12 +311,27 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis,
     popcount (mod 2), and a sector's configurations are its rows there.
     Spin-flip parity prod_i(2 s_i^z) commutes with every bond (double
     flips) and with z fields, so every model conserves it.
+
+    Without a z field, spin inversion maps Sz = -m onto Sz = +m and
+    reverses the ascending order of the configurations, so H(-m) is
+    H(+m) with rows and columns reversed, exactly.  The -m entry is then
+    the +m matrix object itself, paired with the -m configurations in
+    descending order; only the Sz >= 0 matrices are built, and a solver
+    can recognize a repeated block by identity.
     """
     if not basis.is_full:
         return [(np.arange(basis.dimension), hamiltonian_dense(model, basis, cap))]
     n = basis.n_sites
-    if _conserves_sz(model):
-        sectors = [enumerate_sector(basis.lattice, 2 * up - n) for up in range(n + 1)]
-    else:
+    if not _conserves_sz(model):
         sectors = [enumerate_sector(basis.lattice, None, popcount_parity=p) for p in (0, 1)]
-    return [(sector.configs, hamiltonian_dense(model, sector, cap)) for sector in sectors]
+        return [(sector.configs, hamiltonian_dense(model, sector, cap)) for sector in sectors]
+    fam = family_spec(model.family)
+    mirrored = not fam.field or fam.field(model.as_dict()) == 0.0
+    blocks = [None] * (n + 1)  # by number of up spins
+    for up in range(n, -1, -1):  # Sz >= 0 first, so every mirror has its source
+        sector = enumerate_sector(basis.lattice, 2 * up - n)
+        if mirrored and 2 * up < n:
+            blocks[up] = (sector.configs[::-1], blocks[n - up][1])
+        else:
+            blocks[up] = (sector.configs, hamiltonian_dense(model, sector, cap))
+    return blocks

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -411,4 +413,54 @@ def test_sweep_flags_a_bad_point_and_continues(monkeypatch):
     assert [p.g for p in res.flagged] == [pytest.approx(1.0)]
     assert "not normalized" in res.flagged[0].flag
     assert np.isnan(res.concurrence()[2])
+    assert not np.isnan(np.delete(res.concurrence(), 2)).any()
+
+
+def test_refinement_solves_each_probe_once_for_every_level_pair(monkeypatch):
+    # at Delta = -1 the ferromagnetic multiplet meets five level pairs at
+    # once; their refinements probe the same points
+    import spinqpt.analysis as analysis
+    res = sweep("xxz", {}, GridSpec("delta", -2.0, 0.0, 0.05), chain(6),
+                k_levels=6, space="full")
+    real = analysis.solve_levels
+    probes = []
+
+    def recorded(cfg, g, k, **kwargs):
+        probes.append(g)
+        return real(cfg, g, k, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_levels", recorded)
+    report = classify(res)
+    shared = list(probes)
+    assert shared and len(set(shared)) == len(shared)
+    # per-pair refinement: each pair on a copy of the sweep that shares nothing
+    probes.clear()
+    per_pair = []
+    for a in range(res.k_levels - 1):
+        per_pair.extend(detect_crossings(dataclasses.replace(res), a, a + 1))
+    assert len(probes) > len(shared)
+    assert per_pair == report.evidence.gs_events + report.evidence.es_events
+    assert any(e.kind == "true_crossing" for e in per_pair)
+
+
+def test_sweep_flags_a_lapack_failure_and_continues(monkeypatch):
+    import spinqpt.analysis as analysis
+    real_solve, real_eigh = analysis.solve_levels, np.linalg.eigh
+    current = []
+
+    def noting(cfg, g, k, **kwargs):
+        current[:] = [g]
+        return real_solve(cfg, g, k, **kwargs)
+
+    def failing_at_one(mat):
+        if abs(current[0] - 1.0) < 1e-12:
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigh(mat)
+
+    monkeypatch.setattr(analysis, "solve_levels", noting)
+    monkeypatch.setattr(np.linalg, "eigh", failing_at_one)
+    res = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)
+    assert len(res.points) == 5
+    assert [p.g for p in res.flagged] == [pytest.approx(1.0)]
+    assert "did not converge" in res.flagged[0].flag
     assert not np.isnan(np.delete(res.concurrence(), 2)).any()

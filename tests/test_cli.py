@@ -416,3 +416,14 @@ def test_empty_sweep_emits_header_only():
     empty = SweepResult(cfg, GridSpec("delta", 1.0, 1.0, 0.1), [])
     text = emit_csv(empty)
     assert text.count("\n") == 1 and text.startswith("g,")
+
+
+def test_lapack_failure_is_a_numeric_failure(capsys, monkeypatch):
+    def broken(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", broken)
+    code, out, err = run_capture(
+        ["spectrum", "--model", "xxz", "--delta", "1.0", "--sites", "6"], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("numeric failure:") and "did not converge" in err

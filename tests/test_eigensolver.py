@@ -233,3 +233,76 @@ def test_lanczos_majumdar_ghosh_pair_needs_no_second_pass():
     assert np.max(np.abs(sol.energies + 4.5)) <= 1e-10
     assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(2))) <= 1e-12
     assert sol.meta["second_passes"] == 0
+
+
+def _lapack_calls(monkeypatch):
+    """Record every symmetric LAPACK call ``dense_spectrum`` makes."""
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        real = getattr(np.linalg, name)
+
+        def counted(mat, _real=real, _name=name):
+            calls.append((_name, len(mat)))
+            return _real(mat)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", [6, 8])
+@pytest.mark.parametrize("vectors", [True, False])
+def test_mirrored_sectors_cost_one_lapack_call_each(monkeypatch, n, vectors):
+    blocks = sector_matrices(xxz(0.6), enumerate_sector(chain(n), None))
+    calls = _lapack_calls(monkeypatch)
+    dense_spectrum(blocks, levels=3, vectors=vectors)
+    assert len(calls) == n // 2 + 1
+    assert sorted(dim for _, dim in calls) == sorted(
+        enumerate_sector(chain(n), 2 * up - n).dimension for up in range(n // 2, n + 1))
+
+
+def test_mirrored_levels_are_equal_and_minus_m_comes_first():
+    n = 8
+    basis = enumerate_sector(chain(n), None)
+    sol = dense_spectrum(sector_matrices(xxz(0.6), basis))
+    sz = np.array([sz_twice_label(basis, sol.vectors[:, c]) for c in range(sol.k)])
+    for m in range(2, n + 1, 2):
+        minus, plus = np.flatnonzero(sz == -m), np.flatnonzero(sz == m)
+        assert len(minus) == len(plus) > 0
+        assert np.array_equal(sol.energies[minus], sol.energies[plus])
+        assert np.all(minus < plus)
+
+
+def test_energies_only_levels_do_not_depend_on_levels():
+    rng = np.random.RandomState(8)
+    a = rng.standard_normal((30, 30))
+    blocks = sector_matrices(j1j2(1.0, 0.4), enumerate_sector(chain(8), None))
+    for matrix in (a + a.T, blocks):
+        full = dense_spectrum(matrix, vectors=False).energies
+        for levels in range(1, len(full) + 1):
+            part = dense_spectrum(matrix, levels=levels, vectors=False).energies
+            assert np.array_equal(part, full[:levels])
+
+
+def test_block_rows_must_cover_every_row_once():
+    m = np.array([[0.0, 0.5], [0.5, 0.0]])
+    shifted = m + 3.0 * np.eye(2)
+    for first, second in ([0, 1], [1, 2]), ([0, 1], [3, 4]), ([0, 1], [-2, 2]):
+        with pytest.raises(ValueError, match="exactly once"):
+            dense_spectrum([(np.array(first), m), (np.array(second), shifted)])
+    # rows in any order are fine
+    sol = dense_spectrum([(np.array([3, 1]), m), (np.array([2, 0]), shifted)])
+    assert np.allclose(sol.energies, [-0.5, 0.5, 2.5, 3.5])
+    half = np.sqrt(0.5)
+    assert np.allclose(np.abs(sol.vectors[:, 0]), [0.0, half, 0.0, half])
+    assert sol.vectors[3, 0] == pytest.approx(-sol.vectors[1, 0])
+    assert np.allclose(np.abs(sol.vectors[:, 2]), [half, 0.0, half, 0.0])
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_lapack_failure_is_a_convergence_error(monkeypatch, vectors):
+    def broken(mat):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh" if vectors else "eigvalsh", broken)
+    with pytest.raises(ConvergenceError, match="did not converge"):
+        dense_spectrum(np.eye(3), vectors=vectors)

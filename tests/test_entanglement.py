@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle as orc
 from spinqpt.entanglement import (ising_closed_form, spin_flip, validate_rdm,
@@ -138,3 +138,24 @@ def test_concurrence_always_in_unit_interval(seed):
     c = wootters_concurrence(rho)
     assert 0.0 <= c.value <= 1.0
     assert c.value == max(0.0, min(1.0, c.raw))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 2 ** 31 - 1), st.one_of(st.none(), st.floats(-12.0, -6.0)))
+@example(3068636, None)  # smallest eigenvalue 5.4e-9 as drawn
+def test_local_orthogonal_invariance_near_singular(seed, log_smallest):
+    # the smallest eigenvalue of rho is set to 10**log_smallest; square
+    # roots of near-zero eigenvalues must not amplify rounding in C
+    rng = np.random.RandomState(seed)
+    a = rng.standard_normal((4, 4))
+    rho = a @ a.T
+    rho /= np.trace(rho)
+    u = np.kron(_random_so2(rng), _random_so2(rng))
+    if log_smallest is not None:
+        evals, vecs = np.linalg.eigh(rho)
+        evals[0] = 10.0 ** log_smallest
+        rho = (vecs * evals) @ vecs.T
+        rho = 0.5 * (rho + rho.T) / np.trace(rho)
+    c0 = wootters_concurrence(rho).raw
+    c1 = wootters_concurrence(u @ rho @ u.T).raw
+    assert c1 == pytest.approx(c0, abs=1e-11)

@@ -263,3 +263,37 @@ def test_actions_on_one_basis_share_cached_terms():
     assert all(ta is tb for (_, ta), (_, tb) in zip(a.terms, b.terms))
     # nearest-neighbour flips serve every chain family on the basis
     assert HamiltonianAction(xxz(0.5), basis).terms[0][1] is a.terms[0][1]
+
+
+# --- mirrored Sz sectors ------------------------------------------------------
+
+@pytest.mark.parametrize("model, n", [
+    (model, n) for model in (xxz(-0.7), j1j2(1.0, 0.3), ladder_model(0.6),
+                             general_xyz(0.8, 0.8, 1.3))
+    for n in (6, 7, 8) if not (model.family == "ladder" and n % 2)],
+    ids=lambda v: getattr(v, "family", v))
+def test_zero_field_sz_sectors_share_their_mirror(model, n):
+    # spin inversion maps Sz = -m onto +m and reverses the ascending
+    # configuration order, so H(-m) is H(+m) reversed, bit for bit
+    lattice = ladder(n) if model.family == "ladder" else chain(n)
+    blocks = sector_matrices(model, enumerate_sector(lattice, None))
+    assert len(blocks) == n + 1
+    assert len({id(mat) for _, mat in blocks}) == n // 2 + 1
+    for up, (rows, mat) in enumerate(blocks):
+        sector = enumerate_sector(lattice, 2 * up - n)
+        if 2 * up < n:
+            assert mat is blocks[n - up][1]
+            assert np.array_equal(rows, sector.configs[::-1])
+            assert np.array_equal(mat, hamiltonian_dense(model, sector)[::-1, ::-1])
+        else:
+            assert np.array_equal(rows, sector.configs)
+
+
+def test_a_z_field_shares_no_sector_matrix():
+    model = general_xyz(0.8, 0.8, 1.3, 0.3)
+    blocks = sector_matrices(model, enumerate_sector(chain(6), None))
+    assert len({id(mat) for _, mat in blocks}) == 7
+    for up, (rows, mat) in enumerate(blocks):
+        assert np.array_equal(rows, enumerate_sector(chain(6), 2 * up - 6).configs)
+    # the field splits the mirror images: H(-1) is not H(+1) reversed
+    assert not np.array_equal(blocks[2][1], blocks[4][1][::-1, ::-1])
