@@ -11,11 +11,13 @@ refine, within each stretch of solved points: a cell around an isolated
 touch (a run of one or two degenerate points) or an open dip, searched
 for the gap minimum by golden section, and the cell at each end of a
 longer run, where the "gap below tolerance" boundary is bisected.  Every
-cell is refined in one loop; each probe value is solved once per sweep,
-energies only, and every level pair reads it.  A refined gap at or
-below the degeneracy tolerance is a true crossing; a dip that stays open
-between levels carrying the same quantum numbers is an avoided crossing,
-and one between levels of different symmetry is no event.
+cell is refined in one loop.  A probe value is solved once per sweep,
+energies only; a dense probe solves every level of the sweep and serves
+each level pair, a Lanczos one asks for the levels its pair needs.  A
+refined gap at or below the degeneracy tolerance is a true crossing; a
+dip that stays open between levels carrying the same quantum numbers is
+an avoided crossing, and one between levels of different symmetry is no
+event.
 """
 
 import math
@@ -161,13 +163,18 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
         raise ValueError("need k >= 1")
     if k > basis.dimension:
         raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
-    if basis.dimension > options.dense_cutoff:
+    if not _dense(basis, options):
         return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
                                 tol=options.tol, seed=options.seed,
                                 max_iter=options.max_iter)
     blocks = sector_matrices(model, basis, cap=options.dense_cutoff)
     return dense_spectrum(blocks, levels=k, vectors=not energies_only,
                           apply=None if energies_only else HamiltonianAction(model, basis))
+
+
+def _dense(basis: SectorBasis, options: SolverOptions) -> bool:
+    """Whether ``solve_model`` solves on ``basis`` with LAPACK."""
+    return basis.dimension <= options.dense_cutoff
 
 
 def solve_levels(cfg: PointConfig, g: float, k: int, *,
@@ -204,8 +211,8 @@ class SweepResult:
     config: PointConfig
     grid_spec: GridSpec
     points: list[SweepPoint]
-    # g -> energies-only levels solved there by crossing refinement, shared
-    # by every level pair of this sweep
+    # (g, k) -> the lowest k levels, energies only, solved at g by crossing
+    # refinement and shared by every level pair of this sweep
     _probes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -333,11 +340,17 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int) -> list[Crossing
     cfg = sweep_result.config
     deg = degeneracy_tolerance(_spectral_width(sweep_result))
 
+    # LAPACK returns every level at one cost, so a dense probe is solved
+    # for all k_levels and serves every pair; a Lanczos solve grows with
+    # the levels asked, so it asks for b + 1
+    basis = enumerate_sector(cfg.lattice(), _space_sector(cfg.space))
+    k = cfg.k_levels if _dense(basis, cfg.options) else b + 1
+
     def gap_at(g: float) -> float:
-        levels = sweep_result._probes.get(g)
+        levels = sweep_result._probes.get((g, k))
         if levels is None:
-            sol, _ = solve_levels(cfg, g, cfg.k_levels, energies_only=True)
-            levels = sweep_result._probes[g] = sol.energies
+            sol, _ = solve_levels(cfg, g, k, energies_only=True)
+            levels = sweep_result._probes[g, k] = sol.energies
         return float(levels[b] - levels[a])
 
     grid = sweep_result.grid

@@ -182,6 +182,11 @@ def _check_geometry(fam: Family, lattice: LatticeSpec) -> None:
         raise ValueError(f"{fam.name} model requires a {fam.geometry} lattice")
 
 
+def _z_field(fam: Family, params: dict) -> float:
+    """The coefficient of sum_i s_i^z, 0.0 for a family without a field."""
+    return fam.field(params) if fam.field else 0.0
+
+
 def _conserves_sz(model: ModelSpec) -> bool:
     """Whether ``model`` conserves Sz: cx == cy on every bond kind.  This
     is per model, not per family (xyz with jx == jy conserves it)."""
@@ -267,7 +272,7 @@ class HamiltonianAction:
         for kind in fam.bond_kinds:
             pairs = tuple(BOND_PAIRS[kind](basis.lattice))
             _add_bonds(basis, pairs, fam.couplings(params, kind), diag, terms)
-        h = fam.field(params) if fam.field else 0.0
+        h = _z_field(fam, params)
         if h != 0.0:  # every field is along z
             for site in range(basis.n_sites):
                 diag += h * (basis.site_bits(site) - 0.5)
@@ -325,8 +330,7 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis,
     if not _conserves_sz(model):
         sectors = [enumerate_sector(basis.lattice, None, popcount_parity=p) for p in (0, 1)]
         return [(sector.configs, hamiltonian_dense(model, sector, cap)) for sector in sectors]
-    fam = family_spec(model.family)
-    mirrored = not fam.field or fam.field(model.as_dict()) == 0.0
+    mirrored = _z_field(family_spec(model.family), model.as_dict()) == 0.0
     blocks = [None] * (n + 1)  # by number of up spins
     for up in range(n, -1, -1):  # Sz >= 0 first, so every mirror has its source
         sector = enumerate_sector(basis.lattice, 2 * up - n)

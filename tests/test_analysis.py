@@ -464,3 +464,23 @@ def test_sweep_flags_a_lapack_failure_and_continues(monkeypatch):
     assert [p.g for p in res.flagged] == [pytest.approx(1.0)]
     assert "did not converge" in res.flagged[0].flag
     assert not np.isnan(np.delete(res.concurrence(), 2)).any()
+
+
+def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
+    # a Lanczos solve grows with the levels asked, so probes stay at b + 1
+    import spinqpt.analysis as analysis
+    res = sweep("xxz", {}, GridSpec("delta", -2.0, 0.0, 0.05), chain(6),
+                k_levels=4, space="full", options=SolverOptions(dense_cutoff=32))
+    real = analysis.solve_levels
+    asked = []
+
+    def recorded(cfg, g, k, **kwargs):
+        asked.append(k)
+        return real(cfg, g, k, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_levels", recorded)
+    events = detect_crossings(res, 0, 1)
+    assert events and set(asked) == {2}
+    asked.clear()
+    detect_crossings(res, 1, 2)
+    assert asked and set(asked) == {3}
