@@ -364,7 +364,7 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int) -> list[Crossing
             touch_tol = max(deg, 4.0 * slope * REFINE_TOL)
         else:
             loc, min_gap = _bisect_boundary(gap_at, grid[inside], grid[outside],
-                                            deg, REFINE_TOL)
+                                            float(gap[inside]), deg, REFINE_TOL)
             touch_tol = deg
         event = _make_event(sweep_result, (a, b), loc, i, j, min_gap, touch_tol)
         if event is not None:
@@ -465,9 +465,9 @@ def _golden_min(f, lo, hi, tol):
     return best
 
 
-def _bisect_boundary(gap_at, g_true, g_false, deg, tol):
-    """Bisect the point where the gap leaves the degeneracy tolerance."""
-    min_gap = gap_at(g_true)
+def _bisect_boundary(gap_at, g_true, g_false, min_gap, deg, tol):
+    """Bisect the point where the gap leaves the degeneracy tolerance,
+    starting from the sweep's own gap ``min_gap`` at ``g_true``."""
     while abs(g_false - g_true) > tol:
         mid = 0.5 * (g_true + g_false)
         gm = gap_at(mid)

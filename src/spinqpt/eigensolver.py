@@ -5,13 +5,18 @@ per symmetry sector (``models.sector_matrices``), it solves each
 distinct one once and merges the levels, so each eigenvector carries its
 sector's quantum number; given one whole matrix, it is the oracle
 everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
-iteration with full reorthogonalization: each step takes one classical
-Gram-Schmidt pass against the Krylov basis and the converged states, and
-a second only when the first leaves less than 1/sqrt(2) of the vector's
-norm (the DGKS test).  Degenerate levels are recovered by restarting
-with deflation against everything already converged (a single Krylov
-sequence carries one vector per distinct eigenvalue, so multiplets need
-the restarts).
+iteration with partial reorthogonalization (H. D. Simon, Math. Comp. 42,
+115 (1984)): a recurrence on the stored alpha and beta estimates how far
+each new Krylov vector has drifted from orthogonality, and only when the
+estimate passes sqrt(eps) is the vector (and the next one) reorthogonalized
+against the whole Krylov basis, by one classical Gram-Schmidt pass and a
+second only when the first leaves less than 1/sqrt(2) of the vector's
+norm (the DGKS test).  That keeps the basis semi-orthogonal, which is
+enough for Ritz pairs to working accuracy.  Every step is projected
+against the converged states.  Degenerate levels are recovered by
+restarting with deflation against everything already converged (a single
+Krylov sequence carries one vector per distinct eigenvalue, so multiplets
+need the restarts).
 
 Both solvers fix eigenvector phase by making the largest-magnitude
 amplitude positive, and both report explicit residuals |H v - E v|.
@@ -20,7 +25,7 @@ amplitude positive, and both report explicit residuals |H v - E v|.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 
 
 class ConvergenceError(RuntimeError):
@@ -48,6 +53,10 @@ class EigenSolution:
 
 # largest asymmetry |A - A^T|, relative to max(1, max|A|), a matrix may carry
 SYMMETRY_TOL = 1e-12
+EPS = np.finfo(float).eps
+# Simon's semi-orthogonality level: a Krylov vector whose estimated overlap
+# with an earlier one exceeds this is reorthogonalized
+SEMI_ORTHOGONAL = np.sqrt(EPS)
 
 
 def degeneracy_tolerance(width: float) -> float:
@@ -139,12 +148,15 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
     symmetric.  ``tol`` and the degeneracy tolerance are relative to the
     spectral width estimated from the Krylov process itself.  Runs are
     deterministic for a fixed seed: start vectors come from a seeded
-    generator, one fresh draw per deflation restart.  ``meta`` counts
-    the deflation ``restarts``, the calls to ``apply`` (``matvecs``) and
-    the second Gram-Schmidt passes taken (``second_passes``), and keeps
-    the first sequence's lowest Ritz values (``ritz_history``) and the
-    ``spectral_width`` estimate.  Each residual is the one measured when
-    its Ritz pair was accepted.
+    generator, one fresh draw per deflation restart.  Every
+    ``check_every`` steps the Ritz check solves the tridiagonal matrix for
+    the lowest wanted pairs and its top value only.  ``meta`` counts the
+    deflation ``restarts``, the calls to ``apply`` (``matvecs``), the
+    Krylov ``steps`` taken, the steps that ran the full reorthogonalization
+    pass (``reorthogonalizations``) and the second Gram-Schmidt passes
+    among them (``second_passes``), and keeps the first sequence's lowest
+    Ritz values (``ritz_history``) and the ``spectral_width`` estimate.
+    Each residual is the one measured when its Ritz pair was accepted.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -163,7 +175,12 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
     restarts = 0
     best_resid = np.inf
     matvecs = 0
+    krylov_steps = 0
+    reorthogonalizations = 0
     second_passes = 0
+    # rounding each step adds to the overlap estimates: a matvec is
+    # accurate to about sqrt(dim) * eps * |H|
+    noise = np.sqrt(dim) * EPS
 
     def matvec(v):
         nonlocal matvecs
@@ -173,13 +190,6 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
     def deflate(w):
         if len(found):
             w -= (found @ w) @ found
-        return w
-
-    def gram_schmidt(w, krylov):
-        # one classical pass against the deflated converged states and the
-        # Krylov rows; both are row blocks, so each product is a plain gemv
-        w = deflate(w)
-        w -= (krylov @ w) @ krylov
         return w
 
     certified = False
@@ -208,6 +218,12 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
         q_rows[0] = q / norm
         alphas = np.empty(steps)
         betas = np.empty(steps)
+        # at step m, omega[i] estimates q_m . q_i, omega_prev the same for
+        # q_{m-1}, and omega_next receives the estimates for q_{m+1}
+        omega, omega_prev, omega_next = np.zeros((3, steps + 1))
+        omega[0] = 1.0
+        h_norm = 0.0
+        pending = False
         ritz = None
         m_used = 0
         for m in range(steps):
@@ -216,27 +232,60 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
             w -= alphas[m] * q_rows[m]
             if m > 0:
                 w -= betas[m - 1] * q_rows[m - 1]
-            # full reorthogonalization; a second pass only when the first
-            # cancelled most of w (DGKS: Daniel, Gragg, Kaufman & Stewart,
-            # Math. Comp. 30, 772 (1976)), after which w is orthogonal to
-            # working precision
-            before = float(np.linalg.norm(w))
-            w = gram_schmidt(w, q_rows[:m + 1])
+            w = deflate(w)
             beta = float(np.linalg.norm(w))
-            if beta < before / np.sqrt(2.0):
-                second_passes += 1
-                w = gram_schmidt(w, q_rows[:m + 1])
-                beta = float(np.linalg.norm(w))
+            krylov_steps += 1
+            # Simon's recurrence: est[i] is beta * omega_{m+1,i}, from the
+            # Lanczos relation dotted with q_i plus a rounding term of the
+            # sign that grows it
+            h_norm = max(h_norm, abs(alphas[m]) + beta + (betas[m - 1] if m else 0.0))
+            tol_round = noise * h_norm
+            est = omega_next[:m + 1]
+            est[m] = tol_round
+            if m:
+                est[:m] = (betas[:m] * omega[1:m + 1] + (alphas[:m] - alphas[m]) * omega[:m]
+                           - betas[m - 1] * omega_prev[:m])
+                est[1:m] += betas[:m - 1] * omega[:m - 1]
+                est[:m] += np.copysign(tol_round, est[:m])
+            # the full pass runs when an estimate passes sqrt(eps), and again
+            # on the next step, whose recurrence still carries the drift of
+            # q_m, which was not reorthogonalized
+            reorth = pending or bool(np.max(np.abs(est)) >= SEMI_ORTHOGONAL * beta)
+            pending = reorth and not pending
+            if reorth:
+                # one classical pass against the Krylov rows, a contiguous
+                # gemv; a second, with deflation, only when the first
+                # cancelled most of w (DGKS: Daniel, Gragg, Kaufman &
+                # Stewart, Math. Comp. 30, 772 (1976))
+                reorthogonalizations += 1
+                krylov = q_rows[:m + 1]
+                w -= (krylov @ w) @ krylov
+                before, beta = beta, float(np.linalg.norm(w))
+                if beta < before / np.sqrt(2.0):
+                    second_passes += 1
+                    w = deflate(w)
+                    w -= (krylov @ w) @ krylov
+                    beta = float(np.linalg.norm(w))
+                est[:] = EPS
+            else:
+                est /= beta
+            omega_next[m + 1] = 1.0
+            omega_prev, omega, omega_next = omega, omega_next, omega_prev
             betas[m] = beta
             m_used = m + 1
             exhausted = beta <= 1e-13 * max(1.0, width)
             if (m + 1) % check_every == 0 or m == steps - 1 or exhausted:
-                theta, s_mat = eigh_tridiagonal(alphas[:m + 1], betas[:m])
-                width = max(width, float(theta[-1] - theta[0]))
+                # only what the check reads: the lowest wanted pairs, whose
+                # last components bound their residuals, and the top value
+                nwant = min(want, m + 1)
+                theta, s_mat = eigh_tridiagonal(alphas[:m + 1], betas[:m], select="i",
+                                                select_range=(0, nwant - 1))
+                top = eigvalsh_tridiagonal(alphas[:m + 1], betas[:m], select="i",
+                                           select_range=(m, m))[0]
+                width = max(width, float(top - theta[0]))
                 if restarts == 0:
                     history.append(float(theta[0]))
-                nwant = min(want, len(theta))
-                bounds = beta * np.abs(s_mat[-1, :nwant])
+                bounds = beta * np.abs(s_mat[-1])
                 ritz = (theta, s_mat)
                 if np.all(bounds <= 0.1 * tol * max(1.0, width)) or exhausted:
                     break
@@ -250,7 +299,7 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
         theta, s_mat = ritz
         abs_tol = tol * max(1.0, width)
         pass_min = None
-        for col in range(min(want, len(theta))):
+        for col in range(len(theta)):
             vec = deflate(s_mat[:, col] @ q_rows[:m_used])
             nrm = np.linalg.norm(vec)
             if nrm < 1e-8:
@@ -287,4 +336,6 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
     return EigenSolution(energies, vectors, resid,
                          meta={"restarts": restarts, "ritz_history": history,
                                "spectral_width": width, "matvecs": matvecs,
+                               "steps": krylov_steps,
+                               "reorthogonalizations": reorthogonalizations,
                                "second_passes": second_passes})

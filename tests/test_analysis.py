@@ -394,7 +394,7 @@ def test_crossing_candidates_on_a_piecewise_linear_gap(monkeypatch):
     assert 3.2 - 1e-8 <= events[-1].location <= 3.3 + 1e-8
     assert events[-2].min_gap == pytest.approx(0.3, abs=1e-8)
     assert all(e.min_gap <= 1e-8 for e in events[:-2] + events[-1:])
-    assert len(solves) == 281
+    assert len(solves) == 277
 
 
 def test_sweep_flags_a_bad_point_and_continues(monkeypatch):

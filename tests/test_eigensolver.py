@@ -235,6 +235,49 @@ def test_lanczos_majumdar_ghosh_pair_needs_no_second_pass():
     assert sol.meta["second_passes"] == 0
 
 
+def test_lanczos_keeps_a_long_krylov_sequence_orthonormal():
+    # the first sequence of this ring runs past 60 steps, where a basis that
+    # is never reorthogonalized loses orthogonality to about 1e-2; it ends at
+    # a Ritz check, so its length is check_every times the checks recorded
+    basis = enumerate_sector(chain(12), 0)
+    action = HamiltonianAction(j1j2(1.0, 0.5), basis)
+    seen = []
+
+    def apply(v):
+        seen.append(v.copy())
+        return action(v)
+
+    sol = lanczos_lowest_k(apply, basis.dimension, 2, seed=7)
+    steps = 5 * len(sol.meta["ritz_history"])
+    assert steps > 60
+    krylov = np.array(seen[:steps])
+    assert np.max(np.abs(krylov @ krylov.T - np.eye(steps))) <= 1e-7
+
+
+@pytest.mark.parametrize("j2", [0.3, 0.5])
+def test_lanczos_reorthogonalizes_only_where_the_basis_drifts(j2):
+    basis = enumerate_sector(chain(12), 0)
+    model = j1j2(1.0, j2)
+    sol = lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, 2)
+    dense = dense_spectrum(hamiltonian_dense(model, basis))
+    assert np.max(np.abs(sol.energies - dense.energies[:2])) <= 1e-10
+    assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(2))) <= 1e-12
+    assert sol.meta["steps"] < sol.meta["matvecs"]
+    assert 0 < sol.meta["reorthogonalizations"] < sol.meta["steps"] / 4
+
+
+def test_lanczos_closes_the_ferromagnetic_multiplet():
+    # Delta = -1 ring of 10, full space: an 11-fold S = 5 ground level, which
+    # takes many deflated restarts, each adding to the converged set
+    basis = enumerate_sector(chain(10), None)
+    model = xxz(-1.0)
+    sol = lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, 12)
+    dense = dense_spectrum(hamiltonian_dense(model, basis), vectors=False).energies
+    assert np.ptp(dense[:11]) <= 1e-12 and dense[11] > dense[10] + 0.1
+    assert np.max(np.abs(sol.energies - dense[:12])) <= 1e-10
+    assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(12))) <= 1e-10
+
+
 def _lapack_calls(monkeypatch):
     """Record every symmetric LAPACK call ``dense_spectrum`` makes."""
     calls = []
