@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import LatticeSpec, SectorBasis, enumerate_sector
-from .models import (ModelSpec, HamiltonianAction, build_model, family_spec,
-                     sector_matrices)
+from .models import (BOND_PAIRS, FAMILY_TABLE, ModelSpec, HamiltonianAction,
+                     build_model, family_spec, sector_matrices)
 from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
                           lanczos_lowest_k, ConvergenceError)
 from .observables import StateLabels, label_state, pair_correlators, two_site_rdm
@@ -75,23 +75,19 @@ class SolverOptions:
 
 
 def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
-    """Map symbolic pair names (nn / rung / leg / 'i-j') to site pairs."""
+    """Map pair names to site pairs: a bond kind of the lattice's geometry
+    (nn, nnn on chains; rung, leg on ladders) names its first bond in
+    ``BOND_PAIRS``, and 'i-j' or a tuple names two sites."""
+    kinds = {kind for fam in FAMILY_TABLE.values() if fam.geometry == lattice.geometry
+             for kind in fam.bond_kinds}
     out = {}
     for token in pairs:
         if isinstance(token, tuple):
             out[f"{token[0]}-{token[1]}"] = token
-        elif token == "nn":
-            if lattice.geometry != "chain":
-                raise ValueError("nn pairs refer to chains; ladders use rung/leg")
-            out["nn"] = (0, 1)
-        elif token == "rung":
-            if lattice.geometry != "ladder":
-                raise ValueError("rung pairs need a ladder")
-            out["rung"] = (0, 1)
-        elif token == "leg":
-            if lattice.geometry != "ladder":
-                raise ValueError("leg pairs need a ladder")
-            out["leg"] = (0, 2)
+        elif token in kinds:
+            out[token] = BOND_PAIRS[token](lattice)[0]
+        elif token in BOND_PAIRS:
+            raise ValueError(f"{token} pairs do not exist on a {lattice.geometry}")
         elif "-" in str(token):
             i, j = (int(p) for p in str(token).split("-"))
             out[f"{i}-{j}"] = (i, j)
@@ -110,15 +106,15 @@ class PointConfig:
     family: str
     fixed_params: tuple
     swept_name: str
-    geometry: str
-    n_sites: int
-    space: str                  # "full" | "sz0"
+    lattice: LatticeSpec
+    sz_twice: int | None        # the solved space: None (full) or 0 (Sz = 0)
     k_levels: int
     pair_items: tuple           # ((name, (i, j)), ...)
     options: SolverOptions
 
-    def lattice(self) -> LatticeSpec:
-        return LatticeSpec(self.geometry, self.n_sites)
+    @property
+    def space(self) -> str:
+        return space_name(self.sz_twice)
 
     def model_at(self, g: float) -> ModelSpec:
         params = dict(self.fixed_params)
@@ -126,27 +122,24 @@ class PointConfig:
         return build_model(self.family, params)
 
 
-def _choose_space(family, lattice, space, options) -> str:
-    if space != "auto":
-        return space
-    if 2 ** lattice.n_sites <= options.dense_cutoff:
+def space_name(sz_twice: int | None) -> str:
+    """How outputs spell a solved space: "full", "sz0", or "sz:<m>" for 2 Sz = m."""
+    if sz_twice is None:
         return "full"
-    # a family that may cross between symmetry classes along a sweep
-    # stays in the full space
-    if family_spec(family).sz_conserved and lattice.n_sites % 2 == 0:
-        return "sz0"
-    return "full"
+    return "sz0" if sz_twice == 0 else f"sz:{sz_twice}"
 
 
-def _space_sector(space: str) -> int | None:
-    """Map a space tag ("full" | "sz0" | "sz:<m>") to an sz_twice value."""
-    if space == "full":
-        return None
-    if space == "sz0":
-        return 0
-    if space.startswith("sz:"):
-        return int(space[3:])
-    raise ValueError(f"unknown space tag {space!r}")
+def _choose_space(family, lattice, space, options) -> int | None:
+    """The ``sz_twice`` a sweep solves for ``space`` "auto", "full" or "sz0"."""
+    if space == "auto":
+        # a family that may cross between symmetry classes along a sweep
+        # stays in the full space
+        sz0 = (2 ** lattice.n_sites > options.dense_cutoff
+               and family_spec(family).sz_conserved and lattice.n_sites % 2 == 0)
+        return 0 if sz0 else None
+    if space not in ("full", "sz0"):
+        raise ValueError(f"space must be auto, full or sz0, not {space!r}")
+    return 0 if space == "sz0" else None
 
 
 def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
@@ -180,20 +173,19 @@ def _dense(basis: SectorBasis, options: SolverOptions) -> bool:
 def solve_levels(cfg: PointConfig, g: float, k: int, *,
                  energies_only: bool = False) -> tuple[EigenSolution, SectorBasis]:
     """Lowest k levels of a sweep's model at one parameter value."""
-    basis = enumerate_sector(cfg.lattice(), _space_sector(cfg.space))
+    basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
     return solve_model(cfg.model_at(g), basis, k, cfg.options,
                        energies_only=energies_only), basis
 
 
 @dataclass
 class PairRecord:
-    name: str
     sites: tuple[int, int]
     cxx: float
     cyy: float
     czz: float
-    concurrence: float
     concurrence_raw: float
+    concurrence: float
 
 
 @dataclass
@@ -270,8 +262,7 @@ def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> Swe
         rho = sum(two_site_rdm(basis, sol.vectors[:, c], *sites)
                   for c in range(mult)) / mult
         conc = wootters_concurrence(rho)
-        pairs[name] = PairRecord(name, sites, *pair_correlators(rho),
-                                 conc.value, conc.raw)
+        pairs[name] = PairRecord(sites, *pair_correlators(rho), conc.raw, conc.value)
     return SweepPoint(g, sol.energies.copy(), labels, pairs,
                       gs_multiplicity=mult)
 
@@ -283,11 +274,11 @@ def sweep(family: str, fixed_params: dict, swept: GridSpec, lattice: LatticeSpec
     if k_levels < 2:
         raise ValueError("crossing analysis needs at least two levels")
     pair_map = resolve_pairs(lattice, pairs)
-    chosen = _choose_space(family, lattice, space, options)
     cfg = PointConfig(family=family, fixed_params=tuple(sorted(fixed_params.items())),
-                      swept_name=swept.name, geometry=lattice.geometry,
-                      n_sites=lattice.n_sites, space=chosen, k_levels=k_levels,
-                      pair_items=tuple(pair_map.items()), options=options)
+                      swept_name=swept.name, lattice=lattice,
+                      sz_twice=_choose_space(family, lattice, space, options),
+                      k_levels=k_levels, pair_items=tuple(pair_map.items()),
+                      options=options)
     values = swept.values()
     workers = min(threads, len(values), os.cpu_count() or 1)
     if workers > 1:
@@ -308,8 +299,6 @@ class CrossingEvent:
     bracket: tuple[float, float]
     kind: str  # "true_crossing" | "avoided" | "unresolved"
     min_gap: float
-    labels_below: tuple[StateLabels, StateLabels] | None = None
-    labels_above: tuple[StateLabels, StateLabels] | None = None
 
 
 def _spectral_width(sweep_result: SweepResult) -> float:
@@ -343,7 +332,7 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int) -> list[Crossing
     # LAPACK returns every level at one cost, so a dense probe is solved
     # for all k_levels and serves every pair; a Lanczos solve grows with
     # the levels asked, so it asks for b + 1
-    basis = enumerate_sector(cfg.lattice(), _space_sector(cfg.space))
+    basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
     k = cfg.k_levels if _dense(basis, cfg.options) else b + 1
 
     def gap_at(g: float) -> float:
@@ -438,8 +427,7 @@ def _make_event(sweep_result, pair, loc, i, j, min_gap, touch_tol):
             # gap stays open, so there is nothing to report
             return None
     return CrossingEvent(level_pair=pair, location=loc, bracket=(below.g, above.g),
-                         kind=kind, min_gap=min_gap,
-                         labels_below=lab_b, labels_above=lab_a)
+                         kind=kind, min_gap=min_gap)
 
 
 def _golden_min(f, lo, hi, tol):
@@ -563,10 +551,11 @@ class TransitionEvidence:
 @dataclass
 class TransitionReport:
     type: str  # "I" | "II" | "III" | "none"
-    evidence: TransitionEvidence
     gs_lc: bool
     es_lc: bool
     concurrence_behavior: str
+    space: str  # the space the sweep solved, as ``space_name`` spells it
+    evidence: TransitionEvidence
 
 
 def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
@@ -601,8 +590,10 @@ def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
     es_true = [e for e in es_events if e.kind == "true_crossing"]
     evidence = TransitionEvidence(gs_events=gs_events, es_events=es_events,
                                   jump_tol=tol)
-    gs_lc = bool(gs_true)
-    es_lc = bool(es_true)
+
+    def report(kind, behavior):
+        return TransitionReport(kind, bool(gs_true), bool(es_true), behavior,
+                                sweep_result.config.space, evidence)
 
     # Type I: concurrence jumps across a ground-state crossing
     for event in gs_true:
@@ -614,7 +605,7 @@ def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
         if jump > tol:
             evidence.jump = float(jump)
             evidence.jump_location = event.location
-            return TransitionReport("I", evidence, gs_lc, es_lc, "discontinuous")
+            return report("I", "discontinuous")
 
     # Type II: excited-state crossing pinned to the concurrence maximum
     arg = int(np.nanargmax(conc))
@@ -622,8 +613,7 @@ def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
     evidence.argmax_value = float(conc[arg])
     for event in es_true:
         if abs(grid[arg] - event.location) <= 2.0 * step + 1e-12:
-            return TransitionReport("II", evidence, gs_lc, es_lc,
-                                    "continuous, maximum at the crossing")
+            return report("II", "continuous, maximum at the crossing")
 
     # Type III: extremum in some low-order derivative
     for order in range(1, max_derivative_order + 1):
@@ -633,11 +623,9 @@ def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
         if extrema:
             evidence.derivative_order = order
             evidence.derivative_extrema = extrema
-            return TransitionReport(
-                "III", evidence, gs_lc, es_lc,
-                f"continuous, extremum in derivative of order {order}")
+            return report("III", f"continuous, extremum in derivative of order {order}")
 
-    return TransitionReport("none", evidence, gs_lc, es_lc, "featureless")
+    return report("none", "featureless")
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +636,7 @@ class ScalingEntry:
     n_sites: int
     location: float
     value: float
+    space: str  # the space this size's sweep solved
 
 
 @dataclass
@@ -697,7 +686,8 @@ def scaling_study(family: str, fixed_params: dict, swept: GridSpec,
             skipped.append((n, f"no interior {extremum_kind}imum"))
             continue
         dominant = max(extrema, key=lambda e: abs(e.value))
-        entries.append(ScalingEntry(n, dominant.location, dominant.value))
+        entries.append(ScalingEntry(n, dominant.location, dominant.value,
+                                    result.config.space))
     if len(entries) >= 2:
         intercept, slope, resid = fit_inverse_size(
             [e.n_sites for e in entries], [e.location for e in entries])

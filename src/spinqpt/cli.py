@@ -29,8 +29,8 @@ from .models import FAMILY_TABLE, ResourceLimitError, build_model, family_spec
 from .eigensolver import ConvergenceError
 from .observables import (OPERATOR_TAGS, label_state, rearranged_sum_rule,
                           sum_rule_residual)
-from .analysis import (GridSpec, SolverOptions, SweepResult, _space_sector, classify,
-                       scaling_study, solve_model, sweep)
+from .analysis import (GridSpec, SolverOptions, SweepResult, classify, scaling_study,
+                       solve_model, space_name, sweep)
 
 SCHEMA_VERSION = "1"
 
@@ -86,7 +86,7 @@ def build_parser() -> argparse.ArgumentParser:
     def sweepish(p):
         add(p, "--sweep", help="name:start:stop:step, e.g. delta:0:2:0.01")
         add(p, "--levels", type=int)
-        add(p, "--pairs", help="comma list: nn, rung, leg, or i-j")
+        add(p, "--pairs", help="comma list: nn, nnn (chains), rung, leg (ladders), or i-j")
         add(p, "--space", choices=("auto", "full", "sz0"))
 
     p = command("spectrum", "low-lying levels with labels")
@@ -262,33 +262,13 @@ def _sweep_payload(result) -> dict:
             continue
         entry["energies"] = list(p.energies)
         entry["labels"] = [asdict(l) for l in p.labels]
-        entry["pairs"] = {
-            name: {"sites": rec.sites, "cxx": rec.cxx, "cyy": rec.cyy, "czz": rec.czz,
-                   "concurrence_raw": rec.concurrence_raw,
-                   "concurrence": rec.concurrence}
-            for name, rec in p.pairs.items()}
+        entry["pairs"] = {name: asdict(rec) for name, rec in p.pairs.items()}
         points.append(entry)
     return {"swept": asdict(result.grid_spec),
             "k_levels": result.k_levels,
             "space": result.config.space,
             "pair_names": result.pair_names,
             "points": points}
-
-
-def _event_dict(e):
-    return {"level_pair": e.level_pair, "location": e.location,
-            "bracket": e.bracket, "kind": e.kind, "min_gap": e.min_gap}
-
-
-def _classify_payload(report) -> dict:
-    ev = report.evidence
-    return {"type": report.type,
-            "gs_lc": report.gs_lc,
-            "es_lc": report.es_lc,
-            "concurrence_behavior": report.concurrence_behavior,
-            "evidence": {**asdict(ev),
-                         "gs_events": [_event_dict(e) for e in ev.gs_events],
-                         "es_events": [_event_dict(e) for e in ev.es_events]}}
 
 
 def emit_csv(result) -> str:
@@ -346,17 +326,19 @@ def cmd_spectrum(settings) -> dict:
     lattice = fam.lattice(_require(settings, "sites"))
     model = build_model(fam.name, _model_params(settings, fam))
     sector = str(settings.get("sector", "auto"))
-    space = "full" if sector == "auto" else sector
-    if space not in ("full", "sz0"):
+    named = {"auto": None, "full": None, "sz0": 0}
+    if sector in named:
+        sz_twice = named[sector]
+    else:
         try:
-            space = f"sz:{int(space)}"
+            sz_twice = int(sector)
         except ValueError:
             raise ConfigError("--sector must be full, sz0, auto, or an integer 2*Sz")
-    basis = enumerate_sector(lattice, _space_sector(space))
+    basis = enumerate_sector(lattice, sz_twice)
     sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
     labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]
     return {"model": model.describe(), "n_sites": lattice.n_sites,
-            "space": space, "dimension": basis.dimension,
+            "space": space_name(sz_twice), "dimension": basis.dimension,
             "energies": list(sol.energies),
             "residuals": list(sol.residuals),
             "labels": [asdict(l) for l in labels]}
@@ -390,7 +372,7 @@ def cmd_classify(settings) -> dict:
     report = classify(result, jump_tol=settings.get("jump_tol"),
                       max_derivative_order=settings.get("max_order", 4),
                       pair=settings.get("pair"))
-    return _classify_payload(report)
+    return asdict(report)
 
 
 TABLE1_ROWS = (
@@ -428,7 +410,7 @@ def _preset_table1(settings) -> dict:
         result = _run_sweep(sub)
         report = classify(result, pair=spec_row.get("pair"))
         entry = {"row": spec_row["row"], "expected_type": spec_row["expected"],
-                 "report": _classify_payload(report)}
+                 "report": asdict(report)}
         if "note" in spec_row:
             entry["note"] = spec_row["note"]
         rows.append(entry)

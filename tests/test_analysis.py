@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from spinqpt.lattice import chain, ladder
+from spinqpt.models import BOND_PAIRS, FAMILY_TABLE
 from spinqpt.analysis import (GridSpec, SolverOptions, build_model, classify,
                               derivative, detect_crossings, fit_inverse_size,
                               locate_extrema, resolve_pairs, scaling_study,
@@ -49,6 +50,32 @@ def test_resolve_pairs():
         resolve_pairs(chain(6), ("rung",))
     with pytest.raises(ValueError):
         resolve_pairs(chain(4), ("0-9",))
+
+
+@pytest.mark.parametrize("n", [4, 6, 8])
+@pytest.mark.parametrize("make", [chain, ladder])
+def test_pair_names_are_first_bonds_of_the_bond_table(make, n):
+    lattice = make(n)
+    own = {kind for fam in FAMILY_TABLE.values() if fam.geometry == lattice.geometry
+           for kind in fam.bond_kinds}
+    other = {kind for fam in FAMILY_TABLE.values() for kind in fam.bond_kinds} - own
+    assert own and other
+    for kind in own:
+        assert resolve_pairs(lattice, (kind,)) == {kind: BOND_PAIRS[kind](lattice)[0]}
+    for kind in other:
+        with pytest.raises(ValueError):
+            resolve_pairs(lattice, (kind,))
+
+
+def test_nnn_names_the_next_nearest_pair_on_a_chain():
+    assert resolve_pairs(chain(6), ("nn", "nnn")) == {"nn": (0, 1), "nnn": (0, 2)}
+
+
+@pytest.mark.parametrize("space", ["sz:0", "sz:2", "sz"])
+def test_sweep_space_takes_only_auto_full_or_sz0(space):
+    with pytest.raises(ValueError, match="auto, full or sz0"):
+        sweep("xxz", {}, GridSpec("delta", 1.0, 1.0, 0.1), chain(6), k_levels=2,
+              space=space)
 
 
 # --- derivatives -------------------------------------------------------------
@@ -372,7 +399,7 @@ def test_crossing_candidates_on_a_piecewise_linear_gap(monkeypatch):
             spins = (1.0, 1.0) if i in (25, 27) else (0.0, 1.0)
             points.append(analysis.SweepPoint(g, np.array([0.0, gap(g)]),
                                               labels(*spins), {}))
-    cfg = analysis.PointConfig("xxz", (), "delta", "chain", 4, "full", 2, (),
+    cfg = analysis.PointConfig("xxz", (), "delta", chain(4), None, 2, (),
                                SolverOptions())
     res = analysis.SweepResult(cfg, grid, points)
     solves = []

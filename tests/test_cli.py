@@ -44,6 +44,18 @@ def test_spectrum_sector_flag(capsys):
     assert doc["payload"]["labels"][0]["sz_twice"] == 2
 
 
+def test_sector_zero_and_sz0_print_one_payload(capsys):
+    payloads = []
+    for sector in ("0", "sz0"):
+        code, out, _ = run_capture(
+            ["spectrum", "--model", "xxz", "--delta", "0.5", "--sites", "6",
+             "--sector", sector, "--levels", "3"], capsys)
+        assert code == 0
+        payloads.append(json.loads(out)["payload"])
+    assert payloads[0] == payloads[1]
+    assert payloads[0]["space"] == "sz0"
+
+
 # --- sweep and CSV -----------------------------------------------------------
 
 def test_sweep_csv_shape(capsys):
@@ -101,6 +113,44 @@ def test_classify_payload_schema(capsys):
     assert payload["type"] in ("I", "II", "III", "none")
     assert isinstance(payload["evidence"]["es_events"], list)
     assert payload["type"] == "II"
+
+
+def test_record_payloads_keep_their_schema(capsys):
+    # the records are printed whole, so a field added to one shows up here
+    code, out, _ = run_capture(
+        ["classify", "--model", "xxz", "--sweep", "delta:0.0:2.0:0.05",
+         "--sites", "6", "--levels", "4"], capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert list(payload) == ["type", "gs_lc", "es_lc", "concurrence_behavior",
+                             "space", "evidence"]
+    events = payload["evidence"]["gs_events"] + payload["evidence"]["es_events"]
+    assert events
+    for event in events:
+        assert list(event) == ["level_pair", "location", "bracket", "kind", "min_gap"]
+    code, out, _ = run_capture(
+        ["sweep", "--model", "ladder", "--sweep", "j_rung:0.5:1.0:0.25",
+         "--sites", "8", "--levels", "2", "--pairs", "leg,rung"], capsys)
+    assert code == 0
+    for point in json.loads(out)["payload"]["points"]:
+        assert list(point["pairs"]) == ["leg", "rung"]
+        for record in point["pairs"].values():
+            assert list(record) == ["sites", "cxx", "cyy", "czz",
+                                    "concurrence_raw", "concurrence"]
+
+
+def test_classify_and_scaling_name_the_space_they_solved(capsys):
+    code, out, _ = run_capture(
+        ["classify", "--model", "j1j2", "--j1", "1", "--sweep", "j2:0:1:0.05",
+         "--sites", "10", "--levels", "3"], capsys)
+    assert code == 0
+    assert json.loads(out)["payload"]["space"] == "sz0"
+    code, out, _ = run_capture(
+        ["scaling", "--model", "j1j2", "--j1", "1", "--sweep", "j2:0.2:0.7:0.05",
+         "--sizes", "8,10", "--order", "2"], capsys)
+    assert code == 0
+    entries = json.loads(out)["payload"]["entries"]
+    assert [(e["n_sites"], e["space"]) for e in entries] == [(8, "full"), (10, "sz0")]
 
 
 # --- sumrule -----------------------------------------------------------------
@@ -411,7 +461,7 @@ def test_true_single_point_sweep(capsys):
 def test_empty_sweep_emits_header_only():
     from spinqpt.analysis import SweepResult, PointConfig, SolverOptions
     cfg = PointConfig(family="xxz", fixed_params=(), swept_name="delta",
-                      geometry="chain", n_sites=4, space="full", k_levels=2,
+                      lattice=chain(4), sz_twice=None, k_levels=2,
                       pair_items=(("nn", (0, 1)),), options=SolverOptions())
     empty = SweepResult(cfg, GridSpec("delta", 1.0, 1.0, 0.1), [])
     text = emit_csv(empty)
