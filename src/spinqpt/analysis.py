@@ -129,13 +129,13 @@ def space_name(sz_twice: int | None) -> str:
     return "sz0" if sz_twice == 0 else f"sz:{sz_twice}"
 
 
-def _choose_space(family, lattice, space, options) -> int | None:
+def _choose_space(family, lattice, space) -> int | None:
     """The ``sz_twice`` a sweep solves for ``space`` "auto", "full" or "sz0"."""
     if space == "auto":
-        # a family that may cross between symmetry classes along a sweep
-        # stays in the full space
-        sz0 = (2 ** lattice.n_sites > options.dense_cutoff
-               and family_spec(family).sz_conserved and lattice.n_sites % 2 == 0)
+        # Sz = 0 for an Sz-conserving family at even N >= 10; a family that
+        # may cross between symmetry classes along a sweep stays in the full space
+        sz0 = (family_spec(family).sz_conserved and lattice.n_sites % 2 == 0
+               and lattice.n_sites >= 10)
         return 0 if sz0 else None
     if space not in ("full", "sz0"):
         raise ValueError(f"space must be auto, full or sz0, not {space!r}")
@@ -225,6 +225,9 @@ class SweepResult:
 
     def concurrence(self, pair: str | None = None, raw: bool = False) -> np.ndarray:
         pair = pair or self.pair_names[0]
+        if pair not in self.pair_names:
+            raise ValueError(f"pair {pair!r} is not among this sweep's pairs "
+                             f"{', '.join(self.pair_names)}")
         key = "concurrence_raw" if raw else "concurrence"
         return np.array([getattr(p.pairs[pair], key) if p.flag is None else np.nan
                          for p in self.points])
@@ -276,7 +279,7 @@ def sweep(family: str, fixed_params: dict, swept: GridSpec, lattice: LatticeSpec
     pair_map = resolve_pairs(lattice, pairs)
     cfg = PointConfig(family=family, fixed_params=tuple(sorted(fixed_params.items())),
                       swept_name=swept.name, lattice=lattice,
-                      sz_twice=_choose_space(family, lattice, space, options),
+                      sz_twice=_choose_space(family, lattice, space),
                       k_levels=k_levels, pair_items=tuple(pair_map.items()),
                       options=options)
     values = swept.values()

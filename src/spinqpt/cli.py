@@ -66,18 +66,20 @@ def build_parser() -> argparse.ArgumentParser:
         action = p.add_argument(*flags, **kw)
         p.setting_actions[action.dest] = action
 
-    def command(name, help):
-        """A subcommand with the flags every subcommand has."""
+    def command(name, help, *, sites=True, solver=True):
+        """A subcommand with the common flags, less --sites or the solver's."""
         p = sub.add_parser(name, help=help)
         p.setting_actions = parser.setting_actions[name] = {}
         add(p, "--config", help="INI config file; flags override it")
         add(p, "--model", choices=sorted(FAMILY_TABLE))
-        add(p, "--sites", type=int, help="total number of spins")
+        if sites:
+            add(p, "--sites", type=int, help="total number of spins")
         for param in MODEL_PARAMS.values():
             add(p, param.cli_flag, dest=param.name, type=float)
         add(p, "--seed", type=lambda s: int(s, 0))
-        add(p, "--tol", type=float)
-        add(p, "--dense-cutoff", dest="dense_cutoff", type=int)
+        if solver:
+            add(p, "--tol", type=float)
+            add(p, "--dense-cutoff", dest="dense_cutoff", type=int)
         add(p, "--threads", type=positive_int)
         add(p, "--format", choices=("csv", "json"))
         add(p, "--out", help="output path (default: stdout)")
@@ -102,12 +104,12 @@ def build_parser() -> argparse.ArgumentParser:
     add(p, "--jump-tol", dest="jump_tol", type=float)
     add(p, "--max-order", dest="max_order", type=int)
     add(p, "--preset", choices=("table1",),
-        help="run the canonical desk-scale scenarios")
+        help="classify the Table-1 rows, each with its own model, sweep and pair at N = 8")
 
-    p = command("sumrule", "double-commutator sum-rule residuals")
+    p = command("sumrule", "double-commutator sum-rule residuals", solver=False)
     add(p, "--operator", help="operator tag or 'all'")
 
-    p = command("scaling", "derivative-extremum drift with size")
+    p = command("scaling", "derivative-extremum drift with size", sites=False)
     sweepish(p)
     add(p, "--sizes", help="comma list of site counts")
     add(p, "--order", type=int, help="derivative order")
@@ -178,9 +180,14 @@ def merge_settings(args: argparse.Namespace, actions: dict) -> dict:
     return settings
 
 
-def _require(settings, key, what=None):
+def _flag(key):
+    """How the command line spells the setting ``key``."""
+    return MODEL_PARAMS[key].cli_flag if key in MODEL_PARAMS else "--" + key.replace("_", "-")
+
+
+def _require(settings, key):
     if settings.get(key) is None:
-        raise ConfigError(f"missing required setting {what or ('--' + key.replace('_', '-'))}")
+        raise ConfigError(f"missing required setting {_flag(key)}")
     return settings[key]
 
 
@@ -188,13 +195,13 @@ def _model_params(settings, fam, exclude=()):
     """The family's parameters in the settings; a required one unless swept."""
     for name in sorted(MODEL_PARAMS):
         if settings.get(name) is not None and MODEL_PARAMS[name] not in fam.params:
-            raise ConfigError(f"{MODEL_PARAMS[name].cli_flag} does not apply to {fam.name}")
+            raise ConfigError(f"{_flag(name)} does not apply to {fam.name}")
     params = {}
     for p in fam.params:
         if p.name in exclude:
             continue
         if p.default is None:
-            params[p.name] = _require(settings, p.name, p.cli_flag)
+            params[p.name] = _require(settings, p.name)
         elif settings.get(p.name) is not None:
             params[p.name] = settings[p.name]
     return params
@@ -219,11 +226,8 @@ def _parse_sweep(settings, fam) -> GridSpec:
 
 
 def _solver_options(settings) -> SolverOptions:
-    kw = {}
-    for key in ("tol", "seed", "dense_cutoff"):
-        if settings.get(key) is not None:
-            kw[key] = settings[key]
-    return SolverOptions(**kw)
+    return SolverOptions(**{key: settings[key] for key in ("tol", "seed", "dense_cutoff")
+                            if key in settings})
 
 
 def _parse_pairs(settings, fam):
@@ -376,41 +380,40 @@ def cmd_classify(settings) -> dict:
 
 
 TABLE1_ROWS = (
-    {"row": "xxz chain (Delta = -1)", "family": "xxz", "sweep": "delta:-2:0:0.01",
-     "sites": 8, "expected": "I"},
-    {"row": "j1j2 chain (J2 = 0.5)", "family": "j1j2", "sweep": "j2:0.3:0.7:0.005",
-     "sites": 8, "expected": "I"},
-    {"row": "xxz chain (Delta = 1)", "family": "xxz", "sweep": "delta:0:2:0.01",
-     "sites": 8, "expected": "II"},
-    {"row": "spin ladder (J = 0)", "family": "ladder", "sweep": "j_rung:-1:1:0.01",
-     "sites": 8, "expected": "II", "pair": "leg"},
+    {"row": "xxz chain (Delta = -1)", "expected": "I",
+     "settings": {"model": "xxz", "sweep": "delta:-2:0:0.01"}},
+    {"row": "j1j2 chain (J2 = 0.5)", "expected": "I",
+     "settings": {"model": "j1j2", "sweep": "j2:0.3:0.7:0.005"}},
+    {"row": "xxz chain (Delta = 1)", "expected": "II",
+     "settings": {"model": "xxz", "sweep": "delta:0:2:0.01"}},
+    {"row": "spin ladder (J = 0)", "expected": "II",
+     "settings": {"model": "ladder", "sweep": "j_rung:-1:1:0.01", "pair": "leg"}},
     {"row": "xxz 2D & 3D (Delta = 1)", "skip": "out of scope (quantum Monte Carlo sizes)"},
-    {"row": "j1j2 chain (J2 ~ 0.241)", "family": "j1j2", "sweep": "j2:0:0.45:0.005",
-     "sites": 8, "expected": "III",
+    {"row": "j1j2 chain (J2 ~ 0.241)", "expected": "III",
+     "settings": {"model": "j1j2", "sweep": "j2:0:0.45:0.005"},
      "note": "desk-scale N=8 resolves the excited-state crossing but not the "
              "derivative structure of the continuous transition"},
-    {"row": "ising chain (lambda = 1)", "family": "ising", "sweep": "lambda:0.2:2:0.01",
-     "sites": 8, "expected": "III"},
+    {"row": "ising chain (lambda = 1)", "expected": "III",
+     "settings": {"model": "ising", "sweep": "lambda:0.2:2:0.01"}},
 )
 
 
 def _preset_table1(settings) -> dict:
+    """Each row is a plain ``classify`` of its settings over the run's, at N = 8."""
+    for key in ("model", "sites", "sweep", "pair", "pairs", *MODEL_PARAMS):
+        if key in settings:
+            raise ConfigError(f"--preset table1 sets {_flag(key)} itself")
+    levels = settings.get("levels", 6)
+    if levels < 6:
+        raise ConfigError(f"--preset table1 needs --levels of at least 6, not {levels}")
     rows = []
     for spec_row in TABLE1_ROWS:
         if "skip" in spec_row:
             rows.append({"row": spec_row["row"], "status": spec_row["skip"]})
             continue
-        sub = dict(settings)
-        sub.pop("preset", None)
-        sub.pop("pair", None)
-        sub.update(model=spec_row["family"], sweep=spec_row["sweep"],
-                   sites=spec_row["sites"], levels=max(settings.get("levels") or 0, 6))
-        for name in MODEL_PARAMS:
-            sub.pop(name, None)
-        result = _run_sweep(sub)
-        report = classify(result, pair=spec_row.get("pair"))
         entry = {"row": spec_row["row"], "expected_type": spec_row["expected"],
-                 "report": asdict(report)}
+                 "report": cmd_classify({**settings, **spec_row["settings"], "preset": None,
+                                         "sites": 8, "levels": levels})}
         if "note" in spec_row:
             entry["note"] = spec_row["note"]
         rows.append(entry)

@@ -111,25 +111,22 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
         solved = {key: solve(sub) for key, sub in distinct.items()}
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"dense eigensolver failed: {err}") from err
-    levels = dim if levels is None else levels
+    per_block = [solved[id(sub)] for sub in subs]
+    # a stable merge keeps each block's levels ascending, so the kept
+    # levels of a block are its lowest
+    merged = np.concatenate([out[0] if vectors else out for out in per_block])
+    order = np.argsort(merged, kind="stable")[:levels]
+    energies = merged[order]
     if not vectors:
-        energies = np.concatenate([solved[id(sub)] for sub in subs])
-        return EigenSolution(np.sort(energies, kind="stable")[:levels],
-                             np.empty((dim, 0)), np.empty(0))
-    pairs = [solved[id(sub)] for sub in subs]
-    # each block's levels stay ascending in the merge, so the kept ones of
-    # a block are its lowest
-    owner = np.repeat(np.arange(len(pairs)), [len(e) for e, _ in pairs])
-    owner = owner[np.argsort(np.concatenate([e for e, _ in pairs]), kind="stable")[:levels]]
-    energies = np.empty(len(owner))
-    vecs = np.zeros((dim, len(owner)))
-    resid = np.empty(len(owner))
-    for b, (idx, sub, (e_b, v_b)) in enumerate(zip(rows, subs, pairs)):
+        return EigenSolution(energies, np.empty((dim, 0)), np.empty(0))
+    owner = np.repeat(np.arange(len(subs)), list(map(len, rows)))[order]
+    vecs = np.zeros((dim, len(order)))
+    resid = np.empty(len(order))
+    for b, (idx, sub, (e_b, v_b)) in enumerate(zip(rows, subs, per_block)):
         cols = np.flatnonzero(owner == b)
         if not len(cols):
             continue
         e_b, v_b = e_b[:len(cols)], _fix_phases(v_b[:, :len(cols)])
-        energies[cols] = e_b
         vecs[np.ix_(idx, cols)] = v_b
         if apply is None:
             resid[cols] = np.linalg.norm(sub @ v_b - v_b * e_b, axis=0)

@@ -193,12 +193,33 @@ def test_sweep_records_structure():
     ("xxz", GridSpec("delta", 0.5, 0.5, 0.1), chain(9), "full"),
 ])
 def test_auto_space_follows_family_sz_symmetry(family, grid, lattice, expected):
-    # a cutoff below 2**9 keeps every case past the small-space rule, so
-    # the choice rests on the family's Sz symmetry and the parity of N
+    # at N >= 10 the choice rests on the family's Sz symmetry and the
+    # parity of N; the solver's dense cutoff plays no part in it
     res = sweep(family, {}, grid, lattice, k_levels=2, pairs=("0-1",),
                 options=SolverOptions(dense_cutoff=256))
     assert res.config.space == expected
     assert not res.flagged
+
+
+def test_dense_cutoff_picks_the_solver_not_the_space():
+    grid = GridSpec("j2", 0.2, 0.4, 0.1)
+    big = sweep("j1j2", {"j1": 1.0}, grid, chain(10), k_levels=3,
+                options=SolverOptions(dense_cutoff=2048))
+    assert big.config.space == "sz0"
+    lanczos = sweep("j1j2", {"j1": 1.0}, grid, chain(8), k_levels=3,
+                    options=SolverOptions(dense_cutoff=1))
+    dense = sweep("j1j2", {"j1": 1.0}, grid, chain(8), k_levels=3)
+    assert lanczos.config.space == dense.config.space == "full"
+    for level in range(3):
+        assert np.max(np.abs(lanczos.energy(level) - dense.energy(level))) <= 1e-10
+    assert np.max(np.abs(lanczos.concurrence() - dense.concurrence())) <= 1e-8
+
+
+def test_concurrence_of_a_pair_the_sweep_did_not_compute_raises():
+    res = sweep("xxz", {}, GridSpec("delta", 0.5, 0.6, 0.1), chain(6), k_levels=2,
+                pairs=("0-2",))
+    with pytest.raises(ValueError, match="not among this sweep's pairs 0-2"):
+        res.concurrence("nn")
 
 
 def test_sweep_requires_two_levels():

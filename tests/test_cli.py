@@ -7,7 +7,7 @@ import pytest
 
 from spinqpt.analysis import GridSpec, sweep
 from spinqpt.lattice import chain
-from spinqpt.cli import emit_csv, run
+from spinqpt.cli import MODEL_PARAMS, build_parser, emit_csv, run
 
 
 def run_capture(argv, capsys):
@@ -151,6 +151,42 @@ def test_classify_and_scaling_name_the_space_they_solved(capsys):
     assert code == 0
     entries = json.loads(out)["payload"]["entries"]
     assert [(e["n_sites"], e["space"]) for e in entries] == [(8, "full"), (10, "sz0")]
+
+
+def test_pair_outside_the_swept_pairs_is_config_error(capsys):
+    code, out, err = run_capture(
+        ["classify", "--model", "xxz", "--sweep", "delta:0:1:0.1", "--sites", "6",
+         "--pairs", "0-2", "--pair", "nn"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: pair 'nn' is not among this sweep's pairs 0-2\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["--model", "xxz"], "--model"),
+    (["--sites", "10"], "--sites"),
+    (["--sweep", "delta:0:1:0.1"], "--sweep"),
+    (["--pair", "nn"], "--pair"),
+    (["--pairs", "0-1"], "--pairs"),
+    (["--delta", "1"], "--delta"),
+    (["--lambda", "1"], "--lambda"),
+    (["--levels", "5"], "--levels"),
+])
+def test_table1_preset_refuses_what_its_rows_fix(argv, flag, capsys):
+    code, out, err = run_capture(["classify", "--preset", "table1"] + argv, capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: --preset table1 ") and f" {flag} " in err
+    assert err.count("\n") == 1
+
+
+def test_table1_preset_reads_jump_tol(capsys):
+    code, out, _ = run_capture(
+        ["classify", "--preset", "table1", "--jump-tol", "0.5", "--threads", "1"], capsys)
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"] == {"preset": "table1", "jump_tol": 0.5, "threads": 1}
+    reports = [row["report"] for row in doc["payload"]["rows"] if "report" in row]
+    assert len(reports) == 6
+    assert all(report["evidence"]["jump_tol"] == 0.5 for report in reports)
 
 
 # --- sumrule -----------------------------------------------------------------
@@ -477,3 +513,42 @@ def test_lapack_failure_is_a_numeric_failure(capsys, monkeypatch):
         ["spectrum", "--model", "xxz", "--delta", "1.0", "--sites", "6"], capsys)
     assert code == 1 and out == ""
     assert err.startswith("numeric failure:") and "did not converge" in err
+
+
+# --- the settings each subcommand reads ----------------------------------------
+
+def test_each_subcommand_has_only_the_settings_it_reads():
+    common = {"config", "model", "seed", "threads", "format", "out", *MODEL_PARAMS}
+    solver = {"tol", "dense_cutoff"}
+    sweepish = {"sweep", "levels", "pairs", "space"}
+    expected = {
+        "spectrum": common | solver | {"sites", "levels", "sector"},
+        "sweep": common | solver | sweepish | {"sites"},
+        "classify": common | solver | sweepish | {"sites", "pair", "jump_tol",
+                                                  "max_order", "preset"},
+        "sumrule": common | {"sites", "operator"},
+        "scaling": common | solver | sweepish | {"sizes", "order", "kind", "raw"},
+    }
+    actions = build_parser().setting_actions
+    assert {cmd: set(keys) for cmd, keys in actions.items()} == expected
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--model", "ising", "--sweep", "lambda:0.5:1.5:0.05", "--sizes", "4,6",
+     "--order", "1", "--sites", "4"],
+    ["sumrule", "--model", "xxz", "--delta", "1", "--sites", "6", "--tol", "1e-8"],
+    ["sumrule", "--model", "xxz", "--delta", "1", "--sites", "6", "--dense-cutoff", "8"],
+])
+def test_flag_a_subcommand_does_not_read_is_refused(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run(argv)
+    assert exit_info.value.code == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_every_subcommand_takes_seed_and_threads(capsys):
+    code, out, _ = run_capture(
+        ["sumrule", "--model", "xxz", "--delta", "1", "--sites", "6",
+         "--seed", "3", "--threads", "1"], capsys)
+    assert code == 0
+    assert json.loads(out)["config"]["seed"] == 3

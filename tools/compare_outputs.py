@@ -12,7 +12,7 @@ The exit status is 1 when any command differs, else 0.
 
 The list covers every subcommand, the dense and Lanczos solver paths,
 full, Sz = 0 and integer sectors, CSV and JSON, and the canonical
-Table-1 preset.
+Table-1 preset, with and without a setting it reads.
 """
 
 import csv
@@ -49,8 +49,11 @@ COMMANDS = (
     "sweep --model xyz --sweep h:0:1:0.1 --sites 6 --levels 3 --pairs nn,0-2",
     "sweep --model xxz --sweep delta:0.5:1.5:0.25 --sites 8 --levels 3 --space sz0",
     "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.7:0.05 --sites 16 --levels 3 --format csv",
+    # --dense-cutoff picks only the solver: this sweep solves Sz = 0 as without it
+    "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.4:0.1 --sites 10 --levels 3 --dense-cutoff 1024",
     # classify: the preset, dense rows and a full-space Lanczos row
     "classify --preset table1",
+    "classify --preset table1 --jump-tol 0.05",  # the preset reads --jump-tol
     "classify --model j1j2 --j1 1 --sweep j2:0:1:0.02 --sites 6 --levels 4",
     "classify --model xxz --sweep delta:0:2:0.05 --sites 8 --levels 4",
     "classify --model j1j2 --j1 1 --sweep j2:0:1:0.05 --sites 10 --levels 3",
