@@ -203,8 +203,8 @@ class SweepResult:
     config: PointConfig
     grid_spec: GridSpec
     points: list[SweepPoint]
-    # (g, k) -> the lowest k levels, energies only, solved at g by crossing
-    # refinement and shared by every level pair of this sweep
+    # (g, k) -> the lowest levels by value, energies only, of the k solved
+    # at g by crossing refinement, shared by every level pair of this sweep
     _probes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -332,21 +332,25 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int) -> list[Crossing
     cfg = sweep_result.config
     deg = degeneracy_tolerance(_spectral_width(sweep_result))
 
-    # LAPACK returns every level at one cost, so a dense probe is solved
-    # for all k_levels and serves every pair; a Lanczos solve grows with
-    # the levels asked, so it asks for b + 1
+    # levels count by value here, while a dense solve lists the members of
+    # a degenerate multiplet in block order and keeps the first k so listed.
+    # LAPACK returns every level at one cost, so a dense probe takes them
+    # all and serves every pair with the lowest k_levels by value; a
+    # Lanczos solve grows with the levels asked, so it asks for b + 1
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
-    k = cfg.k_levels if _dense(basis, cfg.options) else b + 1
+    k = basis.dimension if _dense(basis, cfg.options) else b + 1
 
     def gap_at(g: float) -> float:
         levels = sweep_result._probes.get((g, k))
         if levels is None:
             sol, _ = solve_levels(cfg, g, k, energies_only=True)
-            levels = sweep_result._probes[g, k] = sol.energies
+            levels = sweep_result._probes[g, k] = np.sort(sol.energies)[:cfg.k_levels]
         return float(levels[b] - levels[a])
 
     grid = sweep_result.grid
-    gap = sweep_result.energy(b) - sweep_result.energy(a)
+    ordered = np.sort([sweep_result.energy(n) for n in range(sweep_result.k_levels)],
+                      axis=0)
+    gap = ordered[b] - ordered[a]
     events: list[CrossingEvent] = []
     for inside, outside, dip in _candidates(gap, deg):
         i, j = sorted((inside, outside))

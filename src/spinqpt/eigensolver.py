@@ -1,10 +1,12 @@
 """Dense and Lanczos eigensolvers for real symmetric operators.
 
-``dense_spectrum`` wraps LAPACK for small matrices.  Given one matrix
-per symmetry sector (``models.sector_matrices``), it solves each
-distinct one once and merges the levels, so each eigenvector carries its
-sector's quantum number; given one whole matrix, it is the oracle
-everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
+``dense_spectrum`` wraps LAPACK for small matrices.  Given the blocks of
+one on symmetry-adapted states (``models.sector_matrices``: each block
+column a combination of up to four basis states), it solves each
+distinct block once, lifts the vectors into the whole basis and merges
+the levels, so each eigenvector carries its block's quantum numbers;
+given one whole matrix, it is the oracle everything else is checked
+against.  ``lanczos_lowest_k`` is a Krylov
 iteration with partial reorthogonalization (H. D. Simon, Math. Comp. 42,
 115 (1984)): a recurrence on the stored alpha and beta estimates how far
 each new Krylov vector has drifted from orthogonality, and only when the
@@ -65,71 +67,108 @@ def degeneracy_tolerance(width: float) -> float:
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
+    """``vectors`` with each column's largest-magnitude amplitude made
+    positive, in place."""
     idx = np.argmax(np.abs(vectors), axis=0)
-    signs = np.sign(vectors[idx, np.arange(vectors.shape[1])])
-    signs[signs == 0] = 1.0
-    return vectors * signs
+    vectors *= np.where(vectors[idx, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    return vectors
+
+
+def _check_cover(rows: list, coefs: list, dim: int) -> None:
+    """Raise unless the block columns cover rows 0 ... dim - 1 exactly once:
+    each row's squared coefficients add up to 1."""
+    flat = np.concatenate(rows, axis=None)
+    if flat.min() < 0 or flat.max() >= dim or np.max(np.abs(np.bincount(
+            flat, np.concatenate(coefs, axis=None) ** 2, dim) - 1.0)) > 1e-12:
+        raise ValueError("block rows must cover 0 ... dim - 1 exactly once")
+
+
+def _check_symmetric(mats: list) -> None:
+    """Raise when a matrix departs from its transpose by more than
+    ``SYMMETRY_TOL`` relative to max(1, the largest entry of any)."""
+    entries = np.concatenate(mats, axis=None)
+    mirror = np.concatenate([mat.T for mat in mats], axis=None)
+    if np.max(np.abs(entries - mirror)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(entries))):
+        raise ValueError("matrix is not symmetric")
 
 
 def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
                    apply=None) -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
-    matrix, ascending.
+    matrix.
 
     ``matrix`` is one matrix, or the invariant blocks of one as a list of
-    ``(rows, block)`` pairs: row i of a block is row ``rows[i]`` of the
-    whole, and the ``rows`` may come in any order but must together
-    cover 0 ... dim - 1 exactly once.  LAPACK runs once per distinct
-    block object, so a block listed twice (a mirrored Sz sector, see
-    ``models.sector_matrices``) is solved once.  The levels of all blocks
-    are merged by a stable sort, so equal levels keep the order of their
-    blocks, and every returned vector is supported on one block.
-    Residuals are formed only for the returned columns, with ``apply``
-    (the operator the matrix was built from, acting on a block of
-    columns) when given, else block by block.  With ``vectors=False``
-    LAPACK computes every energy alone and the lowest ``levels`` are
-    kept, so each kept level is bitwise the same for any ``levels``; the
-    solution then has no vector columns and no residuals.  A LAPACK
-    failure raises ConvergenceError.
+    ``(rows, block)`` or ``(rows, coefs, block)`` entries
+    (``models.sector_matrices``).  Column a of a d x d block stands for
+    the unit vector sum_t coefs[t, a] e_{rows[t, a]} of the whole, with
+    ``rows`` and ``coefs`` of shape (d,) or (r, d) and ``coefs`` 1 when
+    left out, so ``(rows, block)`` means row i of the block is row
+    ``rows[i]`` of the whole.  The block columns must cover the whole
+    exactly once: the block dims add up to dim, and each row's squared
+    coefficients add up to 1.  LAPACK runs once per distinct block
+    object, so a block listed twice (a mirrored Sz sector) is solved once,
+    and every level of every block is kept until the merge.
+
+    Levels are merged in ascending order, except that levels within
+    ``degeneracy_tolerance`` of the spectrum's width of each other form
+    one multiplet, whose members keep the order of their blocks; so a
+    degenerate level's members come out in block order, not in the order
+    of their last bits.  Each returned vector is lifted from its block
+    through the block's rows and coefficients, and its largest-magnitude
+    amplitude is made positive.  Residuals are formed only for the
+    returned columns, with ``apply`` (the operator the matrix was built
+    from, acting on a block of columns) when given, else block by block.
+    With ``vectors=False`` LAPACK computes every energy alone and the
+    lowest ``levels`` are kept, so each kept level is bitwise the same for
+    any ``levels``; the solution then has no vector columns and no
+    residuals.  A LAPACK failure raises ConvergenceError.
     """
     if isinstance(matrix, np.ndarray):
         matrix = [(np.arange(len(matrix)), matrix)]
-    rows, subs = zip(*((np.asarray(idx), np.asarray(sub, dtype=float))
-                       for idx, sub in matrix))
-    if any(sub.shape != (len(idx), len(idx)) for idx, sub in zip(rows, subs)):
+    rows, coefs, subs = [], [], []
+    for idx, *coef, sub in matrix:
+        idx = np.asarray(idx)
+        idx = idx if idx.ndim == 2 else idx[None]
+        rows.append(idx)
+        coefs.append(np.asarray(coef[0], dtype=float).reshape(idx.shape) if coef
+                     else np.ones(idx.shape))
+        subs.append(np.asarray(sub, dtype=float))
+    dims = [idx.shape[1] for idx in rows]
+    if any(sub.shape != (d, d) for sub, d in zip(subs, dims)):
         raise ValueError("expected square blocks matching their rows")
-    dim = sum(map(len, rows))
-    if not np.array_equal(np.sort(np.concatenate(rows)), np.arange(dim)):
-        raise ValueError("block rows must cover 0 ... dim - 1 exactly once")
+    dim = sum(dims)
+    _check_cover(rows, coefs, dim)
     distinct = {id(sub): sub for sub in subs}
-    scale = max(1.0, max(float(np.max(np.abs(sub))) for sub in distinct.values()))
-    asym = max(float(np.max(np.abs(sub - sub.T))) for sub in distinct.values())
-    if asym > SYMMETRY_TOL * scale:
-        raise ValueError("matrix is not symmetric")
+    _check_symmetric(list(distinct.values()))
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         solved = {key: solve(sub) for key, sub in distinct.items()}
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"dense eigensolver failed: {err}") from err
     per_block = [solved[id(sub)] for sub in subs]
-    # a stable merge keeps each block's levels ascending, so the kept
-    # levels of a block are its lowest
     merged = np.concatenate([out[0] if vectors else out for out in per_block])
-    order = np.argsort(merged, kind="stable")[:levels]
+    order = np.argsort(merged, kind="stable")
+    ascending = merged[order]
+    tol = degeneracy_tolerance(float(ascending[-1] - ascending[0]))
+    multiplet = np.cumsum(np.concatenate(([False], ascending[1:] - ascending[:-1] > tol)))
+    # merged is block-major, so sorting a multiplet by position keeps block
+    # order, and each block's kept levels stay its lowest, ascending
+    order = order[np.lexsort((order, multiplet))][:levels]
     energies = merged[order]
     if not vectors:
         return EigenSolution(energies, np.empty((dim, 0)), np.empty(0))
-    owner = np.repeat(np.arange(len(subs)), list(map(len, rows)))[order]
-    vecs = np.zeros((dim, len(order)))
+    owner = np.repeat(np.arange(len(subs)), dims)[order]
+    vecs = np.empty((dim, len(order)))
     resid = np.empty(len(order))
-    for b, (idx, sub, (e_b, v_b)) in enumerate(zip(rows, subs, per_block)):
+    for b in np.unique(owner):
         cols = np.flatnonzero(owner == b)
-        if not len(cols):
-            continue
-        e_b, v_b = e_b[:len(cols)], _fix_phases(v_b[:, :len(cols)])
-        vecs[np.ix_(idx, cols)] = v_b
+        e_b, v_b = per_block[b][0][:len(cols)], per_block[b][1][:, :len(cols)]
+        # entry (t, i, c) of the lift is coefs[t, i] v_b[i, c], on row rows[t, i]
+        lifted = np.bincount((rows[b][:, :, None] * len(cols) + np.arange(len(cols))).ravel(),
+                             (coefs[b][:, :, None] * v_b).ravel(), dim * len(cols))
+        vecs[:, cols] = _fix_phases(lifted.reshape(dim, len(cols)))
         if apply is None:
-            resid[cols] = np.linalg.norm(sub @ v_b - v_b * e_b, axis=0)
+            resid[cols] = np.linalg.norm(subs[b] @ v_b - v_b * e_b, axis=0)
     if apply is not None:
         resid = np.linalg.norm(apply(vecs) - vecs * energies, axis=0)
     return EigenSolution(energies, vecs, resid)

@@ -15,7 +15,10 @@ field, Sz symmetry, sum-rule data), and each bond kind's site pairs once,
 in ``BOND_PAIRS``; the two together are the only description of a model.
 Model building, symmetry checks, the sweep space, the sum rules and the
 command line all read them.  ``HamiltonianAction`` scales the terms
-cached on the basis by each bond kind's couplings.
+cached on the basis by each bond kind's couplings.  ``sector_matrices``
+gives LAPACK the dense blocks of H on symmetry-adapted states: Sz or
+spin-flip parity sectors split by the lattice reflection and spin
+inversion, with the same cached terms projected into each block once.
 
 Every family is real symmetric in the sz product basis: sy sy only ever
 appears pairwise and contributes real matrix elements, so state vectors
@@ -29,7 +32,7 @@ flips change total Sz, so they only occur for families with cx != cy,
 which are solved in the full basis or its spin-flip parity sectors.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -187,23 +190,34 @@ def _z_field(fam: Family, params: dict) -> float:
     return fam.field(params) if fam.field else 0.0
 
 
-def _conserves_sz(model: ModelSpec) -> bool:
-    """Whether ``model`` conserves Sz: cx == cy on every bond kind.  This
-    is per model, not per family (xyz with jx == jy conserves it)."""
+def _model_terms(model: ModelSpec, lattice: LatticeSpec):
+    """``(amplitude, pairs, part)`` for every nonzero term of H on
+    ``lattice``, in operator-term order: per bond kind, its bonds' "zz",
+    "anti" and "aligned" parts (see ``_term``) scaled by cz/4, (cx + cy)/4
+    and (cx - cy)/4, then the z field as part "field" with ``pairs`` None."""
     fam = family_spec(model.family)
     params = model.as_dict()
-    return all(cx == cy for cx, cy, _ in (fam.couplings(params, kind)
-                                          for kind in fam.bond_kinds))
+    for kind in fam.bond_kinds:
+        pairs = tuple(BOND_PAIRS[kind](lattice))
+        cx, cy, cz = fam.couplings(params, kind)
+        for amp, part in ((0.25 * cz, "zz"), (0.25 * (cx + cy), "anti"),
+                          (0.25 * (cx - cy), "aligned")):
+            if amp != 0.0:
+                yield amp, pairs, part
+    h = _z_field(fam, params)
+    if h != 0.0:  # every field is along z
+        yield h, None, "field"
 
 
-def _term(basis: SectorBasis, pairs: tuple, part: str):
+def _term(basis: SectorBasis, pairs: tuple | None, part: str):
     """One coupling-free operator term of the bonds ``pairs`` on ``basis``.
 
     ``part`` is "zz" (diagonal: sum over bonds of +1 for an aligned pair,
-    -1 for an anti-aligned one), "anti" or "aligned" (CSR matrix summing
-    the double flips of anti-aligned or aligned pairs; duplicated bonds
-    give entries of 2).  Terms are cached on the basis, keyed by the bond
-    list, so every family and parameter value over one basis shares them.
+    -1 for an anti-aligned one), "field" (diagonal: sum_i s_i^z, for
+    ``pairs`` None), "anti" or "aligned" (CSR matrix summing the double
+    flips of anti-aligned or aligned pairs; duplicated bonds give entries
+    of 2).  Terms are cached on the basis, keyed by the bond list, so
+    every family and parameter value over one basis shares them.
     """
     key = (pairs, part)
     hit = basis._term_cache.get(key)
@@ -213,9 +227,12 @@ def _term(basis: SectorBasis, pairs: tuple, part: str):
         raise ValueError("a bond with cx != cy does not conserve Sz; "
                          "solve it in the full basis or a parity sector")
     dim = basis.dimension
-    if part == "zz":
+    if part in ("zz", "field"):
         term = np.zeros(dim)
-        for i, j in pairs:
+        if part == "field":
+            for site in range(basis.n_sites):
+                term += basis.site_bits(site) - 0.5
+        for i, j in pairs or ():
             aligned, _ = basis.pair_table(i, j)
             term += np.where(aligned, 1.0, -1.0)
         term.setflags(write=False)  # shared by every caller of the basis
@@ -230,16 +247,6 @@ def _term(basis: SectorBasis, pairs: tuple, part: str):
         term = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
     basis._term_cache[key] = term
     return term
-
-
-def _add_bonds(basis, pairs, couplings, diag, terms):
-    """Add bonds with couplings (cx, cy, cz) as a diagonal plus scaled terms."""
-    cx, cy, cz = couplings
-    if cz != 0.0:
-        diag += (0.25 * cz) * _term(basis, pairs, "zz")
-    for amp, part in ((0.25 * (cx + cy), "anti"), (0.25 * (cx - cy), "aligned")):
-        if amp != 0.0:
-            terms.append((amp, _term(basis, pairs, part)))
 
 
 def _apply(diag, terms, vec):
@@ -263,19 +270,18 @@ class HamiltonianAction:
         self.model = model
         self.basis = basis
         self.dim = basis.dimension
-        fam = family_spec(model.family)
-        _check_geometry(fam, basis.lattice)
-        params = model.as_dict()
+        _check_geometry(family_spec(model.family), basis.lattice)
 
         diag = np.zeros(basis.dimension)
         terms = []  # (amplitude, CSR term shared through the basis cache)
-        for kind in fam.bond_kinds:
-            pairs = tuple(BOND_PAIRS[kind](basis.lattice))
-            _add_bonds(basis, pairs, fam.couplings(params, kind), diag, terms)
-        h = _z_field(fam, params)
-        if h != 0.0:  # every field is along z
-            for site in range(basis.n_sites):
-                diag += h * (basis.site_bits(site) - 0.5)
+        for amp, pairs, part in _model_terms(model, basis.lattice):
+            if part == "field":
+                for site in range(basis.n_sites):
+                    diag += amp * (basis.site_bits(site) - 0.5)
+            elif part == "zz":
+                diag += amp * _term(basis, pairs, part)
+            else:
+                terms.append((amp, _term(basis, pairs, part)))
         self.diag = diag
         self.terms = terms
 
@@ -296,7 +302,8 @@ DENSE_CAP_DEFAULT = 4096
 
 def hamiltonian_dense(model: ModelSpec, basis: SectorBasis,
                       cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Dense real-symmetric matrix of H, for oracles and full-spectrum sums."""
+    """Dense real-symmetric matrix of H on the whole basis, the oracle the
+    symmetry blocks of ``sector_matrices`` are checked against."""
     if basis.dimension > cap:
         raise ResourceLimitError(
             f"dimension {basis.dimension} exceeds dense cap {cap}")
@@ -308,34 +315,208 @@ def hamiltonian_dense(model: ModelSpec, basis: SectorBasis,
     return mat
 
 
+def _reflection(lattice: LatticeSpec, bonds: tuple) -> np.ndarray | None:
+    """The lattice reflection as a site permutation (site i goes to
+    ``perm[i]``): i -> -i mod N on a chain; on a ladder, rung k -> -k mod
+    N/2 with the leg kept.  It counts as a symmetry only if it maps each
+    bond list of ``bonds`` onto itself as a multiset of unordered pairs;
+    None when it does not, or when it moves no site."""
+    site = np.arange(lattice.n_sites)
+    if lattice.geometry == "chain":
+        perm = -site % lattice.n_sites
+    else:
+        perm = 2 * (-(site // 2) % lattice.rungs) + site % 2
+    if np.array_equal(perm, site):
+        return None
+    for pairs in bonds:
+        image = [(int(perm[i]), int(perm[j])) for i, j in pairs]
+        if sorted(map(sorted, image)) != sorted(map(sorted, pairs)):
+            return None
+    return perm
+
+
+@dataclass(eq=False)
+class _Orbits:
+    """One symmetry-adapted block of a sector basis.  Block column a is
+    the state sum_t coefs[t, a] |rows[t, a]> over up to four basis rows
+    (one per group element; a repeated row carries coefficient 0)."""
+    rows: np.ndarray
+    coefs: np.ndarray
+    projected: dict = field(default_factory=dict)
+
+    def term(self, basis: SectorBasis, pairs: tuple | None, part: str):
+        """``_term(basis, pairs, part)`` restricted to this block, V^T T V
+        for the block's isometry V, as flat indices into the d x d block
+        and their values; built once, from T's entries."""
+        hit = self.projected.get((pairs, part))
+        if hit is None:
+            dim = self.rows.shape[1]
+            column = np.zeros(basis.dimension, dtype=np.int64)
+            coef = np.zeros(basis.dimension)  # 0 off the block
+            for rows, coefs in zip(self.rows, self.coefs):
+                column[rows] = np.arange(dim)
+                coef[rows] += coefs
+            term = _term(basis, pairs, part)
+            if isinstance(term, np.ndarray):  # diagonal
+                i = j = np.arange(basis.dimension)
+                entries = term
+            else:
+                i = np.repeat(np.arange(basis.dimension), np.diff(term.indptr))
+                j, entries = term.indices, term.data
+            entries = coef[i] * entries * coef[j]
+            keep = entries != 0.0
+            flat, where = np.unique(column[i[keep]] * dim + column[j[keep]],
+                                    return_inverse=True)
+            hit = self.projected[(pairs, part)] = (flat, np.bincount(where, entries[keep]))
+        return hit
+
+
+def _symmetry_blocks(basis: SectorBasis, bonds: tuple, invert: bool) -> list:
+    """The blocks of ``basis`` under the reflection (when ``bonds`` allow
+    it) and, with ``invert``, spin inversion, cached on the basis.
+
+    Every configuration c has an orbit {c, Rc, Fc, RFc}; the smallest
+    basis index of each orbit is its representative.  A block is one
+    character (r, f) = (+-1, +-1) of the group; its columns are the
+    representatives whose stabilizer the character keeps (Rc = c needs
+    r = 1, RFc = c needs rf = 1), in ascending order, and column a is
+    sum_g chi(g) |g c> / sqrt(orbit size), coefficients +-1, +-1/sqrt(2)
+    or +-1/2.  Blocks come in the order (r, f) = (1, 1), (1, -1), (-1, 1),
+    (-1, -1), without the ones that are empty; with neither symmetry the
+    one block is the basis itself.
+    """
+    key = ("blocks", bonds, invert)
+    hit = basis._term_cache.get(key)
+    if hit is not None:
+        return hit
+    configs, dim = basis.configs, basis.dimension
+    perm = _reflection(basis.lattice, bonds)
+    images, elements = [configs], [(0, 0)]  # group elements as powers of (R, F)
+    if perm is not None:
+        images.append(sum(((configs >> i) & 1) << int(p) for i, p in enumerate(perm)))
+        elements.append((1, 0))
+    if invert:
+        images += [img ^ ((1 << basis.n_sites) - 1) for img in images]
+        elements += [(a, 1) for a, _ in elements]
+    images = np.array(images)
+    index = np.searchsorted(configs, images)
+    if np.any(np.take(configs, index, mode="clip") != images):
+        raise ValueError("the reflection or spin inversion would leave the sector")
+    orbit = index[:, index.min(axis=0) == np.arange(dim)]  # representatives' orbits
+    first = np.array([np.all(orbit[:t] != orbit[t], axis=0) for t in range(len(orbit))])
+    norm = np.sqrt(first.sum(axis=0))
+    fixes = orbit == orbit[0]  # which elements fix each representative
+    blocks = []
+    for r in (1, -1) if perm is not None else (1,):
+        for f in (1, -1) if invert else (1,):
+            chi = np.array([r ** a * f ** b for a, b in elements])
+            cols = np.all(fixes <= (chi == 1)[:, None], axis=0)
+            if cols.any():
+                coefs = np.where(first[:, cols], chi[:, None], 0) / norm[cols]
+                blocks.append(_Orbits(orbit[:, cols], coefs))
+    basis._term_cache[key] = blocks
+    return blocks
+
+
+@dataclass(frozen=True)
+class _Layout:
+    """Every symmetry block of one basis for one list of operator terms:
+    with values[index] = amplitudes @ weights in a zeroed buffer of
+    ``size``, matrix m is values[start:start + d * d] as d x d, for
+    (start, d) = spans[m]; ``blocks`` holds (rows, coefs, m) in order."""
+    index: np.ndarray
+    weights: np.ndarray  # (terms, len(index)): each term's block entries
+    size: int
+    spans: tuple
+    blocks: tuple
+    largest_sector: int
+
+
+def _layout(basis: SectorBasis, bonds: tuple, keys: tuple, cap: int) -> _Layout:
+    """The ``_Layout`` of ``basis`` for the terms ``keys`` ((pairs, part)
+    each) of a model on the bonds ``bonds``, cached on the basis; a sector
+    larger than ``cap`` raises ResourceLimitError before it is projected."""
+    cache_key = ("layout", bonds, keys)
+    hit = basis._term_cache.get(cache_key)
+    if hit is not None:
+        return hit
+    lattice, n = basis.lattice, basis.n_sites
+    parts = {part for _, part in keys}
+    no_field, conserves_sz = "field" not in parts, "aligned" not in parts
+    if not basis.is_full:
+        sectors = [basis]
+    elif conserves_sz:
+        sectors = [enumerate_sector(lattice, 2 * up - n) for up in range(n + 1)]
+    else:
+        sectors = [enumerate_sector(lattice, None, popcount_parity=p) for p in (0, 1)]
+    mirrored = no_field and basis.is_full and conserves_sz
+    flats, values = [[] for _ in keys], [[] for _ in keys]
+    spans, size, per_sector = [], 0, [None] * len(sectors)
+    for s in reversed(range(len(sectors))):  # Sz >= 0 first, so every mirror has its source
+        sector = sectors[s]
+        if mirrored and 2 * s < n:
+            per_sector[s] = [(rows ^ ((1 << n) - 1), coefs, m)
+                             for rows, coefs, m in per_sector[n - s]]
+            continue
+        if sector.dimension > cap:
+            raise ResourceLimitError(f"dimension {sector.dimension} exceeds dense cap {cap}")
+        invert = no_field and (sector.sz_twice == 0 or
+                               (sector.popcount_parity is not None and n % 2 == 0))
+        per_sector[s] = []
+        for orb in _symmetry_blocks(sector, bonds, invert):
+            for t, (pairs, part) in enumerate(keys):
+                flat, vals = orb.term(sector, pairs, part)
+                flats[t].append(flat + size)
+                values[t].append(vals)
+            rows = sector.configs[orb.rows] if basis.is_full else orb.rows
+            per_sector[s].append((rows, orb.coefs, len(spans)))
+            spans.append((size, orb.rows.shape[1]))
+            size += orb.rows.shape[1] ** 2
+    flats = [np.concatenate(f) for f in flats]
+    index = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *flats]))
+    weights = np.zeros((len(keys), len(index)))
+    for t, (flat, vals) in enumerate(zip(flats, values)):
+        weights[t, np.searchsorted(index, flat)] = np.concatenate(vals)
+    layout = _Layout(index, weights, size, tuple(spans),
+                     tuple(b for blocks in per_sector for b in blocks),
+                     max(sector.dimension for sector in sectors))
+    basis._term_cache[cache_key] = layout
+    return layout
+
+
 def sector_matrices(model: ModelSpec, basis: SectorBasis,
                     cap: int = DENSE_CAP_DEFAULT) -> list:
-    """``(rows, dense H)`` per symmetry sector of ``basis``, for
-    ``dense_spectrum``: the full basis splits into Sz sectors when the
-    model conserves Sz, else into the two parity sectors, by ascending
-    popcount (mod 2), and a sector's configurations are its rows there.
-    Spin-flip parity prod_i(2 s_i^z) commutes with every bond (double
-    flips) and with z fields, so every model conserves it.
+    """``(rows, coefs, dense H)`` per symmetry block of ``basis``, for
+    ``dense_spectrum``: block column a is the state sum_t coefs[t, a]
+    |rows[t, a]> of the basis.
+
+    The full basis splits into Sz sectors (ascending) when the model
+    conserves Sz, else into the two spin-flip parity sectors (popcount
+    mod 2, even first); spin-flip parity prod_i(2 s_i^z) commutes with
+    every bond (double flips) and with z fields, so every model conserves
+    it.  A sector basis is its own one sector.  Each sector splits further
+    by the lattice reflection, when it maps every bond list of
+    ``BOND_PAIRS`` onto itself, and by spin inversion on a sector that
+    inversion maps to itself (Sz = 0, or a parity sector at even N) when
+    the model has no z field (``_symmetry_blocks``).  The orbit tables and
+    the terms projected into each block are cached on the sector bases,
+    and their assembly (``_Layout``) on ``basis``, so a new parameter
+    value costs one product and one scatter for all blocks together.
 
     Without a z field, spin inversion maps Sz = -m onto Sz = +m and
-    reverses the ascending order of the configurations, so H(-m) is
-    H(+m) with rows and columns reversed, exactly.  The -m entry is then
-    the +m matrix object itself, paired with the -m configurations in
-    descending order; only the Sz >= 0 matrices are built, and a solver
-    can recognize a repeated block by identity.
+    commutes with H and the reflection, so each -m block is a +m block
+    with its rows inverted and the very same matrix object; only the
+    Sz >= 0 blocks are built, and a solver can recognize a repeated block
+    by identity.  A sector larger than ``cap`` raises ResourceLimitError.
     """
-    if not basis.is_full:
-        return [(np.arange(basis.dimension), hamiltonian_dense(model, basis, cap))]
-    n = basis.n_sites
-    if not _conserves_sz(model):
-        sectors = [enumerate_sector(basis.lattice, None, popcount_parity=p) for p in (0, 1)]
-        return [(sector.configs, hamiltonian_dense(model, sector, cap)) for sector in sectors]
-    mirrored = _z_field(family_spec(model.family), model.as_dict()) == 0.0
-    blocks = [None] * (n + 1)  # by number of up spins
-    for up in range(n, -1, -1):  # Sz >= 0 first, so every mirror has its source
-        sector = enumerate_sector(basis.lattice, 2 * up - n)
-        if mirrored and 2 * up < n:
-            blocks[up] = (sector.configs[::-1], blocks[n - up][1])
-        else:
-            blocks[up] = (sector.configs, hamiltonian_dense(model, sector, cap))
-    return blocks
+    fam = family_spec(model.family)
+    _check_geometry(fam, basis.lattice)
+    bonds = tuple(tuple(BOND_PAIRS[kind](basis.lattice)) for kind in fam.bond_kinds)
+    terms = list(_model_terms(model, basis.lattice))
+    layout = _layout(basis, bonds, tuple((pairs, part) for _, pairs, part in terms), cap)
+    if layout.largest_sector > cap:
+        raise ResourceLimitError(f"dimension {layout.largest_sector} exceeds dense cap {cap}")
+    values = np.zeros(layout.size)
+    values[layout.index] = np.array([amp for amp, _, _ in terms]) @ layout.weights
+    mats = [values[start:start + d * d].reshape(d, d) for start, d in layout.spans]
+    return [(rows, coefs, mats[m]) for rows, coefs, m in layout.blocks]

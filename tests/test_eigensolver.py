@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from spinqpt.lattice import SectorBasis, chain, enumerate_sector
-from spinqpt.models import (HamiltonianAction, family_spec,
+from spinqpt import models
+from spinqpt.lattice import SectorBasis, chain, enumerate_sector, ladder, popcount
+from spinqpt.models import (HamiltonianAction, _reflection, family_spec,
                             general_xyz, hamiltonian_dense, j1j2, ladder_model,
                             sector_matrices, transverse_ising, xxz)
-from spinqpt.eigensolver import dense_spectrum, lanczos_lowest_k, ConvergenceError
+from spinqpt.eigensolver import (dense_spectrum, degeneracy_tolerance, lanczos_lowest_k,
+                                 ConvergenceError)
 from spinqpt.observables import parity, sz_twice_label
 
 
@@ -56,17 +58,29 @@ def test_energies_only_match_full_eigh():
         assert np.allclose(lowest.residuals, full.residuals[:6], atol=1e-13)
 
 
+def _in_one_block(blocks, vec):
+    """Index of the one block whose columns span ``vec``; fails otherwise."""
+    weights = []
+    for rows, coefs, _ in blocks:
+        # the overlap of vec with each block column, as in dense_spectrum's lift
+        overlap = sum(coef * vec[idx] for idx, coef in zip(rows, coefs))
+        weights.append(float(overlap @ overlap))
+    weights = np.array(weights)
+    owner = int(np.argmax(weights))
+    assert abs(weights[owner] - 1.0) <= 1e-12
+    assert np.sum(np.delete(weights, owner)) <= 1e-12
+    return owner
+
+
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("model", [xxz(-0.7), j1j2(1.0, 0.3), transverse_ising(0.8),
                                    ladder_model(0.6), general_xyz(0.8, 1.2, 0.9, 0.3)],
                          ids=lambda m: m.family)
 def test_block_solve_matches_full_space(model, n):
-    # the blocks are the Sz or parity sectors, each built on its own basis
+    # the blocks are the Sz or parity sectors split by the lattice
+    # reflection and, at zero field, spin inversion, built from cached terms
     basis = enumerate_sector(family_spec(model.family).lattice(n), None)
     blocks = sector_matrices(model, basis)
-    owner = np.empty(basis.dimension, dtype=int)
-    for b, (rows, _) in enumerate(blocks):
-        owner[rows] = b
     ref = dense_spectrum(hamiltonian_dense(model, basis))
     full = dense_spectrum(blocks)
     assert np.max(np.abs(full.energies - ref.energies)) <= 1e-12
@@ -78,10 +92,12 @@ def test_block_solve_matches_full_space(model, n):
         sol = dense_spectrum(blocks, levels=levels, vectors=False)
         assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
     sz_conserved = family_spec(model.family).sz_conserved
-    assert len(blocks) == (n + 1 if sz_conserved else 2)
+    assert sum(len(mat) for _, _, mat in blocks) == basis.dimension
+    assert len(blocks) > (n + 1 if sz_conserved else 2)  # every sector splits
+    owners = [_in_one_block(blocks, full.vectors[:, c]) for c in range(full.k)]
+    assert np.array_equal(np.bincount(owners), [len(mat) for _, _, mat in blocks])
     for c in range(full.k):
         vec = full.vectors[:, c]
-        assert len(set(owner[np.flatnonzero(vec)])) == 1
         if sz_conserved:
             assert sz_twice_label(basis, vec) is not None
         else:
@@ -92,17 +108,114 @@ def test_block_solve_rejects_blocks_the_matrix_leaves():
     # a sector basis H leaves raises while its terms are built
     with pytest.raises(ValueError, match="does not conserve Sz"):
         hamiltonian_dense(transverse_ising(1.0), enumerate_sector(chain(6), 0))
+    with pytest.raises(ValueError, match="does not conserve Sz"):
+        sector_matrices(transverse_ising(1.0), enumerate_sector(chain(6), 0))
     # an Sz = 0 basis of four sites missing 0b1001, which a flip of sites
-    # (0, 1) reaches from 0b1010
+    # (0, 1) reaches from 0b1010, and the reflection from 0b0011
     partial = SectorBasis(chain(4), 0, np.array([0b0011, 0b0101, 0b0110, 0b1010, 0b1100]))
     with pytest.raises(ValueError, match="leave the sector"):
         hamiltonian_dense(xxz(1.0), partial)
+    with pytest.raises(ValueError, match="leave the sector"):
+        sector_matrices(xxz(1.0), partial)
     odd = SectorBasis(chain(4), None, np.array([0b0001, 0b0010, 0b0100, 0b1000]),
                       popcount_parity=1)
     with pytest.raises(ValueError, match="leave the sector"):
         hamiltonian_dense(transverse_ising(1.0), odd)
+    # a sector basis is one sector: Sz = 0 splits by reflection and
+    # inversion, with rows indexing the basis itself
     sector = enumerate_sector(chain(6), 0)
-    assert len(sector_matrices(xxz(1.0), sector)) == 1
+    blocks = sector_matrices(xxz(1.0), sector)
+    assert [len(mat) for _, _, mat in blocks] == [6, 6, 4, 4]
+    assert all(rows.shape[0] == 4 for rows, _, _ in blocks)
+    covered = np.concatenate([rows[coefs != 0] for rows, coefs, _ in blocks])
+    assert np.array_equal(np.unique(covered), np.arange(sector.dimension))
+
+
+# --- symmetry-adapted blocks -------------------------------------------------
+
+def _reflected(lattice, vecs):
+    """Full-space columns under the lattice reflection: i -> -i mod N on a
+    chain, rung k -> -k mod N/2 with the leg kept on a ladder."""
+    n, site = lattice.n_sites, np.arange(lattice.n_sites)
+    perm = -site % n if lattice.geometry == "chain" else 2 * (-(site // 2) % (n // 2)) + site % 2
+    configs = np.arange(2 ** n)
+    out = np.empty_like(vecs)
+    out[sum(((configs >> i) & 1) << int(p) for i, p in enumerate(perm))] = vecs
+    return out
+
+
+@pytest.mark.parametrize("model, n", [
+    (model, n) for model in (xxz(-0.7), j1j2(1.0, 0.3), transverse_ising(0.8),
+                             ladder_model(0.6), general_xyz(0.8, 1.2, 0.9),
+                             general_xyz(0.8, 1.2, 0.9, 0.3), general_xyz(0.8, 0.8, 1.3))
+    for n in (6, 7, 8) if not (model.family == "ladder" and n % 2)],
+    ids=lambda v: getattr(v, "family", v))
+def test_symmetry_blocks_resolve_the_full_space(model, n):
+    lattice = family_spec(model.family).lattice(n)
+    full = enumerate_sector(lattice, None)
+    params = model.as_dict()
+    sz_conserved = model.family != "ising" and params.get("jx") == params.get("jy")
+    no_field = model.family != "ising" and params.get("h", 0.0) == 0.0
+    sol = dense_spectrum(sector_matrices(model, full), apply=HamiltonianAction(model, full))
+    exact = np.linalg.eigvalsh(hamiltonian_dense(model, full))
+    assert np.max(np.abs(np.sort(sol.energies) - exact)) <= 1e-12
+    vecs = sol.vectors
+    assert np.max(np.abs(vecs.T @ vecs - np.eye(full.dimension))) <= 1e-12
+    assert np.max(sol.residuals) <= 1e-12
+    up = popcount(full.configs)
+    reflected = _reflected(lattice, vecs)
+    inverted = vecs[::-1]  # flipping every spin of c gives 2**n - 1 - c
+    for c in range(full.dimension):
+        vec = vecs[:, c]
+        sectors = set(up[vec != 0] if sz_conserved else up[vec != 0] % 2)
+        assert len(sectors) == 1
+        mirror = reflected[:, c] @ vec
+        assert abs(abs(mirror) - 1.0) <= 1e-12
+        assert np.max(np.abs(reflected[:, c] - mirror * vec)) <= 1e-12
+        # spin inversion splits Sz = 0 and, at even N, the parity sectors
+        if no_field and (2 * sectors.pop() == n if sz_conserved else n % 2 == 0):
+            flip = inverted[:, c] @ vec
+            assert abs(abs(flip) - 1.0) <= 1e-12
+            assert np.max(np.abs(inverted[:, c] - flip * vec)) <= 1e-12
+
+
+def test_reflection_counts_only_where_it_maps_every_bond_list_onto_itself(monkeypatch):
+    ring = tuple((i, (i + 1) % 5) for i in range(5))
+    open_chain = tuple((i, i + 1) for i in range(4))  # i -> -i sends (0, 1) to (0, 4)
+    assert np.array_equal(_reflection(chain(5), (ring,)), [0, 4, 3, 2, 1])
+    assert _reflection(chain(5), (open_chain,)) is None
+    assert _reflection(chain(5), (ring, open_chain)) is None
+    lat = ladder(8)
+    bonds = tuple(tuple(models.BOND_PAIRS[kind](lat)) for kind in ("leg", "rung"))
+    assert np.array_equal(_reflection(lat, bonds), [0, 1, 6, 7, 4, 5, 2, 3])
+    # with open-chain bonds the blocks split by spin inversion alone
+    monkeypatch.setitem(models.BOND_PAIRS, "nn",
+                        lambda lat: [(i, i + 1) for i in range(lat.n_sites - 1)])
+    full = enumerate_sector(chain(6), None)
+    blocks = sector_matrices(xxz(0.5), full)
+    assert [(len(rows), len(mat)) for rows, _, mat in blocks] == [
+        (1, 1), (1, 6), (1, 15), (2, 10), (2, 10), (1, 15), (1, 6), (1, 1)]
+    exact = np.linalg.eigvalsh(hamiltonian_dense(xxz(0.5), full))
+    assert np.max(np.abs(dense_spectrum(blocks, vectors=False).energies - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("delta", [-0.5, 0.5, 1.0, 2.0])
+def test_multiplet_members_come_out_in_sz_order(delta):
+    # levels within the degeneracy tolerance of each other keep block order
+    # (Sz ascending), not the order of their last bits
+    basis = enumerate_sector(chain(8), None)
+    sol = dense_spectrum(sector_matrices(xxz(delta), basis))
+    sz = np.array([sz_twice_label(basis, vec) for vec in sol.vectors.T])
+    ascending = np.sort(sol.energies)
+    tol = degeneracy_tolerance(ascending[-1] - ascending[0])
+    multiplet = np.cumsum(np.diff(ascending, prepend=ascending[0]) > tol)
+    member_of = multiplet[np.searchsorted(ascending, sol.energies - tol)]
+    assert np.all(np.diff(member_of) >= 0)
+    for m in np.unique(member_of):
+        assert np.all(np.diff(sz[member_of == m]) >= 0)
+    if delta == 1.0:  # the lowest triplet, one member per Sz
+        assert np.array_equal(sz[1:4], [-2, 0, 2])
+        assert np.ptp(sol.energies[1:4]) <= 1e-12
 
 
 def test_dense_reconstruction():
@@ -295,12 +408,15 @@ def _lapack_calls(monkeypatch):
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("vectors", [True, False])
 def test_mirrored_sectors_cost_one_lapack_call_each(monkeypatch, n, vectors):
+    # one call per distinct block: the Sz >= 0 sectors split by the
+    # reflection, and Sz = 0 by spin inversion too; the -m blocks are free
+    dims = {6: [1, 2, 4, 4, 4, 6, 6, 6, 9], 8: [1, 3, 5, 12, 16, 16, 16, 19, 19, 25, 31]}[n]
     blocks = sector_matrices(xxz(0.6), enumerate_sector(chain(n), None))
     calls = _lapack_calls(monkeypatch)
     dense_spectrum(blocks, levels=3, vectors=vectors)
-    assert len(calls) == n // 2 + 1
-    assert sorted(dim for _, dim in calls) == sorted(
-        enumerate_sector(chain(n), 2 * up - n).dimension for up in range(n // 2, n + 1))
+    assert len(calls) == len({id(mat) for _, _, mat in blocks}) == len(dims)
+    assert all(name == ("eigh" if vectors else "eigvalsh") for name, _ in calls)
+    assert sorted(dim for _, dim in calls) == dims
 
 
 def test_mirrored_levels_are_equal_and_minus_m_comes_first():

@@ -28,14 +28,31 @@ def test_ising_requires_positive_coupling():
 
 # --- symmetries -------------------------------------------------------------
 
+def _block_sector(rows, coefs, sz_conserved):
+    """The number of up spins (or its parity) that every row of a block
+    shares; fails when the block mixes sectors."""
+    counts = set(popcount(rows[coefs != 0]).tolist())
+    labels = counts if sz_conserved else {c % 2 for c in counts}
+    assert len(labels) == 1
+    return labels.pop()
+
+
 def test_conserved_quantities():
     # the full space splits into N + 1 Sz sectors when the model conserves
-    # Sz (per model: xyz with jx == jy does), else into two parity sectors
+    # Sz (per model: xyz with jx == jy does), else into two parity sectors,
+    # and each sector further by the reflection (sites 1 <-> 3 at N = 4)
+    # and, with no z field, spin inversion where it maps a sector to itself
     full = enumerate_sector(chain(4), None)
-    assert len(sector_matrices(xxz(0.3), full)) == 5
-    assert len(sector_matrices(general_xyz(1.0, 1.0, 0.5), full)) == 5
-    assert len(sector_matrices(transverse_ising(1.0), full)) == 2
-    assert len(sector_matrices(general_xyz(1.0, 0.5, 0.5), full)) == 2
+    for model, sz_conserved, dims in (
+            (xxz(0.3), True, [1, 3, 1, 2, 2, 1, 1, 3, 1, 1]),
+            (general_xyz(1.0, 1.0, 0.5), True, [1, 3, 1, 2, 2, 1, 1, 3, 1, 1]),
+            (transverse_ising(1.0), False, [6, 2, 6, 2]),
+            (general_xyz(1.0, 0.5, 0.5), False, [3, 3, 1, 1, 3, 3, 1, 1])):
+        blocks = sector_matrices(model, full)
+        assert [len(mat) for _, _, mat in blocks] == dims
+        sectors = [_block_sector(rows, coefs, sz_conserved) for rows, coefs, _ in blocks]
+        assert sectors == sorted(sectors)
+        assert set(sectors) == (set(range(5)) if sz_conserved else {0, 1})
 
 
 def test_sector_basis_rejected_for_ising():
@@ -159,6 +176,14 @@ def test_xxz_trace_zero():
 def test_dense_cap_enforced():
     with pytest.raises(ResourceLimitError):
         hamiltonian_dense(xxz(1.0), enumerate_sector(chain(8), None), cap=100)
+    # blocks are capped by their largest sector (Sz = 0, dim 70), before
+    # and after the blocks are cached on the basis
+    full = enumerate_sector(chain(8), None)
+    with pytest.raises(ResourceLimitError):
+        sector_matrices(xxz(0.9), full, cap=69)
+    assert sum(len(mat) for _, _, mat in sector_matrices(xxz(0.9), full, cap=70)) == 256
+    with pytest.raises(ResourceLimitError):
+        sector_matrices(xxz(0.9), full, cap=69)
 
 
 def test_sector_preserved_by_conserving_families():
@@ -267,33 +292,67 @@ def test_actions_on_one_basis_share_cached_terms():
 
 # --- mirrored Sz sectors ------------------------------------------------------
 
+def _isometry(rows, coefs, dim):
+    """The block's columns as dense vectors of the whole space (tests only)."""
+    iso = np.zeros((dim, rows.shape[1]))
+    for idx, coef in zip(rows, coefs):
+        iso[idx, np.arange(rows.shape[1])] += coef
+    return iso
+
+
 @pytest.mark.parametrize("model, n", [
     (model, n) for model in (xxz(-0.7), j1j2(1.0, 0.3), ladder_model(0.6),
                              general_xyz(0.8, 0.8, 1.3))
     for n in (6, 7, 8) if not (model.family == "ladder" and n % 2)],
     ids=lambda v: getattr(v, "family", v))
 def test_zero_field_sz_sectors_share_their_mirror(model, n):
-    # spin inversion maps Sz = -m onto +m and reverses the ascending
-    # configuration order, so H(-m) is H(+m) reversed, bit for bit
+    # spin inversion maps Sz = -m onto +m and commutes with H and the
+    # reflection, so each -m block is the +m block object itself, paired
+    # with the inverted orbit table
     lattice = ladder(n) if model.family == "ladder" else chain(n)
-    blocks = sector_matrices(model, enumerate_sector(lattice, None))
-    assert len(blocks) == n + 1
-    assert len({id(mat) for _, mat in blocks}) == n // 2 + 1
-    for up, (rows, mat) in enumerate(blocks):
-        sector = enumerate_sector(lattice, 2 * up - n)
-        if 2 * up < n:
-            assert mat is blocks[n - up][1]
-            assert np.array_equal(rows, sector.configs[::-1])
-            assert np.array_equal(mat, hamiltonian_dense(model, sector)[::-1, ::-1])
-        else:
-            assert np.array_equal(rows, sector.configs)
+    full = enumerate_sector(lattice, None)
+    blocks = sector_matrices(model, full)
+    by_up = {}
+    for block in blocks:
+        by_up.setdefault(_block_sector(block[0], block[1], True), []).append(block)
+    assert sorted(by_up) == list(range(n + 1))
+    assert len({id(mat) for _, _, mat in blocks}) == sum(
+        len(by_up[up]) for up in by_up if 2 * up >= n)
+    for up in range(n + 1):
+        if 2 * up >= n:
+            continue
+        assert len(by_up[up]) == len(by_up[n - up])
+        for (rows, coefs, mat), (src_rows, src_coefs, src_mat) in zip(by_up[up], by_up[n - up]):
+            assert mat is src_mat
+            assert np.array_equal(rows, src_rows ^ ((1 << n) - 1))
+            assert np.array_equal(coefs, src_coefs)
+    # every block, shared or not, is H restricted to its columns
+    dense = hamiltonian_dense(model, full)
+    for rows, coefs, mat in blocks:
+        iso = _isometry(rows, coefs, full.dimension)
+        assert np.max(np.abs(iso.T @ dense @ iso - mat)) <= 1e-13
 
 
 def test_a_z_field_shares_no_sector_matrix():
     model = general_xyz(0.8, 0.8, 1.3, 0.3)
-    blocks = sector_matrices(model, enumerate_sector(chain(6), None))
-    assert len({id(mat) for _, mat in blocks}) == 7
-    for up, (rows, mat) in enumerate(blocks):
-        assert np.array_equal(rows, enumerate_sector(chain(6), 2 * up - 6).configs)
-    # the field splits the mirror images: H(-1) is not H(+1) reversed
-    assert not np.array_equal(blocks[2][1], blocks[4][1][::-1, ::-1])
+    full = enumerate_sector(chain(6), None)
+    blocks = sector_matrices(model, full)
+    assert len({id(mat) for _, _, mat in blocks}) == len(blocks)
+    # no spin inversion anywhere: the orbit tables hold the reflection's
+    # two rows, and Sz = 0 splits in two, not four
+    assert all(len(rows) == 2 for rows, _, _ in blocks)
+    by_up = {}
+    for rows, coefs, mat in blocks:
+        by_up.setdefault(_block_sector(rows, coefs, True), []).append((rows, coefs, mat))
+    assert [len(by_up[up]) for up in range(7)] == [1, 2, 2, 2, 2, 2, 1]
+    for up, sector_blocks in by_up.items():
+        covered = np.concatenate([rows[coefs != 0] for rows, coefs, _ in sector_blocks])
+        assert np.array_equal(np.unique(covered),
+                              enumerate_sector(chain(6), 2 * up - 6).configs)
+    # the field splits the mirror images: the Sz = -1 blocks are not the +1 ones
+    for (_, _, minus), (_, _, plus) in zip(by_up[2], by_up[4]):
+        assert minus.shape == plus.shape and not np.array_equal(minus, plus)
+    dense = hamiltonian_dense(model, full)
+    for rows, coefs, mat in blocks:
+        iso = _isometry(rows, coefs, full.dimension)
+        assert np.max(np.abs(iso.T @ dense @ iso - mat)) <= 1e-13

@@ -40,6 +40,8 @@ COMMANDS = (
     "spectrum --model ladder --j-rung 0.8 --sites 12 --levels 4",
     "spectrum --model xyz --jx 0.9 --jy 1.1 --jz 0.8 --hz 0.2 --sites 12 --sector full",
     "spectrum --model xxz --delta -1 --sites 12 --sector full --levels 14",
+    # parity sectors split by the reflection and spin inversion
+    "spectrum --model xyz --jx 0.8 --jy 1.2 --jz 0.9 --sites 8 --levels 6",
     # sweep: CSV and JSON, dense full space and Lanczos Sz = 0
     "sweep --model j1j2 --j1 1 --sweep j2:0:1:0.01 --sites 8 --levels 5 --format csv",
     "sweep --model ladder --j-leg 1 --sweep j_rung:-1:1:0.05 --sites 8 --levels 6 "
@@ -48,6 +50,8 @@ COMMANDS = (
     "sweep --model xyz --jy 0.6 --sweep jz:0:2:0.1 --sites 6 --levels 3",
     "sweep --model xyz --sweep h:0:1:0.1 --sites 6 --levels 3 --pairs nn,0-2",
     "sweep --model xxz --sweep delta:0.5:1.5:0.25 --sites 8 --levels 3 --space sz0",
+    # odd N: Sz sectors split by the reflection alone
+    "sweep --model xxz --sweep delta:0:1:0.1 --sites 7 --levels 4",
     "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.7:0.05 --sites 16 --levels 3 --format csv",
     # --dense-cutoff picks only the solver: this sweep solves Sz = 0 as without it
     "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.4:0.1 --sites 10 --levels 3 --dense-cutoff 1024",
@@ -61,6 +65,7 @@ COMMANDS = (
     # sumrule
     "sumrule --model xxz --delta 0.6 --sites 8 --operator all",
     "sumrule --model ising --lambda 1 --sites 8 --operator all",
+    "sumrule --model ising --lambda 0.8 --sites 10 --operator all",  # the largest dense solve
     # scaling: dense, Sz = 0 Lanczos, full-space Lanczos
     "scaling --model xxz --sweep delta:-2:0:0.05 --sizes 6,8 --kind max --order 3",
     "scaling --model ising --sweep lambda:0.2:2:0.05 --sizes 6,8,10,12 --order 1",
