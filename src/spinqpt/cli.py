@@ -329,15 +329,15 @@ def cmd_spectrum(settings) -> dict:
     fam = family_spec(_require(settings, "model"))
     lattice = fam.lattice(_require(settings, "sites"))
     model = build_model(fam.name, _model_params(settings, fam))
-    sector = str(settings.get("sector", "auto"))
-    named = {"auto": None, "full": None, "sz0": 0}
+    sector = str(settings.get("sector", "full"))
+    named = {"full": None, "sz0": 0}
     if sector in named:
         sz_twice = named[sector]
     else:
         try:
             sz_twice = int(sector)
         except ValueError:
-            raise ConfigError("--sector must be full, sz0, auto, or an integer 2*Sz")
+            raise ConfigError("--sector must be full, sz0, or an integer 2*Sz")
     basis = enumerate_sector(lattice, sz_twice)
     sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
     labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]

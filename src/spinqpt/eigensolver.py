@@ -74,7 +74,7 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _check_cover(rows: list, coefs: list, dim: int) -> None:
+def _check_cover(rows, coefs, dim: int) -> None:
     """Raise unless the block columns cover rows 0 ... dim - 1 exactly once:
     each row's squared coefficients add up to 1."""
     flat = np.concatenate(rows, axis=None)
@@ -97,13 +97,11 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
     matrix.
 
-    ``matrix`` is one matrix, or the invariant blocks of one as a list of
-    ``(rows, block)`` or ``(rows, coefs, block)`` entries
-    (``models.sector_matrices``).  Column a of a d x d block stands for
-    the unit vector sum_t coefs[t, a] e_{rows[t, a]} of the whole, with
-    ``rows`` and ``coefs`` of shape (d,) or (r, d) and ``coefs`` 1 when
-    left out, so ``(rows, block)`` means row i of the block is row
-    ``rows[i]`` of the whole.  The block columns must cover the whole
+    ``matrix`` is one ndarray, or the invariant blocks of one as a list
+    of ``(rows, coefs, block)`` triples (``models.sector_matrices``).
+    Column a of a d x d block stands for the unit vector
+    sum_t coefs[t, a] e_{rows[t, a]} of the whole, with ``rows`` and
+    ``coefs`` of shape (r, d).  The block columns must cover the whole
     exactly once: the block dims add up to dim, and each row's squared
     coefficients add up to 1.  LAPACK runs once per distinct block
     object, so a block listed twice (a mirrored Sz sector) is solved once,
@@ -124,15 +122,8 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
     residuals.  A LAPACK failure raises ConvergenceError.
     """
     if isinstance(matrix, np.ndarray):
-        matrix = [(np.arange(len(matrix)), matrix)]
-    rows, coefs, subs = [], [], []
-    for idx, *coef, sub in matrix:
-        idx = np.asarray(idx)
-        idx = idx if idx.ndim == 2 else idx[None]
-        rows.append(idx)
-        coefs.append(np.asarray(coef[0], dtype=float).reshape(idx.shape) if coef
-                     else np.ones(idx.shape))
-        subs.append(np.asarray(sub, dtype=float))
+        matrix = [(np.arange(len(matrix))[None], np.ones((1, len(matrix))), matrix)]
+    rows, coefs, subs = zip(*matrix)
     dims = [idx.shape[1] for idx in rows]
     if any(sub.shape != (d, d) for sub, d in zip(subs, dims)):
         raise ValueError("expected square blocks matching their rows")

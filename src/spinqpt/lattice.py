@@ -55,7 +55,10 @@ class SectorBasis:
     increasing, which makes ``index_of`` a binary search and enumeration
     order reproducible by construction.  Bases come from
     ``enumerate_sector``, which hands every caller the same read-only
-    instance per (lattice, sector).
+    instance per (lattice, sector).  Everything built from a basis alone
+    is kept on it through ``cached``: the operator terms and the dense
+    block layouts of ``spinqpt.models``, the flip table and label arrays
+    of ``spinqpt.observables``.
     """
 
     lattice: LatticeSpec
@@ -63,9 +66,19 @@ class SectorBasis:
     configs: np.ndarray
     popcount_parity: int | None = None
 
-    # operator terms and label arrays built once per basis; filled by
-    # spinqpt.models and spinqpt.observables
-    _term_cache: dict = field(default_factory=dict, repr=False)
+    _cache: dict = field(default_factory=dict, repr=False)
+
+    def cached(self, key, build):
+        """``build()``, run once per ``key`` and kept on the basis.  An
+        ndarray result, or each ndarray of a tuple result, is made
+        read-only, since every caller of the basis shares it."""
+        if key not in self._cache:
+            value = build()
+            for arr in value if isinstance(value, tuple) else (value,):
+                if isinstance(arr, np.ndarray):
+                    arr.setflags(write=False)
+            self._cache[key] = value
+        return self._cache[key]
 
     @property
     def dimension(self) -> int:

@@ -18,7 +18,9 @@ command line all read them.  ``HamiltonianAction`` scales the terms
 cached on the basis by each bond kind's couplings.  ``sector_matrices``
 gives LAPACK the dense blocks of H on symmetry-adapted states: Sz or
 spin-flip parity sectors split by the lattice reflection and spin
-inversion, with the same cached terms projected into each block once.
+inversion.  Two things are cached per basis (``SectorBasis.cached``):
+each operator term, and for the whole set of a model's terms one block
+layout, the terms projected into every block once.
 
 Every family is real symmetric in the sz product basis: sy sy only ever
 appears pairwise and contributes real matrix elements, so state vectors
@@ -32,7 +34,7 @@ flips change total Sz, so they only occur for families with cx != cy,
 which are solved in the full basis or its spin-flip parity sectors.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -219,24 +221,15 @@ def _term(basis: SectorBasis, pairs: tuple | None, part: str):
     of 2).  Terms are cached on the basis, keyed by the bond list, so
     every family and parameter value over one basis shares them.
     """
-    key = (pairs, part)
-    hit = basis._term_cache.get(key)
-    if hit is not None:
-        return hit
     if part == "aligned" and basis.sz_twice is not None:
         raise ValueError("a bond with cx != cy does not conserve Sz; "
                          "solve it in the full basis or a parity sector")
-    dim = basis.dimension
-    if part in ("zz", "field"):
-        term = np.zeros(dim)
+
+    def build():
         if part == "field":
-            for site in range(basis.n_sites):
-                term += basis.site_bits(site) - 0.5
-        for i, j in pairs or ():
-            aligned, _ = basis.pair_table(i, j)
-            term += np.where(aligned, 1.0, -1.0)
-        term.setflags(write=False)  # shared by every caller of the basis
-    else:
+            return basis.popcounts - 0.5 * basis.n_sites
+        if part == "zz":
+            return sum(np.where(basis.pair_table(i, j)[0], 1.0, -1.0) for i, j in pairs)
         rows, cols = [], []
         for i, j in pairs:
             aligned, target = basis.pair_table(i, j)
@@ -244,9 +237,9 @@ def _term(basis: SectorBasis, pairs: tuple | None, part: str):
             rows.append(target[src].astype(np.int32))
             cols.append(src.astype(np.int32))
         rows, cols = np.concatenate(rows), np.concatenate(cols)
-        term = sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
-    basis._term_cache[key] = term
-    return term
+        dim = basis.dimension
+        return sparse.csr_matrix((np.ones(len(rows)), (rows, cols)), shape=(dim, dim))
+    return basis.cached((pairs, part), build)
 
 
 def _apply(diag, terms, vec):
@@ -275,13 +268,11 @@ class HamiltonianAction:
         diag = np.zeros(basis.dimension)
         terms = []  # (amplitude, CSR term shared through the basis cache)
         for amp, pairs, part in _model_terms(model, basis.lattice):
-            if part == "field":
-                for site in range(basis.n_sites):
-                    diag += amp * (basis.site_bits(site) - 0.5)
-            elif part == "zz":
-                diag += amp * _term(basis, pairs, part)
+            term = _term(basis, pairs, part)
+            if isinstance(term, np.ndarray):  # zz or field: diagonal
+                diag += amp * term
             else:
-                terms.append((amp, _term(basis, pairs, part)))
+                terms.append((amp, term))
         self.diag = diag
         self.terms = terms
 
@@ -335,45 +326,37 @@ def _reflection(lattice: LatticeSpec, bonds: tuple) -> np.ndarray | None:
     return perm
 
 
-@dataclass(eq=False)
-class _Orbits:
-    """One symmetry-adapted block of a sector basis.  Block column a is
-    the state sum_t coefs[t, a] |rows[t, a]> over up to four basis rows
-    (one per group element; a repeated row carries coefficient 0)."""
-    rows: np.ndarray
-    coefs: np.ndarray
-    projected: dict = field(default_factory=dict)
-
-    def term(self, basis: SectorBasis, pairs: tuple | None, part: str):
-        """``_term(basis, pairs, part)`` restricted to this block, V^T T V
-        for the block's isometry V, as flat indices into the d x d block
-        and their values; built once, from T's entries."""
-        hit = self.projected.get((pairs, part))
-        if hit is None:
-            dim = self.rows.shape[1]
-            column = np.zeros(basis.dimension, dtype=np.int64)
-            coef = np.zeros(basis.dimension)  # 0 off the block
-            for rows, coefs in zip(self.rows, self.coefs):
-                column[rows] = np.arange(dim)
-                coef[rows] += coefs
-            term = _term(basis, pairs, part)
-            if isinstance(term, np.ndarray):  # diagonal
-                i = j = np.arange(basis.dimension)
-                entries = term
-            else:
-                i = np.repeat(np.arange(basis.dimension), np.diff(term.indptr))
-                j, entries = term.indices, term.data
-            entries = coef[i] * entries * coef[j]
-            keep = entries != 0.0
-            flat, where = np.unique(column[i[keep]] * dim + column[j[keep]],
-                                    return_inverse=True)
-            hit = self.projected[(pairs, part)] = (flat, np.bincount(where, entries[keep]))
-        return hit
+def _project(sector: SectorBasis, rows: np.ndarray, coefs: np.ndarray,
+             pairs: tuple | None, part: str):
+    """``_term(sector, pairs, part)`` restricted to one symmetry block,
+    V^T T V for the block's isometry V (columns ``rows`` and ``coefs``,
+    see ``_symmetry_blocks``), as flat indices into the d x d block and
+    their values, built from T's entries."""
+    dim = rows.shape[1]
+    column = np.zeros(sector.dimension, dtype=np.int64)
+    coef = np.zeros(sector.dimension)  # 0 off the block
+    for idx, weights in zip(rows, coefs):
+        column[idx] = np.arange(dim)
+        coef[idx] += weights
+    term = _term(sector, pairs, part)
+    if isinstance(term, np.ndarray):  # diagonal
+        i = j = np.arange(sector.dimension)
+        entries = term
+    else:
+        i = np.repeat(np.arange(sector.dimension), np.diff(term.indptr))
+        j, entries = term.indices, term.data
+    entries = coef[i] * entries * coef[j]
+    keep = entries != 0.0
+    flat, where = np.unique(column[i[keep]] * dim + column[j[keep]], return_inverse=True)
+    return flat, np.bincount(where, entries[keep])
 
 
 def _symmetry_blocks(basis: SectorBasis, bonds: tuple, invert: bool) -> list:
     """The blocks of ``basis`` under the reflection (when ``bonds`` allow
-    it) and, with ``invert``, spin inversion, cached on the basis.
+    it) and, with ``invert``, spin inversion, as ``(rows, coefs)`` pairs:
+    block column a is the state sum_t coefs[t, a] |rows[t, a]> over up to
+    four basis rows (one per group element; a repeated row carries
+    coefficient 0).
 
     Every configuration c has an orbit {c, Rc, Fc, RFc}; the smallest
     basis index of each orbit is its representative.  A block is one
@@ -385,10 +368,6 @@ def _symmetry_blocks(basis: SectorBasis, bonds: tuple, invert: bool) -> list:
     (-1, -1), without the ones that are empty; with neither symmetry the
     one block is the basis itself.
     """
-    key = ("blocks", bonds, invert)
-    hit = basis._term_cache.get(key)
-    if hit is not None:
-        return hit
     configs, dim = basis.configs, basis.dimension
     perm = _reflection(basis.lattice, bonds)
     images, elements = [configs], [(0, 0)]  # group elements as powers of (R, F)
@@ -413,8 +392,7 @@ def _symmetry_blocks(basis: SectorBasis, bonds: tuple, invert: bool) -> list:
             cols = np.all(fixes <= (chi == 1)[:, None], axis=0)
             if cols.any():
                 coefs = np.where(first[:, cols], chi[:, None], 0) / norm[cols]
-                blocks.append(_Orbits(orbit[:, cols], coefs))
-    basis._term_cache[key] = blocks
+                blocks.append((orbit[:, cols], coefs))
     return blocks
 
 
@@ -432,14 +410,9 @@ class _Layout:
     largest_sector: int
 
 
-def _layout(basis: SectorBasis, bonds: tuple, keys: tuple, cap: int) -> _Layout:
+def _layout(basis: SectorBasis, bonds: tuple, keys: tuple) -> _Layout:
     """The ``_Layout`` of ``basis`` for the terms ``keys`` ((pairs, part)
-    each) of a model on the bonds ``bonds``, cached on the basis; a sector
-    larger than ``cap`` raises ResourceLimitError before it is projected."""
-    cache_key = ("layout", bonds, keys)
-    hit = basis._term_cache.get(cache_key)
-    if hit is not None:
-        return hit
+    each) of a model on the bonds ``bonds``."""
     lattice, n = basis.lattice, basis.n_sites
     parts = {part for _, part in keys}
     no_field, conserves_sz = "field" not in parts, "aligned" not in parts
@@ -458,30 +431,26 @@ def _layout(basis: SectorBasis, bonds: tuple, keys: tuple, cap: int) -> _Layout:
             per_sector[s] = [(rows ^ ((1 << n) - 1), coefs, m)
                              for rows, coefs, m in per_sector[n - s]]
             continue
-        if sector.dimension > cap:
-            raise ResourceLimitError(f"dimension {sector.dimension} exceeds dense cap {cap}")
         invert = no_field and (sector.sz_twice == 0 or
                                (sector.popcount_parity is not None and n % 2 == 0))
         per_sector[s] = []
-        for orb in _symmetry_blocks(sector, bonds, invert):
+        for rows, coefs in _symmetry_blocks(sector, bonds, invert):
             for t, (pairs, part) in enumerate(keys):
-                flat, vals = orb.term(sector, pairs, part)
+                flat, vals = _project(sector, rows, coefs, pairs, part)
                 flats[t].append(flat + size)
                 values[t].append(vals)
-            rows = sector.configs[orb.rows] if basis.is_full else orb.rows
-            per_sector[s].append((rows, orb.coefs, len(spans)))
-            spans.append((size, orb.rows.shape[1]))
-            size += orb.rows.shape[1] ** 2
+            per_sector[s].append((sector.configs[rows] if basis.is_full else rows,
+                                  coefs, len(spans)))
+            spans.append((size, rows.shape[1]))
+            size += rows.shape[1] ** 2
     flats = [np.concatenate(f) for f in flats]
     index = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *flats]))
     weights = np.zeros((len(keys), len(index)))
     for t, (flat, vals) in enumerate(zip(flats, values)):
         weights[t, np.searchsorted(index, flat)] = np.concatenate(vals)
-    layout = _Layout(index, weights, size, tuple(spans),
-                     tuple(b for blocks in per_sector for b in blocks),
-                     max(sector.dimension for sector in sectors))
-    basis._term_cache[cache_key] = layout
-    return layout
+    return _Layout(index, weights, size, tuple(spans),
+                   tuple(b for blocks in per_sector for b in blocks),
+                   max(sector.dimension for sector in sectors))
 
 
 def sector_matrices(model: ModelSpec, basis: SectorBasis,
@@ -498,22 +467,26 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis,
     by the lattice reflection, when it maps every bond list of
     ``BOND_PAIRS`` onto itself, and by spin inversion on a sector that
     inversion maps to itself (Sz = 0, or a parity sector at even N) when
-    the model has no z field (``_symmetry_blocks``).  The orbit tables and
-    the terms projected into each block are cached on the sector bases,
-    and their assembly (``_Layout``) on ``basis``, so a new parameter
-    value costs one product and one scatter for all blocks together.
+    the model has no z field (``_symmetry_blocks``).  The orbit tables
+    and the terms projected into each block are built once, into one
+    ``_Layout`` cached on ``basis`` (the terms themselves are cached on
+    the sector bases), so a new parameter value costs one product and one
+    scatter for all blocks together.
 
     Without a z field, spin inversion maps Sz = -m onto Sz = +m and
     commutes with H and the reflection, so each -m block is a +m block
     with its rows inverted and the very same matrix object; only the
     Sz >= 0 blocks are built, and a solver can recognize a repeated block
-    by identity.  A sector larger than ``cap`` raises ResourceLimitError.
+    by identity.  A sector larger than ``cap`` raises ResourceLimitError;
+    the check reads the cached layout, so the first such call on a basis
+    projects every block before it raises.
     """
     fam = family_spec(model.family)
     _check_geometry(fam, basis.lattice)
     bonds = tuple(tuple(BOND_PAIRS[kind](basis.lattice)) for kind in fam.bond_kinds)
     terms = list(_model_terms(model, basis.lattice))
-    layout = _layout(basis, bonds, tuple((pairs, part) for _, pairs, part in terms), cap)
+    keys = tuple((pairs, part) for _, pairs, part in terms)
+    layout = basis.cached(("layout", bonds, keys), lambda: _layout(basis, bonds, keys))
     if layout.largest_sector > cap:
         raise ResourceLimitError(f"dimension {layout.largest_sector} exceeds dense cap {cap}")
     values = np.zeros(layout.size)

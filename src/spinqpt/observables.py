@@ -87,8 +87,7 @@ def _raising_flips(basis: SectorBasis):
     """All single flips s_i^+ on the basis, site after site: the basis
     index of each configuration with site i down and the configuration
     the flip takes it to; cached on the basis."""
-    flips = basis._term_cache.get("s_plus")
-    if flips is None:
+    def build():
         # filled in place, so building allocates little beyond what is kept
         count = int(np.sum(basis.n_sites - basis.popcounts))
         src, dst = np.empty(count, np.int32), np.empty(count, np.int32)
@@ -98,8 +97,8 @@ def _raising_flips(basis: SectorBasis):
             src[at:at + len(down)] = down
             dst[at:at + len(down)] = basis.configs[down] | (1 << i)
             at += len(down)
-        flips = basis._term_cache["s_plus"] = (src, dst)
-    return flips
+        return src, dst
+    return basis.cached("s_plus", build)
 
 
 def total_spin(basis: SectorBasis, vec: np.ndarray):
@@ -124,24 +123,14 @@ def total_spin(basis: SectorBasis, vec: np.ndarray):
     return None, s_sq
 
 
-def _label_array(basis: SectorBasis, key: str, make):
-    """``make(basis)``, built once per basis and kept read-only in its cache."""
-    arr = basis._term_cache.get(key)
-    if arr is None:
-        arr = make(basis)
-        arr.setflags(write=False)  # shared by every caller of the basis
-        basis._term_cache[key] = arr
-    return arr
-
-
 def parity(basis: SectorBasis, vec: np.ndarray):
     """Global spin-flip parity prod_i(2 s_i^z): +1, -1, or None for mixed."""
     if basis.sz_twice is not None:
         raise ValueError("parity labels are defined on the full basis "
                          "and its parity sectors only")
     _check_normalized(vec)
-    signs = _label_array(basis, "parity_signs",
-                         lambda b: 1.0 - 2.0 * ((b.n_sites - b.popcounts) % 2))
+    signs = basis.cached("parity_signs",
+                         lambda: 1.0 - 2.0 * ((basis.n_sites - basis.popcounts) % 2))
     expect = float(np.sum(signs * vec * vec))
     if abs(expect) > 1.0 - QUANTIZATION_TOL:
         return 1 if expect > 0 else -1
@@ -153,7 +142,7 @@ def sz_twice_label(basis: SectorBasis, vec: np.ndarray):
     if basis.sz_twice is not None:
         return basis.sz_twice
     _check_normalized(vec)
-    szt = _label_array(basis, "sz_twice", lambda b: 2.0 * b.popcounts - b.n_sites)
+    szt = basis.cached("sz_twice", lambda: 2.0 * basis.popcounts - basis.n_sites)
     mean = float(np.sum(szt * vec * vec))
     var = float(np.sum(szt * szt * vec * vec)) - mean * mean
     if var <= QUANTIZATION_TOL:

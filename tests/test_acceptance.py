@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import oracle as orc
+from spinqpt import analysis
 from spinqpt.lattice import chain, ladder, enumerate_sector, index_of, popcount
 from spinqpt.models import (HamiltonianAction, apply_hamiltonian,
                             general_xyz, hamiltonian_dense, j1j2,
@@ -249,9 +250,19 @@ def test_criterion_7_isotropic_point_quantum_numbers():
     report(7, f"ground S=0, first multiplet S=1 x3 with spread {spread:.1e}")
 
 
-def test_criterion_8_derivative_minima_and_scaling():
+def test_criterion_8_derivative_minima_and_scaling(monkeypatch):
     """Finite-size drift of derivative extrema for Ising and J1-J2."""
     started = time.monotonic()
+    # the study's own sweeps, which are sweep("ising", {}, grid, chain(n),
+    # k_levels=2), so the minima below are checked without solving again
+    swept = {}
+
+    def recorded(family, *args, **kwargs):
+        result = sweep(family, *args, **kwargs)
+        swept[family, args[2].n_sites] = result
+        return result
+
+    monkeypatch.setattr(analysis, "sweep", recorded)
     ising = scaling_study("ising", {}, GridSpec("lam", 0.2, 2.0, 0.01),
                           [6, 8, 10, 12], 1, k_levels=2)
     assert [e.n_sites for e in ising.entries] == [6, 8, 10, 12]
@@ -260,8 +271,7 @@ def test_criterion_8_derivative_minima_and_scaling():
 
     # single interior minimum per size
     for n in (6, 8, 10, 12):
-        res = sweep("ising", {}, GridSpec("lam", 0.2, 2.0, 0.01), chain(n),
-                    k_levels=2)
+        res = swept["ising", n]
         gi, d1 = derivative(res.grid, res.concurrence(), 1)
         minima = [e for e in locate_extrema(gi, d1) if e.kind == "min"]
         assert len(minima) == 1, (n, minima)

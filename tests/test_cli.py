@@ -56,6 +56,14 @@ def test_sector_zero_and_sz0_print_one_payload(capsys):
     assert payloads[0]["space"] == "sz0"
 
 
+def test_sector_auto_is_config_error(capsys):
+    code, out, err = run_capture(
+        ["spectrum", "--model", "xxz", "--delta", "0.5", "--sites", "10",
+         "--sector", "auto"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: --sector must be full, sz0, or an integer 2*Sz\n"
+
+
 # --- sweep and CSV -----------------------------------------------------------
 
 def test_sweep_csv_shape(capsys):

@@ -447,9 +447,11 @@ def test_block_rows_must_cover_every_row_once():
     shifted = m + 3.0 * np.eye(2)
     for first, second in ([0, 1], [1, 2]), ([0, 1], [3, 4]), ([0, 1], [-2, 2]):
         with pytest.raises(ValueError, match="exactly once"):
-            dense_spectrum([(np.array(first), m), (np.array(second), shifted)])
+            dense_spectrum([(np.array([first]), np.ones((1, 2)), m),
+                            (np.array([second]), np.ones((1, 2)), shifted)])
     # rows in any order are fine
-    sol = dense_spectrum([(np.array([3, 1]), m), (np.array([2, 0]), shifted)])
+    sol = dense_spectrum([(np.array([[3, 1]]), np.ones((1, 2)), m),
+                          (np.array([[2, 0]]), np.ones((1, 2)), shifted)])
     assert np.allclose(sol.energies, [-0.5, 0.5, 2.5, 3.5])
     half = np.sqrt(0.5)
     assert np.allclose(np.abs(sol.vectors[:, 0]), [0.0, half, 0.0, half])

@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 from math import comb
 
 from spinqpt.lattice import (chain, ladder, enumerate_sector, index_of,
-                             lift_to_full, popcount, LatticeSpec)
+                             lift_to_full, popcount, LatticeSpec, SectorBasis)
 
 
 def test_sector_dimensions():
@@ -102,3 +102,21 @@ def test_index_round_trip_property(n, data):
     k = data.draw(st.integers(min_value=0, max_value=basis.dimension - 1))
     assert index_of(basis, int(basis.configs[k])) == k
     assert basis.dimension == comb(n, (n + sz) // 2)
+
+
+def test_cached_builds_once_per_key_and_is_read_only():
+    basis = SectorBasis(chain(3), None, np.arange(8))  # not shared with other tests
+    calls = []
+
+    def build():
+        calls.append(1)
+        return np.arange(basis.dimension, dtype=float)
+
+    first = basis.cached("test-cached", build)
+    assert basis.cached("test-cached", build) is first
+    assert basis.cached("test-cached", build) is first
+    assert len(calls) == 1
+    with pytest.raises(ValueError):
+        first[0] = 1.0
+    other = basis.cached("test-cached-other", build)
+    assert other is not first and len(calls) == 2
