@@ -71,7 +71,6 @@ class SolverOptions:
     tol: float = 1e-10           # Lanczos residual tolerance, relative to the width
     seed: int = DEFAULT_SEED     # Lanczos start vectors
     dense_cutoff: int = 512      # spaces of this dimension or less use LAPACK
-    max_iter: int | None = None  # Krylov steps per Lanczos sequence; None: its default
 
 
 def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
@@ -158,8 +157,7 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
         raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
     if not _dense(basis, options):
         return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
-                                tol=options.tol, seed=options.seed,
-                                max_iter=options.max_iter)
+                                tol=options.tol, seed=options.seed)
     blocks = sector_matrices(model, basis, cap=options.dense_cutoff)
     return dense_spectrum(blocks, levels=k, vectors=not energies_only,
                           apply=None if energies_only else HamiltonianAction(model, basis))

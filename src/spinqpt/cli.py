@@ -51,11 +51,16 @@ def positive_int(text: str) -> int:
     return value
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # a bad command line is a bad setting
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """The flags of every subcommand; ``parser.setting_actions[command]``
     maps each setting of that subcommand to the action that reads it, for
-    config-file values."""
-    parser = argparse.ArgumentParser(
+    config-file values.  A bad command line raises ConfigError."""
+    parser = _Parser(
         prog="spinqpt",
         description="exact diagonalization, concurrence, and transition "
                     "classification for small spin-1/2 models")
@@ -484,9 +489,9 @@ COMMANDS = {"spectrum": cmd_spectrum, "sweep": cmd_sweep, "classify": cmd_classi
 
 def run(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
-    started = time.perf_counter()
     try:
+        args = parser.parse_args(argv)
+        started = time.perf_counter()
         settings = merge_settings(args, parser.setting_actions[args.command])
         payload = COMMANDS[args.command](settings)
         if settings.get("format", "json") == "csv":

@@ -16,11 +16,11 @@ in ``BOND_PAIRS``; the two together are the only description of a model.
 Model building, symmetry checks, the sweep space, the sum rules and the
 command line all read them.  ``HamiltonianAction`` scales the terms
 cached on the basis by each bond kind's couplings.  ``sector_matrices``
-gives LAPACK the dense blocks of H on symmetry-adapted states: Sz or
-spin-flip parity sectors split by the lattice reflection and spin
-inversion.  Two things are cached per basis (``SectorBasis.cached``):
+gives LAPACK the dense blocks of H on symmetry-adapted states: popcount
+(or parity) groups of the basis split by the lattice reflection and
+spin inversion.  Two things are cached per basis (``SectorBasis.cached``):
 each operator term, and for the whole set of a model's terms one block
-layout, the terms projected into every block once.
+layout, every term projected into all blocks by one sparse product.
 
 Every family is real symmetric in the sz product basis: sy sy only ever
 appears pairwise and contributes real matrix elements, so state vectors
@@ -40,7 +40,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .lattice import LatticeSpec, SectorBasis, enumerate_sector
+from .lattice import LatticeSpec, SectorBasis
 
 
 class ResourceLimitError(RuntimeError):
@@ -193,19 +193,21 @@ def _z_field(fam: Family, params: dict) -> float:
 
 
 def _model_terms(model: ModelSpec, lattice: LatticeSpec):
-    """``(amplitude, pairs, part)`` for every nonzero term of H on
-    ``lattice``, in operator-term order: per bond kind, its bonds' "zz",
-    "anti" and "aligned" parts (see ``_term``) scaled by cz/4, (cx + cy)/4
-    and (cx - cy)/4, then the z field as part "field" with ``pairs`` None."""
+    """``(amplitude, pairs, part)`` for the terms of H on ``lattice``, in
+    operator-term order: per bond kind, its bonds' "zz", "anti" and
+    "aligned" parts (see ``_term``) scaled by cz/4, (cx + cy)/4 and
+    (cx - cy)/4, then the z field as part "field" with ``pairs`` None.
+    Zz and anti parts stay at amplitude 0, keeping the block layout; a
+    zero aligned part or field, which would change the blocks, is not."""
     fam = family_spec(model.family)
     params = model.as_dict()
     for kind in fam.bond_kinds:
         pairs = tuple(BOND_PAIRS[kind](lattice))
         cx, cy, cz = fam.couplings(params, kind)
-        for amp, part in ((0.25 * cz, "zz"), (0.25 * (cx + cy), "anti"),
-                          (0.25 * (cx - cy), "aligned")):
-            if amp != 0.0:
-                yield amp, pairs, part
+        yield 0.25 * cz, pairs, "zz"
+        yield 0.25 * (cx + cy), pairs, "anti"
+        if cx != cy:
+            yield 0.25 * (cx - cy), pairs, "aligned"
     h = _z_field(fam, params)
     if h != 0.0:  # every field is along z
         yield h, None, "field"
@@ -268,6 +270,8 @@ class HamiltonianAction:
         diag = np.zeros(basis.dimension)
         terms = []  # (amplitude, CSR term shared through the basis cache)
         for amp, pairs, part in _model_terms(model, basis.lattice):
+            if amp == 0.0:
+                continue
             term = _term(basis, pairs, part)
             if isinstance(term, np.ndarray):  # zz or field: diagonal
                 diag += amp * term
@@ -326,62 +330,37 @@ def _reflection(lattice: LatticeSpec, bonds: tuple) -> np.ndarray | None:
     return perm
 
 
-def _project(sector: SectorBasis, rows: np.ndarray, coefs: np.ndarray,
-             pairs: tuple | None, part: str):
-    """``_term(sector, pairs, part)`` restricted to one symmetry block,
-    V^T T V for the block's isometry V (columns ``rows`` and ``coefs``,
-    see ``_symmetry_blocks``), as flat indices into the d x d block and
-    their values, built from T's entries."""
-    dim = rows.shape[1]
-    column = np.zeros(sector.dimension, dtype=np.int64)
-    coef = np.zeros(sector.dimension)  # 0 off the block
-    for idx, weights in zip(rows, coefs):
-        column[idx] = np.arange(dim)
-        coef[idx] += weights
-    term = _term(sector, pairs, part)
-    if isinstance(term, np.ndarray):  # diagonal
-        i = j = np.arange(sector.dimension)
-        entries = term
-    else:
-        i = np.repeat(np.arange(sector.dimension), np.diff(term.indptr))
-        j, entries = term.indices, term.data
-    entries = coef[i] * entries * coef[j]
-    keep = entries != 0.0
-    flat, where = np.unique(column[i[keep]] * dim + column[j[keep]], return_inverse=True)
-    return flat, np.bincount(where, entries[keep])
-
-
-def _symmetry_blocks(basis: SectorBasis, bonds: tuple, invert: bool) -> list:
-    """The blocks of ``basis`` under the reflection (when ``bonds`` allow
-    it) and, with ``invert``, spin inversion, as ``(rows, coefs)`` pairs:
-    block column a is the state sum_t coefs[t, a] |rows[t, a]> over up to
-    four basis rows (one per group element; a repeated row carries
-    coefficient 0).
+def _symmetry_blocks(lattice: LatticeSpec, configs: np.ndarray, bonds: tuple,
+                     invert: bool) -> list:
+    """The blocks of the ascending configurations ``configs`` under the
+    reflection of ``lattice`` (when ``bonds`` allow it) and, with
+    ``invert``, spin inversion, as ``(rows, coefs)`` pairs: block column a
+    is the state sum_t coefs[t, a] |configs[rows[t, a]]> over up to four
+    rows (one per group element; a repeated row carries coefficient 0).
 
     Every configuration c has an orbit {c, Rc, Fc, RFc}; the smallest
-    basis index of each orbit is its representative.  A block is one
-    character (r, f) = (+-1, +-1) of the group; its columns are the
-    representatives whose stabilizer the character keeps (Rc = c needs
-    r = 1, RFc = c needs rf = 1), in ascending order, and column a is
-    sum_g chi(g) |g c> / sqrt(orbit size), coefficients +-1, +-1/sqrt(2)
-    or +-1/2.  Blocks come in the order (r, f) = (1, 1), (1, -1), (-1, 1),
-    (-1, -1), without the ones that are empty; with neither symmetry the
-    one block is the basis itself.
+    index of each orbit is its representative.  A block is one character
+    (r, f) = (+-1, +-1) of the group; its columns are the representatives
+    whose stabilizer the character keeps (Rc = c needs r = 1, RFc = c
+    needs rf = 1), in ascending order, and column a is sum_g chi(g) |g c>
+    / sqrt(orbit size), coefficients +-1, +-1/sqrt(2) or +-1/2.  Blocks
+    come in the order (r, f) = (1, 1), (1, -1), (-1, 1), (-1, -1),
+    without the ones that are empty; with neither symmetry the one block
+    is ``configs`` itself.
     """
-    configs, dim = basis.configs, basis.dimension
-    perm = _reflection(basis.lattice, bonds)
+    perm = _reflection(lattice, bonds)
     images, elements = [configs], [(0, 0)]  # group elements as powers of (R, F)
     if perm is not None:
         images.append(sum(((configs >> i) & 1) << int(p) for i, p in enumerate(perm)))
         elements.append((1, 0))
     if invert:
-        images += [img ^ ((1 << basis.n_sites) - 1) for img in images]
+        images += [img ^ ((1 << lattice.n_sites) - 1) for img in images]
         elements += [(a, 1) for a, _ in elements]
     images = np.array(images)
     index = np.searchsorted(configs, images)
     if np.any(np.take(configs, index, mode="clip") != images):
         raise ValueError("the reflection or spin inversion would leave the sector")
-    orbit = index[:, index.min(axis=0) == np.arange(dim)]  # representatives' orbits
+    orbit = index[:, index.min(axis=0) == np.arange(len(configs))]  # representatives' orbits
     first = np.array([np.all(orbit[:t] != orbit[t], axis=0) for t in range(len(orbit))])
     norm = np.sqrt(first.sum(axis=0))
     fixes = orbit == orbit[0]  # which elements fix each representative
@@ -401,7 +380,8 @@ class _Layout:
     """Every symmetry block of one basis for one list of operator terms:
     with values[index] = amplitudes @ weights in a zeroed buffer of
     ``size``, matrix m is values[start:start + d * d] as d x d, for
-    (start, d) = spans[m]; ``blocks`` holds (rows, coefs, m) in order."""
+    (start, d) = spans[m]; ``blocks`` holds (rows, coefs, m) in order.
+    Row t of ``weights`` is term t projected as W^T T W (``_layout``)."""
     index: np.ndarray
     weights: np.ndarray  # (terms, len(index)): each term's block entries
     size: int
@@ -412,45 +392,57 @@ class _Layout:
 
 def _layout(basis: SectorBasis, bonds: tuple, keys: tuple) -> _Layout:
     """The ``_Layout`` of ``basis`` for the terms ``keys`` ((pairs, part)
-    each) of a model on the bonds ``bonds``."""
-    lattice, n = basis.lattice, basis.n_sites
+    each, cached on ``basis``) of a model on the bonds ``bonds``, with W
+    every distinct block's isometry side by side; an entry of W^T T W
+    between two blocks, beyond rounding, raises ValueError."""
+    n, configs = basis.n_sites, basis.configs
     parts = {part for _, part in keys}
     no_field, conserves_sz = "field" not in parts, "aligned" not in parts
-    if not basis.is_full:
-        sectors = [basis]
-    elif conserves_sz:
-        sectors = [enumerate_sector(lattice, 2 * up - n) for up in range(n + 1)]
-    else:
-        sectors = [enumerate_sector(lattice, None, popcount_parity=p) for p in (0, 1)]
-    mirrored = no_field and basis.is_full and conserves_sz
-    flats, values = [[] for _ in keys], [[] for _ in keys]
-    spans, size, per_sector = [], 0, [None] * len(sectors)
-    for s in reversed(range(len(sectors))):  # Sz >= 0 first, so every mirror has its source
-        sector = sectors[s]
-        if mirrored and 2 * s < n:
-            per_sector[s] = [(rows ^ ((1 << n) - 1), coefs, m)
-                             for rows, coefs, m in per_sector[n - s]]
+    labels = basis.popcounts if conserves_sz else basis.popcounts % 2
+    groups, sizes = np.unique(labels, return_counts=True)
+    mirrored = no_field and conserves_sz and basis.is_full
+    per_group, isometries = {}, []
+    for label in groups[::-1].tolist():  # Sz >= 0 first, so every mirror has its source
+        if mirrored and 2 * label < n:
+            per_group[label] = [(rows ^ ((1 << n) - 1), coefs, m)
+                                for rows, coefs, m in per_group[n - label]]
             continue
-        invert = no_field and (sector.sz_twice == 0 or
-                               (sector.popcount_parity is not None and n % 2 == 0))
-        per_sector[s] = []
-        for rows, coefs in _symmetry_blocks(sector, bonds, invert):
-            for t, (pairs, part) in enumerate(keys):
-                flat, vals = _project(sector, rows, coefs, pairs, part)
-                flats[t].append(flat + size)
-                values[t].append(vals)
-            per_sector[s].append((sector.configs[rows] if basis.is_full else rows,
-                                  coefs, len(spans)))
-            spans.append((size, rows.shape[1]))
-            size += rows.shape[1] ** 2
-    flats = [np.concatenate(f) for f in flats]
-    index = np.unique(np.concatenate([np.empty(0, dtype=np.int64), *flats]))
+        members = np.flatnonzero(labels == label)
+        invert = no_field and (2 * label == n if conserves_sz else n % 2 == 0)
+        per_group[label] = []
+        for rows, coefs in _symmetry_blocks(basis.lattice, configs[members], bonds, invert):
+            per_group[label].append((members[rows], coefs, len(isometries)))
+            isometries.append((members[rows], coefs))
+    widths = np.array([rows.shape[1] for rows, _ in isometries])
+    offsets, starts = np.cumsum(widths) - widths, np.cumsum(widths ** 2) - widths ** 2
+    block = np.repeat(np.arange(len(widths)), widths)  # the block of each column of W
+    local = np.arange(len(block)) - offsets[block]
+    entries = []  # (coefficient, row, column) of W, block by block
+    for (rows, coefs), offset in zip(isometries, offsets):
+        t, a = np.nonzero(coefs)
+        entries.append((coefs[t, a], rows[t, a], offset + a))
+    data, rows, cols = map(np.concatenate, zip(*entries))
+    iso = sparse.csr_matrix((data, (rows, cols)), shape=(basis.dimension, len(block)))
+    flats, values = [], []
+    for pairs, part in keys:
+        term = _term(basis, pairs, part)
+        term = sparse.diags(term) if isinstance(term, np.ndarray) else term
+        proj = (iso.T @ term @ iso).tocoo()
+        inside = block[proj.row] == block[proj.col]
+        if np.any(np.abs(proj.data[~inside]) > 1e-12 * np.abs(proj.data).max(initial=0.0)):
+            raise ValueError("H couples two symmetry blocks: the reflection or "
+                             "spin inversion is not a symmetry of the model")
+        i, j, m = proj.row[inside], proj.col[inside], block[proj.row[inside]]
+        flats.append(starts[m] + local[i] * widths[m] + local[j])
+        values.append(proj.data[inside])
+    index = np.unique(np.concatenate(flats))
     weights = np.zeros((len(keys), len(index)))
     for t, (flat, vals) in enumerate(zip(flats, values)):
-        weights[t, np.searchsorted(index, flat)] = np.concatenate(vals)
-    return _Layout(index, weights, size, tuple(spans),
-                   tuple(b for blocks in per_sector for b in blocks),
-                   max(sector.dimension for sector in sectors))
+        weights[t, np.searchsorted(index, flat)] = vals
+    return _Layout(index, weights, int(np.sum(widths ** 2)),
+                   tuple(zip(starts.tolist(), widths.tolist())),
+                   tuple(b for label in groups.tolist() for b in per_group[label]),
+                   int(sizes.max()))
 
 
 def sector_matrices(model: ModelSpec, basis: SectorBasis,
@@ -459,27 +451,29 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis,
     ``dense_spectrum``: block column a is the state sum_t coefs[t, a]
     |rows[t, a]> of the basis.
 
-    The full basis splits into Sz sectors (ascending) when the model
-    conserves Sz, else into the two spin-flip parity sectors (popcount
-    mod 2, even first); spin-flip parity prod_i(2 s_i^z) commutes with
-    every bond (double flips) and with z fields, so every model conserves
-    it.  A sector basis is its own one sector.  Each sector splits further
-    by the lattice reflection, when it maps every bond list of
-    ``BOND_PAIRS`` onto itself, and by spin inversion on a sector that
-    inversion maps to itself (Sz = 0, or a parity sector at even N) when
-    the model has no z field (``_symmetry_blocks``).  The orbit tables
-    and the terms projected into each block are built once, into one
-    ``_Layout`` cached on ``basis`` (the terms themselves are cached on
-    the sector bases), so a new parameter value costs one product and one
-    scatter for all blocks together.
+    The basis's configurations group by popcount (ascending) when the
+    model conserves Sz, else by popcount mod 2 (even first), which every
+    model conserves; only labels the basis holds form groups, so a
+    sector basis is one group.  Each group splits by the lattice
+    reflection, when it maps every bond list of ``BOND_PAIRS`` onto
+    itself, and by spin inversion on a group it maps to itself (Sz = 0,
+    or a parity group at even N) when the model has no z field
+    (``_symmetry_blocks``).  The blocks, with each operator term cached
+    on ``basis`` (those ``HamiltonianAction`` applies) projected by one
+    sparse product W^T T W, form one ``_Layout`` cached on the basis, so
+    a new parameter value costs one product and one scatter for all
+    blocks together; a zz or anti term of amplitude 0 keeps its place
+    in the layout.  An entry of W^T T W coupling two blocks beyond 1e-12
+    of the term's largest entry means a symmetry used is none of H's and
+    raises ValueError.
 
     Without a z field, spin inversion maps Sz = -m onto Sz = +m and
-    commutes with H and the reflection, so each -m block is a +m block
-    with its rows inverted and the very same matrix object; only the
-    Sz >= 0 blocks are built, and a solver can recognize a repeated block
-    by identity.  A sector larger than ``cap`` raises ResourceLimitError;
-    the check reads the cached layout, so the first such call on a basis
-    projects every block before it raises.
+    commutes with H and the reflection, so on the full basis each -m
+    block is a +m block with its rows inverted and the very same matrix
+    object; only the Sz >= 0 blocks are built, and a solver can recognize
+    a repeated block by identity.  A group larger than ``cap`` raises
+    ResourceLimitError; the check reads the cached layout, so the first
+    such call on a basis builds every block before it raises.
     """
     fam = family_spec(model.family)
     _check_geometry(fam, basis.lattice)

@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from spinqpt.eigensolver import ConvergenceError
 from spinqpt.lattice import chain, ladder
 from spinqpt.models import BOND_PAIRS, FAMILY_TABLE
 from spinqpt.analysis import (GridSpec, SolverOptions, build_model, classify,
@@ -345,12 +346,16 @@ def test_xxz_concurrence_continuous_across_isotropic_point():
     assert np.max(np.abs(np.diff(conc))) <= 0.05
 
 
-def test_sweep_flags_failed_points_and_continues():
-    # an impossible iteration budget forces Lanczos failures; the sweep
-    # must flag those points and keep going
+def test_sweep_flags_failed_points_and_continues(monkeypatch):
+    # every Lanczos solve fails; the sweep must flag those points and
+    # keep going
+    import spinqpt.analysis as analysis
+
+    def fail(*args, **kwargs):
+        raise ConvergenceError("synthetic Lanczos failure")
+    monkeypatch.setattr(analysis, "lanczos_lowest_k", fail)
     res = sweep("xxz", {}, GridSpec("delta", 0.4, 0.6, 0.1), chain(10),
-                k_levels=2, space="sz0",
-                options=SolverOptions(max_iter=2, dense_cutoff=8))
+                k_levels=2, space="sz0", options=SolverOptions(dense_cutoff=8))
     assert len(res.points) == 3
     assert len(res.flagged) == 3
     assert np.all(np.isnan(res.concurrence()))

@@ -430,10 +430,9 @@ def test_config_key_of_another_subcommand_is_config_error(section, key, value,
 def test_threads_below_one_is_config_error(value, tmp_path, capsys):
     argv = ["sweep", "--model", "xxz", "--sweep", "delta:0:1:0.5", "--sites", "4",
             "--levels", "2", "--format", "csv"]
-    with pytest.raises(SystemExit) as exit_info:
-        run(argv + ["--threads", value])
-    assert exit_info.value.code == 2
-    assert f"must be at least 1, not {value}" in capsys.readouterr().err
+    code, out, err = run_capture(argv + ["--threads", value], capsys)
+    assert code == 2 and out == ""
+    assert f"must be at least 1, not {value}" in err
     cfg = tmp_path / "threads.ini"
     cfg.write_text(f"[solver]\nthreads = {value}\n")
     code, out, err = run_capture(argv + ["--config", str(cfg)], capsys)
@@ -548,10 +547,17 @@ def test_each_subcommand_has_only_the_settings_it_reads():
     ["sumrule", "--model", "xxz", "--delta", "1", "--sites", "6", "--dense-cutoff", "8"],
 ])
 def test_flag_a_subcommand_does_not_read_is_refused(argv, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unrecognized arguments: ") and err.count("\n") == 1
+
+
+def test_help_still_exits_zero(capsys):
     with pytest.raises(SystemExit) as exit_info:
-        run(argv)
-    assert exit_info.value.code == 2
-    assert capsys.readouterr().out == ""
+        run(["sweep", "--help"])
+    assert exit_info.value.code == 0
+    assert "--sweep" in capsys.readouterr().out
 
 
 def test_every_subcommand_takes_seed_and_threads(capsys):

@@ -356,3 +356,34 @@ def test_a_z_field_shares_no_sector_matrix():
     for rows, coefs, mat in blocks:
         iso = _isometry(rows, coefs, full.dimension)
         assert np.max(np.abs(iso.T @ dense @ iso - mat)) <= 1e-13
+
+
+def test_a_zero_coupling_reuses_the_block_layout(monkeypatch):
+    # zz and anti parts stay in the layout at amplitude 0, so Delta = 0
+    # needs no second layout on a basis that already has one for 0.5
+    import spinqpt.models as models
+    layout, built = models._layout, []
+
+    def counted(*args):
+        built.append(args)
+        return layout(*args)
+    monkeypatch.setattr(models, "_layout", counted)
+    enumerate_sector.cache_clear()
+    full = enumerate_sector(chain(8), None)
+    sector_matrices(xxz(0.5), full)
+    blocks = sector_matrices(xxz(0.0), full)
+    assert len(built) == 1
+    energies = np.sort(np.concatenate([np.linalg.eigvalsh(mat) for _, _, mat in blocks]))
+    exact = np.linalg.eigvalsh(hamiltonian_dense(xxz(0.0), full))
+    assert np.max(np.abs(energies - exact)) <= 1e-12
+
+
+def test_blocks_a_term_couples_are_refused(monkeypatch):
+    # a site swap that is no symmetry of the ring splits each sector into
+    # blocks that H couples; the layout checks W^T T W and refuses them
+    import spinqpt.models as models
+    monkeypatch.setattr(models, "_reflection",
+                        lambda lattice, bonds: np.array([1, 0, 2, 3, 4, 5]))
+    enumerate_sector.cache_clear()
+    with pytest.raises(ValueError, match="couples two symmetry blocks"):
+        sector_matrices(xxz(0.5), enumerate_sector(chain(6), None))

@@ -55,6 +55,9 @@ COMMANDS = (
     "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.7:0.05 --sites 16 --levels 3 --format csv",
     # --dense-cutoff picks only the solver: this sweep solves Sz = 0 as without it
     "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.4:0.1 --sites 10 --levels 3 --dense-cutoff 1024",
+    # dense blocks of an Sz = 0 basis, across J2 = 0 where the nnn terms weigh nothing
+    "sweep --model j1j2 --j1 1 --sweep j2:0:0.2:0.05 --sites 10 --levels 3 --space sz0 "
+    "--dense-cutoff 300 --format csv",
     # classify: the preset, dense rows and a full-space Lanczos row
     "classify --preset table1",
     "classify --preset table1 --jump-tol 0.05",  # the preset reads --jump-tol
