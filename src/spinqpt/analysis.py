@@ -158,7 +158,7 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
     if not _dense(basis, options):
         return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
                                 tol=options.tol, seed=options.seed)
-    blocks = sector_matrices(model, basis, cap=options.dense_cutoff)
+    blocks = sector_matrices(model, basis)
     return dense_spectrum(blocks, levels=k, vectors=not energies_only,
                           apply=None if energies_only else HamiltonianAction(model, basis))
 

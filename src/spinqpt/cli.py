@@ -9,7 +9,8 @@ significant digits so residual claims can be checked from the files
 alone; the envelope rounds every float in one pass.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error (bad
-settings, or a sum rule over a space above the dense cap).
+settings, an unreadable config file or unwritable output path, or a sum
+rule over a space above the dense cap).
 No environment variables are consulted.
 """
 
@@ -18,7 +19,6 @@ import configparser
 import csv
 import io
 import json
-import os
 import sys
 import time
 from dataclasses import asdict
@@ -140,11 +140,14 @@ def load_config_file(path: str, command: str, actions: dict) -> dict:
     ``actions[key]``: converted by its type (a switch by ``getboolean``),
     checked against its choices.  A key ``command`` has no flag for is an
     error, as the flag would be."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file {path!r} not found")
     ini = configparser.ConfigParser()
     try:
-        ini.read(path)
+        with open(path, encoding="utf-8") as fh:
+            ini.read_file(fh)
+    except FileNotFoundError:
+        raise ConfigError(f"config file {path!r} not found")
+    except OSError as err:
+        raise ConfigError(f"config file {path!r} cannot be read: {err.strerror}")
     except configparser.Error as err:
         raise ConfigError(f"config file {path!r}: {err}")
     out = {}
@@ -504,19 +507,21 @@ def run(argv=None) -> int:
             envelope = make_envelope(args.command, settings, payload)
             envelope["wall_time_s"] = fmt(time.perf_counter() - started)
             text = emit_json(envelope)
+        out_path = settings.get("out")
+        if out_path:
+            try:
+                with open(out_path, "w", encoding="utf-8") as fh:
+                    fh.write(text)
+            except OSError as err:
+                raise ConfigError(f"cannot write {out_path!r}: {err.strerror}")
+        else:
+            sys.stdout.write(text)
     except (ConfigError, ValueError, ResourceLimitError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ConvergenceError as err:
         print(f"numeric failure: {err}", file=sys.stderr)
         return 1
-
-    out_path = settings.get("out")
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
     return 0
 
 

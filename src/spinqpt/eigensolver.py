@@ -59,6 +59,8 @@ EPS = np.finfo(float).eps
 # Simon's semi-orthogonality level: a Krylov vector whose estimated overlap
 # with an earlier one exceeds this is reorthogonalized
 SEMI_ORTHOGONAL = np.sqrt(EPS)
+# Lanczos steps between two Ritz checks
+CHECK_EVERY = 5
 
 
 def degeneracy_tolerance(width: float) -> float:
@@ -165,34 +167,32 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
     return EigenSolution(energies, vecs, resid)
 
 
-def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
-                     tol: float = 1e-10, seed: int = 0x5EED,
-                     max_restarts: int | None = None,
-                     check_every: int = 5) -> EigenSolution:
+def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
+                     seed: int = 0x5EED) -> EigenSolution:
     """Lowest ``k`` eigenpairs of a symmetric operator given as a closure.
 
     ``apply`` maps a vector to H times that vector and must be linear and
     symmetric.  ``tol`` and the degeneracy tolerance are relative to the
     spectral width estimated from the Krylov process itself.  Runs are
     deterministic for a fixed seed: start vectors come from a seeded
-    generator, one fresh draw per deflation restart.  Every
-    ``check_every`` steps the Ritz check solves the tridiagonal matrix for
-    the lowest wanted pairs and its top value only.  ``meta`` counts the
-    deflation ``restarts``, the calls to ``apply`` (``matvecs``), the
-    Krylov ``steps`` taken, the steps that ran the full reorthogonalization
-    pass (``reorthogonalizations``) and the second Gram-Schmidt passes
-    among them (``second_passes``), and keeps the first sequence's lowest
-    Ritz values (``ritz_history``) and the ``spectral_width`` estimate.
+    generator, one fresh draw per deflation restart.  A Krylov sequence
+    runs at most min(dim, max(3k + 80, 320)) steps, and at most 3k + 12
+    deflation restarts follow the first.  Every ``CHECK_EVERY`` steps the
+    Ritz check solves the tridiagonal matrix for the lowest wanted pairs
+    and its top value only.  ``meta`` counts the deflation ``restarts``,
+    the calls to ``apply`` (``matvecs``), the Krylov ``steps`` taken,
+    the steps that ran the full reorthogonalization pass
+    (``reorthogonalizations``) and the second Gram-Schmidt passes among
+    them (``second_passes``), and keeps the first sequence's lowest Ritz
+    values (``ritz_history``) and the ``spectral_width`` estimate.
     Each residual is the one measured when its Ritz pair was accepted.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if k > dim:
         raise ValueError(f"k={k} exceeds dimension {dim}")
-    if max_iter is None:
-        max_iter = min(dim, max(3 * k + 80, 320))
-    if max_restarts is None:
-        max_restarts = 3 * k + 12
+    max_iter = min(dim, max(3 * k + 80, 320))
+    max_restarts = 3 * k + 12
 
     found_vals: list[float] = []
     found_resid: list[float] = []
@@ -301,7 +301,7 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, max_iter: int | None = None,
             betas[m] = beta
             m_used = m + 1
             exhausted = beta <= 1e-13 * max(1.0, width)
-            if (m + 1) % check_every == 0 or m == steps - 1 or exhausted:
+            if (m + 1) % CHECK_EVERY == 0 or m == steps - 1 or exhausted:
                 # only what the check reads: the lowest wanted pairs, whose
                 # last components bound their residuals, and the top value
                 nwant = min(want, m + 1)

@@ -1,9 +1,9 @@
 """Spin-1/2 configuration bases for periodic chains and two-leg ladders.
 
 Configurations are integer bitmasks: bit ``i`` set means spin-up at site
-``i``.  A basis is the full ``2**n`` space or one sector of it, of fixed
-total Sz (popcount) or spin-flip parity (popcount mod 2), stored as a
-sorted array so that membership lookups are binary searches.
+``i``.  A basis is the full ``2**n`` space or one sector of it of fixed
+total Sz (popcount), stored as a sorted array so that membership lookups
+are binary searches.
 
 Ladder site convention: sites ``2k`` and ``2k+1`` form rung ``k``; the
 two legs are the even- and odd-indexed site sequences.
@@ -47,13 +47,15 @@ def ladder(n_sites: int) -> LatticeSpec:
 
 @dataclass(eq=False)
 class SectorBasis:
-    """Ordered set of configurations spanning one symmetry sector.
+    """Ordered set of configurations spanning the full space or one Sz
+    sector of it.
 
     ``sz_twice`` is twice the total-Sz eigenvalue (an integer so that odd
-    chains need no half-integers) and ``popcount_parity`` the popcount
-    mod 2; both are ``None`` for the full space.  ``configs`` is strictly
-    increasing, which makes ``index_of`` a binary search and enumeration
-    order reproducible by construction.  Bases come from
+    chains need no half-integers), ``None`` for the full space.  Spin-flip
+    parity has no basis of its own: ``spinqpt.models`` groups the full
+    basis by popcount parity where H does not conserve Sz.  ``configs``
+    is strictly increasing, which makes ``index_of`` a binary search and
+    enumeration order reproducible by construction.  Bases come from
     ``enumerate_sector``, which hands every caller the same read-only
     instance per (lattice, sector).  Everything built from a basis alone
     is kept on it through ``cached``: the operator terms and the dense
@@ -64,7 +66,6 @@ class SectorBasis:
     lattice: LatticeSpec
     sz_twice: int | None
     configs: np.ndarray
-    popcount_parity: int | None = None
 
     _cache: dict = field(default_factory=dict, repr=False)
 
@@ -90,7 +91,7 @@ class SectorBasis:
 
     @property
     def is_full(self) -> bool:
-        return self.sz_twice is None and self.popcount_parity is None
+        return self.sz_twice is None
 
     @cached_property
     def popcounts(self) -> np.ndarray:
@@ -104,19 +105,18 @@ class SectorBasis:
 
         Returns ``(aligned, target)`` where ``aligned[c]`` is True when
         bits i and j agree and ``target[c]`` is the basis index of the
-        double-flipped configuration; in an Sz sector only anti-aligned
-        flips stay inside, and ``target`` is 0 where ``aligned``.  A flip
-        target that is not a member of the sector raises ValueError.
-        Tables are not kept: operator terms built from them are cached
-        instead.
+        double-flipped configuration.  A basis that is not the full space
+        is an Sz sector, where only anti-aligned flips stay inside, and
+        ``target`` is 0 where ``aligned``; a flip target that is not a
+        member of the sector raises ValueError.  Tables are not kept:
+        operator terms built from them are cached instead.
         """
         flipped = self.configs ^ ((1 << i) | (1 << j))
         aligned = ((self.configs >> i) & 1) == ((self.configs >> j) & 1)
         if self.is_full:
             return aligned, flipped
         target = np.searchsorted(self.configs, flipped)
-        if self.sz_twice is not None:  # aligned flips change Sz: drop them
-            target[aligned], flipped[aligned] = 0, self.configs[0]
+        target[aligned], flipped[aligned] = 0, self.configs[0]  # they change Sz
         if np.any(np.take(self.configs, target, mode="clip") != flipped):
             raise ValueError(f"double flips of sites ({i}, {j}) leave the sector")
         return aligned, target
@@ -126,10 +126,9 @@ class SectorBasis:
 
 
 @lru_cache(maxsize=32)
-def enumerate_sector(lattice: LatticeSpec, sz_twice: int | None,
-                     popcount_parity: int | None = None) -> SectorBasis:
-    """Enumerate all configurations of a sector in ascending bitmask order;
-    with neither ``sz_twice`` nor ``popcount_parity`` it is the full space.
+def enumerate_sector(lattice: LatticeSpec, sz_twice: int | None) -> SectorBasis:
+    """Enumerate all configurations of the sector ``sz_twice`` in ascending
+    bitmask order; with ``sz_twice`` None it is the full space.
 
     The basis is built once per (lattice, sector) and shared, together
     with the operator terms cached on it; its arrays are read-only.
@@ -140,10 +139,8 @@ def enumerate_sector(lattice: LatticeSpec, sz_twice: int | None,
         if abs(sz_twice) > n or (n + sz_twice) % 2 != 0:
             raise ValueError(f"sz_twice={sz_twice} impossible for {n} spins")
         configs = configs[popcount(configs) == (n + sz_twice) // 2]
-    elif popcount_parity is not None:
-        configs = configs[popcount(configs) % 2 == popcount_parity]
     configs.setflags(write=False)
-    return SectorBasis(lattice, sz_twice, configs, popcount_parity)
+    return SectorBasis(lattice, sz_twice, configs)
 
 
 def popcount(configs) -> np.ndarray:

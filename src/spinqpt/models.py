@@ -17,8 +17,9 @@ Model building, symmetry checks, the sweep space, the sum rules and the
 command line all read them.  ``HamiltonianAction`` scales the terms
 cached on the basis by each bond kind's couplings.  ``sector_matrices``
 gives LAPACK the dense blocks of H on symmetry-adapted states: popcount
-(or parity) groups of the basis split by the lattice reflection and
-spin inversion.  Two things are cached per basis (``SectorBasis.cached``):
+groups of the basis (popcount parity groups of the full basis where H
+does not conserve Sz) split by the lattice reflection and spin
+inversion.  Two things are cached per basis (``SectorBasis.cached``):
 each operator term, and for the whole set of a model's terms one block
 layout, every term projected into all blocks by one sparse product.
 
@@ -31,7 +32,7 @@ diagonal element cz/4 (aligned pair) or -cz/4 (anti-aligned), plus an
 off-diagonal element to the double-flipped configuration: (cx + cy)/4
 when the pair is anti-aligned and (cx - cy)/4 when aligned.  Aligned
 flips change total Sz, so they only occur for families with cx != cy,
-which are solved in the full basis or its spin-flip parity sectors.
+which are solved in the full basis.
 """
 
 from dataclasses import dataclass
@@ -225,7 +226,7 @@ def _term(basis: SectorBasis, pairs: tuple | None, part: str):
     """
     if part == "aligned" and basis.sz_twice is not None:
         raise ValueError("a bond with cx != cy does not conserve Sz; "
-                         "solve it in the full basis or a parity sector")
+                         "solve it in the full basis")
 
     def build():
         if part == "field":
@@ -310,33 +311,25 @@ def hamiltonian_dense(model: ModelSpec, basis: SectorBasis,
     return mat
 
 
-def _reflection(lattice: LatticeSpec, bonds: tuple) -> np.ndarray | None:
+def _reflection(lattice: LatticeSpec) -> np.ndarray | None:
     """The lattice reflection as a site permutation (site i goes to
     ``perm[i]``): i -> -i mod N on a chain; on a ladder, rung k -> -k mod
-    N/2 with the leg kept.  It counts as a symmetry only if it maps each
-    bond list of ``bonds`` onto itself as a multiset of unordered pairs;
-    None when it does not, or when it moves no site."""
+    N/2 with the leg kept.  None when it moves no site.  Whether H
+    commutes with it is checked by ``_layout``."""
     site = np.arange(lattice.n_sites)
     if lattice.geometry == "chain":
         perm = -site % lattice.n_sites
     else:
         perm = 2 * (-(site // 2) % lattice.rungs) + site % 2
-    if np.array_equal(perm, site):
-        return None
-    for pairs in bonds:
-        image = [(int(perm[i]), int(perm[j])) for i, j in pairs]
-        if sorted(map(sorted, image)) != sorted(map(sorted, pairs)):
-            return None
-    return perm
+    return None if np.array_equal(perm, site) else perm
 
 
-def _symmetry_blocks(lattice: LatticeSpec, configs: np.ndarray, bonds: tuple,
-                     invert: bool) -> list:
+def _symmetry_blocks(lattice: LatticeSpec, configs: np.ndarray, invert: bool) -> list:
     """The blocks of the ascending configurations ``configs`` under the
-    reflection of ``lattice`` (when ``bonds`` allow it) and, with
-    ``invert``, spin inversion, as ``(rows, coefs)`` pairs: block column a
-    is the state sum_t coefs[t, a] |configs[rows[t, a]]> over up to four
-    rows (one per group element; a repeated row carries coefficient 0).
+    reflection of ``lattice`` and, with ``invert``, spin inversion, as
+    ``(rows, coefs)`` pairs: block column a is the state sum_t coefs[t, a]
+    |configs[rows[t, a]]> over up to four rows (one per group element; a
+    repeated row carries coefficient 0).
 
     Every configuration c has an orbit {c, Rc, Fc, RFc}; the smallest
     index of each orbit is its representative.  A block is one character
@@ -348,7 +341,7 @@ def _symmetry_blocks(lattice: LatticeSpec, configs: np.ndarray, bonds: tuple,
     without the ones that are empty; with neither symmetry the one block
     is ``configs`` itself.
     """
-    perm = _reflection(lattice, bonds)
+    perm = _reflection(lattice)
     images, elements = [configs], [(0, 0)]  # group elements as powers of (R, F)
     if perm is not None:
         images.append(sum(((configs >> i) & 1) << int(p) for i, p in enumerate(perm)))
@@ -381,25 +374,26 @@ class _Layout:
     with values[index] = amplitudes @ weights in a zeroed buffer of
     ``size``, matrix m is values[start:start + d * d] as d x d, for
     (start, d) = spans[m]; ``blocks`` holds (rows, coefs, m) in order.
-    Row t of ``weights`` is term t projected as W^T T W (``_layout``)."""
+    Row t of ``weights`` is term t projected as W^T T W (``_layout``).
+    Its arrays are read-only, since every solve on the basis shares them."""
     index: np.ndarray
     weights: np.ndarray  # (terms, len(index)): each term's block entries
     size: int
     spans: tuple
     blocks: tuple
-    largest_sector: int
 
 
-def _layout(basis: SectorBasis, bonds: tuple, keys: tuple) -> _Layout:
+def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
     """The ``_Layout`` of ``basis`` for the terms ``keys`` ((pairs, part)
-    each, cached on ``basis``) of a model on the bonds ``bonds``, with W
-    every distinct block's isometry side by side; an entry of W^T T W
-    between two blocks, beyond rounding, raises ValueError."""
+    each, cached on ``basis``), with W every distinct block's isometry
+    side by side.  An entry of W^T T W between two blocks, beyond
+    rounding, means the reflection or spin inversion is no symmetry of
+    the terms and raises ValueError."""
     n, configs = basis.n_sites, basis.configs
     parts = {part for _, part in keys}
     no_field, conserves_sz = "field" not in parts, "aligned" not in parts
     labels = basis.popcounts if conserves_sz else basis.popcounts % 2
-    groups, sizes = np.unique(labels, return_counts=True)
+    groups = np.unique(labels)
     mirrored = no_field and conserves_sz and basis.is_full
     per_group, isometries = {}, []
     for label in groups[::-1].tolist():  # Sz >= 0 first, so every mirror has its source
@@ -410,7 +404,7 @@ def _layout(basis: SectorBasis, bonds: tuple, keys: tuple) -> _Layout:
         members = np.flatnonzero(labels == label)
         invert = no_field and (2 * label == n if conserves_sz else n % 2 == 0)
         per_group[label] = []
-        for rows, coefs in _symmetry_blocks(basis.lattice, configs[members], bonds, invert):
+        for rows, coefs in _symmetry_blocks(basis.lattice, configs[members], invert):
             per_group[label].append((members[rows], coefs, len(isometries)))
             isometries.append((members[rows], coefs))
     widths = np.array([rows.shape[1] for rows, _ in isometries])
@@ -439,25 +433,24 @@ def _layout(basis: SectorBasis, bonds: tuple, keys: tuple) -> _Layout:
     weights = np.zeros((len(keys), len(index)))
     for t, (flat, vals) in enumerate(zip(flats, values)):
         weights[t, np.searchsorted(index, flat)] = vals
+    blocks = tuple(b for label in groups.tolist() for b in per_group[label])
+    for arr in (index, weights, *(a for rows, coefs, _ in blocks for a in (rows, coefs))):
+        arr.setflags(write=False)
     return _Layout(index, weights, int(np.sum(widths ** 2)),
-                   tuple(zip(starts.tolist(), widths.tolist())),
-                   tuple(b for label in groups.tolist() for b in per_group[label]),
-                   int(sizes.max()))
+                   tuple(zip(starts.tolist(), widths.tolist())), blocks)
 
 
-def sector_matrices(model: ModelSpec, basis: SectorBasis,
-                    cap: int = DENSE_CAP_DEFAULT) -> list:
+def sector_matrices(model: ModelSpec, basis: SectorBasis) -> list:
     """``(rows, coefs, dense H)`` per symmetry block of ``basis``, for
     ``dense_spectrum``: block column a is the state sum_t coefs[t, a]
     |rows[t, a]> of the basis.
 
     The basis's configurations group by popcount (ascending) when the
     model conserves Sz, else by popcount mod 2 (even first), which every
-    model conserves; only labels the basis holds form groups, so a
+    model conserves; only labels the basis holds form groups, so an Sz
     sector basis is one group.  Each group splits by the lattice
-    reflection, when it maps every bond list of ``BOND_PAIRS`` onto
-    itself, and by spin inversion on a group it maps to itself (Sz = 0,
-    or a parity group at even N) when the model has no z field
+    reflection, and by spin inversion on a group it maps to itself
+    (Sz = 0, or a parity group at even N) when the model has no z field
     (``_symmetry_blocks``).  The blocks, with each operator term cached
     on ``basis`` (those ``HamiltonianAction`` applies) projected by one
     sparse product W^T T W, form one ``_Layout`` cached on the basis, so
@@ -465,24 +458,19 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis,
     blocks together; a zz or anti term of amplitude 0 keeps its place
     in the layout.  An entry of W^T T W coupling two blocks beyond 1e-12
     of the term's largest entry means a symmetry used is none of H's and
-    raises ValueError.
+    raises ValueError; this is the only check that H commutes with the
+    reflection and spin inversion.  The layout's arrays are read-only.
 
     Without a z field, spin inversion maps Sz = -m onto Sz = +m and
     commutes with H and the reflection, so on the full basis each -m
     block is a +m block with its rows inverted and the very same matrix
     object; only the Sz >= 0 blocks are built, and a solver can recognize
-    a repeated block by identity.  A group larger than ``cap`` raises
-    ResourceLimitError; the check reads the cached layout, so the first
-    such call on a basis builds every block before it raises.
+    a repeated block by identity.
     """
-    fam = family_spec(model.family)
-    _check_geometry(fam, basis.lattice)
-    bonds = tuple(tuple(BOND_PAIRS[kind](basis.lattice)) for kind in fam.bond_kinds)
+    _check_geometry(family_spec(model.family), basis.lattice)
     terms = list(_model_terms(model, basis.lattice))
     keys = tuple((pairs, part) for _, pairs, part in terms)
-    layout = basis.cached(("layout", bonds, keys), lambda: _layout(basis, bonds, keys))
-    if layout.largest_sector > cap:
-        raise ResourceLimitError(f"dimension {layout.largest_sector} exceeds dense cap {cap}")
+    layout = basis.cached(("layout", keys), lambda: _layout(basis, keys))
     values = np.zeros(layout.size)
     values[layout.index] = np.array([amp for amp, _, _ in terms]) @ layout.weights
     mats = [values[start:start + d * d].reshape(d, d) for start, d in layout.spans]

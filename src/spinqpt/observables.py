@@ -126,8 +126,7 @@ def total_spin(basis: SectorBasis, vec: np.ndarray):
 def parity(basis: SectorBasis, vec: np.ndarray):
     """Global spin-flip parity prod_i(2 s_i^z): +1, -1, or None for mixed."""
     if basis.sz_twice is not None:
-        raise ValueError("parity labels are defined on the full basis "
-                         "and its parity sectors only")
+        raise ValueError("parity labels are defined on the full basis only")
     _check_normalized(vec)
     signs = basis.cached("parity_signs",
                          lambda: 1.0 - 2.0 * ((basis.n_sites - basis.popcounts) % 2))

@@ -277,6 +277,24 @@ def test_config_unknown_key_rejected(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+def test_unreadable_config_file_is_config_error(tmp_path, capsys):
+    argv = ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4"]
+    code, out, err = run_capture(argv + ["--config", str(tmp_path)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: config file") and len(err.splitlines()) == 1
+    code, _, err = run_capture(argv + ["--config", str(tmp_path / "none.ini")], capsys)
+    assert code == 2
+    assert err == f"error: config file {str(tmp_path / 'none.ini')!r} not found\n"
+
+
+def test_unwritable_output_path_is_config_error(tmp_path, capsys):
+    target = tmp_path / "no" / "such" / "x.json"
+    code, out, err = run_capture(["spectrum", "--model", "xxz", "--delta", "1",
+                                  "--sites", "4", "--out", str(target)], capsys)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot write") and len(err.splitlines()) == 1
+
+
 def test_missing_required_flag_is_config_error(capsys):
     code, _, err = run_capture(["sweep", "--model", "xxz", "--sites", "6"], capsys)
     assert code == 2

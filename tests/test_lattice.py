@@ -16,8 +16,7 @@ def test_sector_dimensions():
 
 
 def test_configs_strictly_increasing():
-    for basis in (enumerate_sector(chain(10), 0),
-                  enumerate_sector(chain(10), None, popcount_parity=1)):
+    for basis in (enumerate_sector(chain(10), 0), enumerate_sector(chain(10), None)):
         assert np.all(np.diff(basis.configs) > 0)
 
 
@@ -27,11 +26,6 @@ def test_sector_dimensions_sum_to_full_space():
         total = sum(enumerate_sector(lat, m).dimension
                     for m in range(-n, n + 1, 2))
         assert total == 2 ** n
-        # the two spin-flip parity sectors halve it
-        for p in (0, 1):
-            half = enumerate_sector(lat, None, popcount_parity=p)
-            assert half.dimension == 2 ** (n - 1)
-            assert np.all(half.popcounts % 2 == p)
 
 
 def test_index_of_endpoints():

@@ -5,7 +5,6 @@ import oracle as orc
 from spinqpt.lattice import chain, ladder, enumerate_sector, lift_to_full
 from spinqpt.models import (HamiltonianAction, hamiltonian_dense, j1j2,
                             ladder_model, transverse_ising, xxz, general_xyz)
-from spinqpt.analysis import SolverOptions, solve_model
 from spinqpt.eigensolver import dense_spectrum
 from spinqpt.observables import (bond_averaged_correlators, collective_apply,
                                  correlator, label_state, parity,
@@ -191,19 +190,6 @@ def test_label_state_bundle():
     basis, sol = ground(xxz(1.0), 6)
     lab = label_state(basis, sol.vectors[:, 0])
     assert lab.sz_twice == 0 and lab.total_spin == 0.0 and lab.parity == -1
-
-
-@pytest.mark.parametrize("model", [transverse_ising(0.7), xxz(0.5)])
-@pytest.mark.parametrize("popcount_parity", [0, 1])
-def test_parity_sector_labels_match_lifted_state(model, popcount_parity):
-    basis = enumerate_sector(chain(6), None, popcount_parity=popcount_parity)
-    vec = solve_model(model, basis, 1, SolverOptions()).vectors[:, 0]
-    lab = label_state(basis, vec)
-    ref = label_state(*lift_to_full(basis, vec))
-    assert lab.parity == ref.parity == 1 - 2 * popcount_parity
-    assert lab.sz_twice == ref.sz_twice
-    assert lab.total_spin == ref.total_spin
-    assert abs(lab.s_squared - ref.s_squared) <= 1e-12
 
 
 # --- collective operators ----------------------------------------------------

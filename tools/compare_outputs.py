@@ -40,7 +40,7 @@ COMMANDS = (
     "spectrum --model ladder --j-rung 0.8 --sites 12 --levels 4",
     "spectrum --model xyz --jx 0.9 --jy 1.1 --jz 0.8 --hz 0.2 --sites 12 --sector full",
     "spectrum --model xxz --delta -1 --sites 12 --sector full --levels 14",
-    # parity sectors split by the reflection and spin inversion
+    # parity groups of the full basis split by the reflection and spin inversion
     "spectrum --model xyz --jx 0.8 --jy 1.2 --jz 0.9 --sites 8 --levels 6",
     # sweep: CSV and JSON, dense full space and Lanczos Sz = 0
     "sweep --model j1j2 --j1 1 --sweep j2:0:1:0.01 --sites 8 --levels 5 --format csv",
