@@ -22,6 +22,7 @@ event.
 
 import math
 import os
+import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
@@ -48,6 +49,8 @@ class GridSpec:
     step: float
 
     def __post_init__(self):
+        if not all(math.isfinite(x) for x in (self.start, self.stop, self.step)):
+            raise ValueError("grid start, stop and step must be finite")
         if self.step <= 0:
             raise ValueError("grid step must be positive")
         if self.stop < self.start:
@@ -87,7 +90,7 @@ def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
             out[token] = BOND_PAIRS[token](lattice)[0]
         elif token in BOND_PAIRS:
             raise ValueError(f"{token} pairs do not exist on a {lattice.geometry}")
-        elif "-" in str(token):
+        elif re.fullmatch(r"\d+-\d+", str(token)):
             i, j = (int(p) for p in str(token).split("-"))
             out[f"{i}-{j}"] = (i, j)
         else:
@@ -126,6 +129,16 @@ def space_name(sz_twice: int | None) -> str:
     if sz_twice is None:
         return "full"
     return "sz0" if sz_twice == 0 else f"sz:{sz_twice}"
+
+
+def parse_space(name: str) -> int | None:
+    """The ``sz_twice`` a space name spells, inverting ``space_name``; a bare
+    integer m reads as "sz:<m>".  Any other name raises ValueError."""
+    if name == "full":
+        return None
+    if name == "sz0":
+        return 0
+    return int(name.removeprefix("sz:"))
 
 
 def _choose_space(family, lattice, space) -> int | None:
@@ -675,6 +688,9 @@ def scaling_study(family: str, fixed_params: dict, swept: GridSpec,
     Differentiates the clamped concurrence by default (``use_raw`` flips
     to the unclamped value) and fits extremum locations against 1/N.
     """
+    sizes = list(sizes)
+    if len(set(sizes)) < len(sizes):
+        raise ValueError(f"each size may appear once, not {sizes}")
     entries = []
     skipped = []
     for n in sizes:

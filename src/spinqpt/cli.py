@@ -1,12 +1,13 @@
 """Command-line front end: spectrum / sweep / classify / sumrule / scaling.
 
-Configuration comes from flags, optionally layered over an INI-style
-config file (``--config``); flags win.  A config value is read by its
-flag's own argparse action, so it is converted and checked like the
-flag.  Results are emitted as a JSON envelope (config echo, version,
-wall time, payload) or, for sweeps, as CSV.  Numbers carry 12
-significant digits so residual claims can be checked from the files
-alone; the envelope rounds every float in one pass.
+Configuration comes from flags.  ``--config PATH`` names a file of more
+flags, split like a shell line with ``#`` starting a comment; argparse
+reads them before the command line's, so the command line wins and a
+flag in the file is checked as it is on the command line.  Results are
+emitted as a JSON envelope (config echo, version, wall time, payload)
+or, for sweeps, as CSV.  Numbers carry 12 significant digits so
+residual claims can be checked from the files alone; the envelope
+rounds every float in one pass.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error (bad
 settings, an unreadable config file or unwritable output path, or a sum
@@ -15,10 +16,10 @@ No environment variables are consulted.
 """
 
 import argparse
-import configparser
 import csv
 import io
 import json
+import shlex
 import sys
 import time
 from dataclasses import asdict
@@ -29,8 +30,8 @@ from .models import FAMILY_TABLE, ResourceLimitError, build_model, family_spec
 from .eigensolver import ConvergenceError
 from .observables import (OPERATOR_TAGS, label_state, rearranged_sum_rule,
                           sum_rule_residual)
-from .analysis import (GridSpec, SolverOptions, SweepResult, classify, scaling_study,
-                       solve_model, space_name, sweep)
+from .analysis import (GridSpec, SolverOptions, SweepResult, classify, parse_space,
+                       scaling_study, solve_model, space_name, sweep)
 
 SCHEMA_VERSION = "1"
 
@@ -39,7 +40,7 @@ class ConfigError(Exception):
     pass
 
 
-# every family's parameters: each is a flag, a [model] key and maybe a sweep name
+# every family's parameters: each is a flag and maybe a sweep name
 MODEL_PARAMS = {p.name: p for spec in FAMILY_TABLE.values() for p in spec.params}
 
 
@@ -57,135 +58,90 @@ class _Parser(argparse.ArgumentParser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """The flags of every subcommand; ``parser.setting_actions[command]``
-    maps each setting of that subcommand to the action that reads it, for
-    config-file values.  A bad command line raises ConfigError."""
+    """The flags of every subcommand; a bad command line raises ConfigError."""
     parser = _Parser(
         prog="spinqpt",
         description="exact diagonalization, concurrence, and transition "
                     "classification for small spin-1/2 models")
     sub = parser.add_subparsers(dest="command", required=True)
-    parser.setting_actions = {}
-
-    def add(p, *flags, **kw):
-        action = p.add_argument(*flags, **kw)
-        p.setting_actions[action.dest] = action
 
     def command(name, help, *, sites=True, solver=True):
         """A subcommand with the common flags, less --sites or the solver's."""
         p = sub.add_parser(name, help=help)
-        p.setting_actions = parser.setting_actions[name] = {}
-        add(p, "--config", help="INI config file; flags override it")
-        add(p, "--model", choices=sorted(FAMILY_TABLE))
+        p.add_argument("--config", help="file of flags, read before the command line's")
+        p.add_argument("--model", choices=sorted(FAMILY_TABLE))
         if sites:
-            add(p, "--sites", type=int, help="total number of spins")
+            p.add_argument("--sites", type=int, help="total number of spins")
         for param in MODEL_PARAMS.values():
-            add(p, param.cli_flag, dest=param.name, type=float)
-        add(p, "--seed", type=lambda s: int(s, 0))
+            p.add_argument(param.cli_flag, dest=param.name, type=float)
+        p.add_argument("--seed", type=lambda s: int(s, 0))
         if solver:
-            add(p, "--tol", type=float)
-            add(p, "--dense-cutoff", dest="dense_cutoff", type=int)
-        add(p, "--threads", type=positive_int)
-        add(p, "--format", choices=("csv", "json"))
-        add(p, "--out", help="output path (default: stdout)")
+            p.add_argument("--tol", type=float)
+            p.add_argument("--dense-cutoff", dest="dense_cutoff", type=int)
+        p.add_argument("--threads", type=positive_int)
+        p.add_argument("--format", choices=("csv", "json"))
+        p.add_argument("--out", help="output path (default: stdout)")
         return p
 
     def sweepish(p):
-        add(p, "--sweep", help="name:start:stop:step, e.g. delta:0:2:0.01")
-        add(p, "--levels", type=int)
-        add(p, "--pairs", help="comma list: nn, nnn (chains), rung, leg (ladders), or i-j")
-        add(p, "--space", choices=("auto", "full", "sz0"))
+        p.add_argument("--sweep", help="name:start:stop:step, e.g. delta:0:2:0.01")
+        p.add_argument("--levels", type=int)
+        p.add_argument("--pairs",
+                       help="comma list: nn, nnn (chains), rung, leg (ladders), or i-j")
+        p.add_argument("--space", choices=("auto", "full", "sz0"))
 
     p = command("spectrum", "low-lying levels with labels")
-    add(p, "--levels", type=int)
-    add(p, "--sector", help="full, sz0, or an integer 2*Sz")
+    p.add_argument("--levels", type=int)
+    p.add_argument("--sector", help="full, sz0, sz:<m>, or an integer m = 2*Sz")
 
     p = command("sweep", "levels and concurrence over a grid")
     sweepish(p)
 
     p = command("classify", "transition type from a sweep")
     sweepish(p)
-    add(p, "--pair", help="pair used for the concurrence series")
-    add(p, "--jump-tol", dest="jump_tol", type=float)
-    add(p, "--max-order", dest="max_order", type=int)
-    add(p, "--preset", choices=("table1",),
-        help="classify the Table-1 rows, each with its own model, sweep and pair at N = 8")
+    p.add_argument("--pair", help="pair used for the concurrence series")
+    p.add_argument("--jump-tol", dest="jump_tol", type=float)
+    p.add_argument("--max-order", dest="max_order", type=int)
+    p.add_argument("--preset", choices=("table1",),
+                   help="classify the Table-1 rows, each with its own model, sweep "
+                        "and pair at N = 8")
 
     p = command("sumrule", "double-commutator sum-rule residuals", solver=False)
-    add(p, "--operator", help="operator tag or 'all'")
+    p.add_argument("--operator", help="operator tag or 'all'")
 
     p = command("scaling", "derivative-extremum drift with size", sites=False)
     sweepish(p)
-    add(p, "--sizes", help="comma list of site counts")
-    add(p, "--order", type=int, help="derivative order")
-    add(p, "--kind", choices=("min", "max"))
-    add(p, "--raw", action="store_true",
-        help="differentiate the unclamped concurrence")
+    p.add_argument("--sizes", help="comma list of site counts")
+    p.add_argument("--order", type=int, help="derivative order")
+    p.add_argument("--kind", choices=("min", "max"))
+    p.add_argument("--raw", action="store_true",
+                   help="differentiate the unclamped concurrence")
     return parser
 
 
-CONFIG_KEYS = {
-    "model": {"model"} | set(MODEL_PARAMS),
-    "lattice": {"sites"},
-    "grid": {"sweep", "levels", "pairs", "space", "sizes", "order", "kind",
-             "raw", "sector"},
-    "solver": {"seed", "tol", "dense_cutoff", "threads"},
-    "output": {"format", "out"},
-    "classify": {"pair", "jump_tol", "max_order", "preset"},
-}
-
-
-def load_config_file(path: str, command: str, actions: dict) -> dict:
-    """Settings of ``command`` from an INI file, each read by the flag
-    ``actions[key]``: converted by its type (a switch by ``getboolean``),
-    checked against its choices.  A key ``command`` has no flag for is an
-    error, as the flag would be."""
-    ini = configparser.ConfigParser()
+def read_flag_file(path: str) -> list[str]:
+    """The flags of a ``--config`` file: its text split like a shell line,
+    ``#`` starting a comment."""
     try:
         with open(path, encoding="utf-8") as fh:
-            ini.read_file(fh)
+            return shlex.split(fh.read(), comments=True)
     except FileNotFoundError:
         raise ConfigError(f"config file {path!r} not found")
     except OSError as err:
         raise ConfigError(f"config file {path!r} cannot be read: {err.strerror}")
-    except configparser.Error as err:
-        raise ConfigError(f"config file {path!r}: {err}")
-    out = {}
-    for section in ini.sections():
-        if section not in CONFIG_KEYS:
-            raise ConfigError(f"config file: unknown section [{section}]")
-        for key, text in ini.items(section):
-            if key not in CONFIG_KEYS[section]:
-                raise ConfigError(f"config file: unknown key {key!r} in [{section}]")
-            if key not in actions:
-                raise ConfigError(f"config file: {key!r} in [{section}] is not a "
-                                  f"setting of {command}")
-            action = actions[key]
-            try:
-                if action.nargs == 0:
-                    value = ini.getboolean(section, key)
-                else:
-                    value = text if action.type is None else action.type(text)
-            except (ValueError, argparse.ArgumentTypeError):
-                raise ConfigError(f"config file: bad value {text!r} for {key!r} in [{section}]")
-            if action.choices is not None and value not in action.choices:
-                raise ConfigError(f"config file: {key!r} in [{section}] must be one of "
-                                  f"{', '.join(action.choices)}, not {text!r}")
-            out[key] = value
-    return out
+    except ValueError as err:  # not UTF-8, or an unclosed quote
+        raise ConfigError(f"config file {path!r} cannot be read: {err}")
 
 
-def merge_settings(args: argparse.Namespace, actions: dict) -> dict:
-    """CLI flags layered over config-file values; ``actions`` are the
-    subcommand's own."""
-    settings = {}
-    if getattr(args, "config", None):
-        settings.update(load_config_file(args.config, args.command, actions))
-    for key, value in vars(args).items():
-        if key in ("config", "command") or value is None or value is False:
-            continue
-        settings[key] = value
-    return settings
+def parse_settings(parser: argparse.ArgumentParser, argv: list) -> tuple[str, dict]:
+    """The subcommand and its settings.  The flags of a ``--config`` file
+    are parsed before the command line's, so the command line wins."""
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        args = parser.parse_args(argv[:1] + read_flag_file(args.config) + argv[1:])
+    return args.command, {key: value for key, value in vars(args).items()
+                          if key not in ("config", "command")
+                          and value is not None and value is not False}
 
 
 def _flag(key):
@@ -337,15 +293,10 @@ def cmd_spectrum(settings) -> dict:
     fam = family_spec(_require(settings, "model"))
     lattice = fam.lattice(_require(settings, "sites"))
     model = build_model(fam.name, _model_params(settings, fam))
-    sector = str(settings.get("sector", "full"))
-    named = {"full": None, "sz0": 0}
-    if sector in named:
-        sz_twice = named[sector]
-    else:
-        try:
-            sz_twice = int(sector)
-        except ValueError:
-            raise ConfigError("--sector must be full, sz0, or an integer 2*Sz")
+    try:
+        sz_twice = parse_space(settings.get("sector", "full"))
+    except ValueError:
+        raise ConfigError("--sector must be full, sz0, sz:<m>, or an integer m = 2*Sz")
     basis = enumerate_sector(lattice, sz_twice)
     sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
     labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]
@@ -491,12 +442,11 @@ COMMANDS = {"spectrum": cmd_spectrum, "sweep": cmd_sweep, "classify": cmd_classi
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
+        command, settings = parse_settings(build_parser(), argv)
         started = time.perf_counter()
-        settings = merge_settings(args, parser.setting_actions[args.command])
-        payload = COMMANDS[args.command](settings)
+        payload = COMMANDS[command](settings)
         if settings.get("format", "json") == "csv":
             if not isinstance(payload, SweepResult):
                 raise ConfigError("csv output is only available for sweep results")
@@ -504,7 +454,7 @@ def run(argv=None) -> int:
         else:
             if isinstance(payload, SweepResult):
                 payload = _sweep_payload(payload)
-            envelope = make_envelope(args.command, settings, payload)
+            envelope = make_envelope(command, settings, payload)
             envelope["wall_time_s"] = fmt(time.perf_counter() - started)
             text = emit_json(envelope)
         out_path = settings.get("out")

@@ -35,6 +35,7 @@ flips change total Sz, so they only occur for families with cx != cy,
 which are solved in the full basis.
 """
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -163,13 +164,17 @@ def family_spec(name: str) -> Family:
 def build_model(family: str, params: dict) -> ModelSpec:
     """A family's model from a parameter dict; a parameter left out takes its
     default or, when required, raises KeyError.  A name the family does not
-    have raises ValueError."""
+    have, or a value that is not finite, raises ValueError."""
     fam = family_spec(family)
     stray = sorted(set(params) - {p.name for p in fam.params})
     if stray:
         raise ValueError(f"{fam.name} has no parameter {', '.join(stray)}")
-    return fam.make(**{p.name: params[p.name] if p.default is None
-                       else params.get(p.name, p.default) for p in fam.params})
+    values = {p.name: params[p.name] if p.default is None
+              else params.get(p.name, p.default) for p in fam.params}
+    for name, value in values.items():
+        if not math.isfinite(value):
+            raise ValueError(f"{fam.name} parameter {name} must be finite, not {value}")
+    return fam.make(**values)
 
 
 # bond kind -> its site pairs on a lattice, one per literal summand

@@ -8,8 +8,8 @@ from spinqpt.lattice import chain, ladder
 from spinqpt.models import BOND_PAIRS, FAMILY_TABLE
 from spinqpt.analysis import (GridSpec, SolverOptions, build_model, classify,
                               derivative, detect_crossings, fit_inverse_size,
-                              locate_extrema, resolve_pairs, scaling_study,
-                              sweep)
+                              locate_extrema, parse_space, resolve_pairs,
+                              scaling_study, space_name, sweep)
 
 
 # --- grids and model building ------------------------------------------------
@@ -51,6 +51,19 @@ def test_resolve_pairs():
         resolve_pairs(chain(6), ("rung",))
     with pytest.raises(ValueError):
         resolve_pairs(chain(4), ("0-9",))
+    for token in ("0-1-2", "0-x"):
+        with pytest.raises(ValueError, match=f"unknown pair token '{token}'"):
+            resolve_pairs(chain(6), (token,))
+
+
+@pytest.mark.parametrize("sz_twice", [None, 0, 2, -2, 3])
+def test_parse_space_inverts_space_name(sz_twice):
+    assert parse_space(space_name(sz_twice)) == sz_twice
+    if sz_twice is not None:
+        assert parse_space(str(sz_twice)) == sz_twice
+    for name in ("auto", "sz", "sz:", "sz:x"):
+        with pytest.raises(ValueError):
+            parse_space(name)
 
 
 @pytest.mark.parametrize("n", [4, 6, 8])

@@ -61,7 +61,18 @@ def test_sector_auto_is_config_error(capsys):
         ["spectrum", "--model", "xxz", "--delta", "0.5", "--sites", "10",
          "--sector", "auto"], capsys)
     assert code == 2 and out == ""
-    assert err == "error: --sector must be full, sz0, or an integer 2*Sz\n"
+    assert err == "error: --sector must be full, sz0, sz:<m>, or an integer m = 2*Sz\n"
+
+
+@pytest.mark.parametrize("sector", ["full", "sz0", "2", "-2"])
+def test_sector_accepts_the_space_it_prints(sector, capsys):
+    argv = ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "6", "--levels", "2"]
+    code, out, _ = run_capture(argv + ["--sector", sector], capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    code, out, _ = run_capture(argv + ["--sector", payload["space"]], capsys)
+    assert code == 0
+    assert json.loads(out)["payload"] == payload
 
 
 # --- sweep and CSV -----------------------------------------------------------
@@ -246,45 +257,52 @@ def test_scaling_payload(capsys):
 # --- config handling ---------------------------------------------------------
 
 def test_config_file_and_flag_override(tmp_path, capsys):
-    cfg = tmp_path / "run.ini"
+    cfg = tmp_path / "run.flags"
     cfg.write_text("""
-[model]
-model = xxz
-delta = 1.0
-[lattice]
-sites = 6
-[grid]
-sweep = delta:0.9:1.1:0.1
-levels = 2
-[output]
-format = json
+# an xxz sweep
+--model xxz --delta 1.0
+--sites 6
+--sweep delta:0.9:1.1:0.1 --levels 2  # two levels
+--format json
 """)
     code, out, _ = run_capture(["sweep", "--config", str(cfg)], capsys)
     assert code == 0
     doc = json.loads(out)
-    assert doc["config"]["sites"] == 6
-    # flags override the file
-    code, out, _ = run_capture(
-        ["sweep", "--config", str(cfg), "--sites", "4"], capsys)
-    assert json.loads(out)["config"]["sites"] == 4
+    assert doc["config"] == {"model": "xxz", "delta": 1.0, "sites": 6,
+                             "sweep": "delta:0.9:1.1:0.1", "levels": 2, "format": "json"}
+    # the command line overrides the file, before or after --config
+    for argv in (["--config", str(cfg), "--sites", "4"],
+                 ["--sites", "4", "--config", str(cfg)]):
+        code, out, _ = run_capture(["sweep"] + argv, capsys)
+        assert code == 0
+        assert json.loads(out)["config"]["sites"] == 4
 
 
 def test_config_unknown_key_rejected(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[model]\nmodel = xxz\nfrobnicate = 1\n")
-    code, _, err = run_capture(["sweep", "--config", str(cfg)], capsys)
-    assert code == 2
-    assert "frobnicate" in err
+    cfg = tmp_path / "bad.flags"
+    cfg.write_text("--model xxz\n--frobnicate 1\n")
+    code, out, err = run_capture(["sweep", "--config", str(cfg)], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: unrecognized arguments: --frobnicate 1\n"
 
 
 def test_unreadable_config_file_is_config_error(tmp_path, capsys):
     argv = ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4"]
     code, out, err = run_capture(argv + ["--config", str(tmp_path)], capsys)
     assert code == 2 and out == ""
-    assert err.startswith("error: config file") and len(err.splitlines()) == 1
-    code, _, err = run_capture(argv + ["--config", str(tmp_path / "none.ini")], capsys)
+    assert err.startswith(f"error: config file {str(tmp_path)!r} cannot be read")
+    assert len(err.splitlines()) == 1
+    code, _, err = run_capture(argv + ["--config", str(tmp_path / "none.flags")], capsys)
     assert code == 2
-    assert err == f"error: config file {str(tmp_path / 'none.ini')!r} not found\n"
+    assert err == f"error: config file {str(tmp_path / 'none.flags')!r} not found\n"
+    for name, content in (("latin1.flags", "--levels 2 # \xe9".encode("latin-1")),
+                          ("quote.flags", b"--out 'x.json")):
+        path = tmp_path / name
+        path.write_bytes(content)
+        code, out, err = run_capture(argv + ["--config", str(path)], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"error: config file {str(path)!r} cannot be read: ")
+        assert len(err.splitlines()) == 1
 
 
 def test_unwritable_output_path_is_config_error(tmp_path, capsys):
@@ -345,10 +363,36 @@ def test_csv_unavailable_for_classify(capsys):
 
 
 def test_bad_grid_is_config_error(capsys):
-    code, _, err = run_capture(
-        ["sweep", "--model", "xxz", "--sweep", "delta:1:0:0.1", "--sites", "4"],
-        capsys)
-    assert code == 2
+    for grid in ("delta:1:0:0.1", "delta:0:inf:0.5"):
+        code, out, err = run_capture(
+            ["sweep", "--model", "xxz", "--sweep", grid, "--sites", "4"], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith("error: bad sweep grid: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["spectrum", "--model", "xxz", "--delta", "inf", "--sites", "6"],
+     "xxz parameter delta must be finite, not inf"),
+    (["spectrum", "--model", "ising", "--lambda", "nan", "--sites", "6"],
+     "ising parameter lam must be finite, not nan"),
+    # above the dense cutoff: Lanczos on Sz = 0
+    (["spectrum", "--model", "j1j2", "--j1", "1", "--j2", "nan", "--sites", "12",
+      "--sector", "sz0"], "j1j2 parameter j2 must be finite, not nan"),
+    (["sweep", "--model", "j1j2", "--j1", "inf", "--sweep", "j2:0:1:0.5", "--sites", "4"],
+     "j1j2 parameter j1 must be finite, not inf"),
+])
+def test_non_finite_model_parameter_is_config_error(argv, message, capsys):
+    code, out, err = run_capture(argv, capsys)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_repeated_sizes_are_config_error(capsys):
+    code, out, err = run_capture(
+        ["scaling", "--model", "ising", "--sweep", "lambda:0.5:1.5:0.05",
+         "--sizes", "4,4", "--order", "1"], capsys)
+    assert code == 2 and out == ""
+    assert err == "error: each size may appear once, not [4, 4]\n"
 
 
 @pytest.mark.parametrize("argv", [
@@ -387,32 +431,33 @@ def test_oversized_sumrule_is_config_error_before_any_solve(capsys, monkeypatch)
     assert err.startswith("error: sum rules need the full spectrum; ")
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("output", "format", "xml"),
-    ("grid", "kind", "mid"),
-    ("classify", "preset", "table2"),
-    ("lattice", "sites", "eight"),
-    ("solver", "dense_cap", "10"),
+@pytest.mark.parametrize("flags, flag", [
+    pytest.param("--format xml", "--format", id="output-format-xml"),
+    pytest.param("--kind mid", "--kind", id="grid-kind-mid"),
+    pytest.param("--order two", "--order", id="grid-order-two"),
+    pytest.param("--preset table2", "--preset", id="classify-preset-table2"),
+    pytest.param("--sites eight", "--sites", id="lattice-sites-eight"),
+    pytest.param("--dense-cap 10", "--dense-cap", id="solver-dense_cap-10"),
 ])
-def test_bad_config_value_is_config_error(section, key, value, tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+def test_bad_config_value_is_config_error(flags, flag, tmp_path, capsys):
+    cfg = tmp_path / "bad.flags"
+    cfg.write_text(flags + "\n")
     code, out, err = run_capture(
         ["scaling", "--config", str(cfg), "--model", "ising", "--sweep",
          "lambda:0.5:1.5:0.05", "--sizes", "4,6", "--order", "1"], capsys)
     assert code == 2 and out == ""
-    assert key in err
+    assert err.startswith("error: ") and flag in err and err.count("\n") == 1
 
 
 def test_config_values_read_like_flags(tmp_path, capsys):
-    cfg = tmp_path / "run.ini"
-    cfg.write_text("[solver]\nseed = 0x10\n")
+    cfg = tmp_path / "run.flags"
+    cfg.write_text("--seed 0x10\n")
     code, out, _ = run_capture(
         ["spectrum", "--config", str(cfg), "--model", "xxz", "--delta", "1",
          "--sites", "4", "--levels", "1"], capsys)
     assert code == 0
     assert json.loads(out)["config"]["seed"] == 16
-    cfg.write_text("[grid]\nraw = yes\n")
+    cfg.write_text("--raw\n")
     code, out, _ = run_capture(
         ["scaling", "--config", str(cfg), "--model", "ising", "--sweep",
          "lambda:0.5:1.5:0.05", "--sizes", "4,6", "--order", "1"], capsys)
@@ -421,41 +466,40 @@ def test_config_values_read_like_flags(tmp_path, capsys):
 
 
 def test_bad_preset_in_config_is_config_error(tmp_path, capsys):
-    cfg = tmp_path / "bad.ini"
-    cfg.write_text("[classify]\npreset = table2\n")
+    cfg = tmp_path / "bad.flags"
+    cfg.write_text("--preset table2\n")
     code, out, err = run_capture(["classify", "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
-    assert "'preset' in [classify] must be one of table1" in err
+    assert err.startswith("error: argument --preset: invalid choice: 'table2'")
+    assert err.count("\n") == 1
 
 
-@pytest.mark.parametrize("section, key, value", [
-    ("classify", "preset", "table1"),
-    ("grid", "sizes", "4,6"),
-    ("grid", "raw", "yes"),
+@pytest.mark.parametrize("flags", [
+    pytest.param("--preset table1", id="classify-preset-table1"),
+    pytest.param("--sizes 4,6", id="grid-sizes-4,6"),
+    pytest.param("--raw", id="grid-raw-yes"),
 ])
-def test_config_key_of_another_subcommand_is_config_error(section, key, value,
-                                                          tmp_path, capsys):
-    cfg = tmp_path / "other.ini"
-    cfg.write_text(f"[{section}]\n{key} = {value}\n")
+def test_config_key_of_another_subcommand_is_config_error(flags, tmp_path, capsys):
+    cfg = tmp_path / "other.flags"
+    cfg.write_text(flags + "\n")
     code, out, err = run_capture(
         ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4",
          "--levels", "1", "--config", str(cfg)], capsys)
     assert code == 2 and out == ""
-    assert f"{key!r} in [{section}] is not a setting of spectrum" in err
+    assert err == f"error: unrecognized arguments: {flags}\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-2"])
 def test_threads_below_one_is_config_error(value, tmp_path, capsys):
     argv = ["sweep", "--model", "xxz", "--sweep", "delta:0:1:0.5", "--sites", "4",
             "--levels", "2", "--format", "csv"]
+    message = f"error: argument --threads: must be at least 1, not {value}\n"
     code, out, err = run_capture(argv + ["--threads", value], capsys)
-    assert code == 2 and out == ""
-    assert f"must be at least 1, not {value}" in err
-    cfg = tmp_path / "threads.ini"
-    cfg.write_text(f"[solver]\nthreads = {value}\n")
+    assert code == 2 and out == "" and err == message
+    cfg = tmp_path / "threads.flags"
+    cfg.write_text(f"--threads {value}\n")
     code, out, err = run_capture(argv + ["--config", str(cfg)], capsys)
-    assert code == 2 and out == ""
-    assert "'threads'" in err
+    assert code == 2 and out == "" and err == message
 
 
 def _floats(node):
@@ -554,8 +598,10 @@ def test_each_subcommand_has_only_the_settings_it_reads():
         "sumrule": common | {"sites", "operator"},
         "scaling": common | solver | sweepish | {"sizes", "order", "kind", "raw"},
     }
-    actions = build_parser().setting_actions
-    assert {cmd: set(keys) for cmd, keys in actions.items()} == expected
+    parser = build_parser()
+    # a subcommand's namespace holds one entry per setting, plus the command
+    settings = {cmd: set(vars(parser.parse_args([cmd]))) - {"command"} for cmd in expected}
+    assert settings == expected
 
 
 @pytest.mark.parametrize("argv", [
