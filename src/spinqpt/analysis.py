@@ -32,8 +32,8 @@ from .lattice import LatticeSpec, SectorBasis, enumerate_sector
 from .models import (BOND_PAIRS, FAMILY_TABLE, ModelSpec, HamiltonianAction,
                      build_model, family_spec, sector_matrices)
 from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
-                          lanczos_lowest_k, ConvergenceError)
-from .observables import StateLabels, label_state, pair_correlators, two_site_rdm
+                          ground_multiplicity, lanczos_lowest_k, ConvergenceError)
+from .observables import StateLabels, level_labels, pair_correlators, two_site_rdm
 from .entanglement import wootters_concurrence
 
 DEFAULT_SEED = 0x5EED
@@ -155,14 +155,19 @@ def _choose_space(family, lattice, space) -> int | None:
 
 
 def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
-                options: SolverOptions, *, energies_only: bool = False) -> EigenSolution:
+                options: SolverOptions, *, energies_only: bool = False,
+                lift: str = "all") -> EigenSolution:
     """Lowest k levels of one model on one basis, dense or Lanczos by size;
     k below 1 or above the dimension raises ValueError on both paths.
 
-    The dense path solves each symmetry sector of the basis on its own.
-    Residuals are taken with the matrix-free operator on both paths.
-    ``energies_only`` lets the dense path skip eigenvectors, residuals
-    and the operator; Lanczos produces vectors either way.
+    The dense path solves each symmetry block of the basis on its own and
+    keeps every level in its block (``EigenSolution.block_levels``); it
+    lifts into the basis the vectors of ``lift`` ("all", "ground" or
+    "none", see ``dense_spectrum``), whose residuals are taken with the
+    matrix-free operator, and takes the others' residuals in their
+    blocks.  ``energies_only`` lets the dense path skip eigenvectors,
+    residuals and the operator; Lanczos produces every vector either way,
+    with matrix-free residuals.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -172,8 +177,9 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
         return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
                                 tol=options.tol, seed=options.seed)
     blocks = sector_matrices(model, basis)
-    return dense_spectrum(blocks, levels=k, vectors=not energies_only,
-                          apply=None if energies_only else HamiltonianAction(model, basis))
+    apply = None if energies_only or lift == "none" else HamiltonianAction(model, basis)
+    return dense_spectrum(blocks, levels=k, vectors=not energies_only, apply=apply,
+                          lift=lift, checked=True)
 
 
 def _dense(basis: SectorBasis, options: SolverOptions) -> bool:
@@ -181,12 +187,12 @@ def _dense(basis: SectorBasis, options: SolverOptions) -> bool:
     return basis.dimension <= options.dense_cutoff
 
 
-def solve_levels(cfg: PointConfig, g: float, k: int, *,
-                 energies_only: bool = False) -> tuple[EigenSolution, SectorBasis]:
+def solve_levels(cfg: PointConfig, g: float, k: int, *, energies_only: bool = False,
+                 lift: str = "all") -> tuple[EigenSolution, SectorBasis]:
     """Lowest k levels of a sweep's model at one parameter value."""
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
     return solve_model(cfg.model_at(g), basis, k, cfg.options,
-                       energies_only=energies_only), basis
+                       energies_only=energies_only, lift=lift), basis
 
 
 @dataclass
@@ -250,9 +256,11 @@ class SweepResult:
 
 def _sweep_point(cfg: PointConfig, g: float) -> SweepPoint:
     """One grid point; a point whose solve or observables fail is flagged
-    with the message, and the sweep carries on."""
+    with the message, and the sweep carries on.  Labels come from each
+    level's symmetry block on the dense path, so only the ground
+    multiplet, which the pair observables read, is lifted."""
     try:
-        sol, basis = solve_levels(cfg, g, cfg.k_levels)
+        sol, basis = solve_levels(cfg, g, cfg.k_levels, lift="ground")
     except ConvergenceError as err:
         flag = str(err)
     else:
@@ -264,13 +272,12 @@ def _sweep_point(cfg: PointConfig, g: float) -> SweepPoint:
 
 
 def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
-    labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]
+    labels = level_labels(cfg.model_at(g), basis, sol)
     # a degenerate ground level has no preferred eigenvector; pair
     # observables then come from the ensemble over the solved part of the
     # multiplet, which is invariant under mixing within the degenerate
     # subspace only when the whole multiplet lies within the k levels
-    deg = degeneracy_tolerance(float(sol.energies[-1] - sol.energies[0]))
-    mult = int(np.sum(sol.energies - sol.energies[0] <= deg)) if sol.k > 1 else 1
+    mult = ground_multiplicity(sol.energies)
     pairs = {}
     for name, sites in cfg.pair_items:
         rho = sum(two_site_rdm(basis, sol.vectors[:, c], *sites)

@@ -28,7 +28,7 @@ from . import __version__
 from .lattice import enumerate_sector
 from .models import FAMILY_TABLE, ResourceLimitError, build_model, family_spec
 from .eigensolver import ConvergenceError
-from .observables import (OPERATOR_TAGS, label_state, rearranged_sum_rule,
+from .observables import (OPERATOR_TAGS, level_labels, rearranged_sum_rule,
                           sum_rule_residual)
 from .analysis import (GridSpec, SolverOptions, SweepResult, classify, parse_space,
                        scaling_study, solve_model, space_name, sweep)
@@ -55,6 +55,35 @@ def positive_int(text: str) -> int:
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # a bad command line is a bad setting
         raise ConfigError(message)
+
+    def parse_known_args(self, args=None, namespace=None):
+        """argparse's, with -1e-3, -.5e2, -inf or -nan after a flag read
+        as its value (``_join_negative_values``)."""
+        args = sys.argv[1:] if args is None else args
+        return super().parse_known_args(_join_negative_values(args), namespace)
+
+
+def _is_negative_number(token: str) -> bool:
+    """Whether ``token`` is a value like -1e-3, -.5e2, -inf or -nan."""
+    try:
+        float(token)
+    except ValueError:
+        return False
+    return token.startswith("-")
+
+
+def _join_negative_values(argv: list) -> list:
+    """``argv`` with each negative number joined to the flag before it,
+    as --flag=value: argparse takes a token that starts with "-" for a
+    value only when it looks like -1 or -0.5, and for a flag otherwise."""
+    out = []
+    for token in argv:
+        if (out and out[-1].startswith("--") and len(out[-1]) > 2 and "=" not in out[-1]
+                and _is_negative_number(token)):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -298,8 +327,9 @@ def cmd_spectrum(settings) -> dict:
     except ValueError:
         raise ConfigError("--sector must be full, sz0, sz:<m>, or an integer m = 2*Sz")
     basis = enumerate_sector(lattice, sz_twice)
-    sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
-    labels = [label_state(basis, sol.vectors[:, c]) for c in range(sol.k)]
+    sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings),
+                      lift="none")
+    labels = level_labels(model, basis, sol)
     return {"model": model.describe(), "n_sites": lattice.n_sites,
             "space": space_name(sz_twice), "dimension": basis.dimension,
             "energies": list(sol.energies),

@@ -3,10 +3,10 @@
 ``dense_spectrum`` wraps LAPACK for small matrices.  Given the blocks of
 one on symmetry-adapted states (``models.sector_matrices``: each block
 column a combination of up to four basis states), it solves each
-distinct block once, lifts the vectors into the whole basis and merges
-the levels, so each eigenvector carries its block's quantum numbers;
-given one whole matrix, it is the oracle everything else is checked
-against.  ``lanczos_lowest_k`` is a Krylov
+distinct block once and merges the levels, so each level keeps its
+block and its vector in that block; it lifts into the whole basis only
+the vectors its caller reads.  Given one whole matrix, it is the oracle
+everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
 iteration with partial reorthogonalization (H. D. Simon, Math. Comp. 42,
 115 (1984)): a recurrence on the stored alpha and beta estimates how far
 each new Krylov vector has drifted from orthogonality, and only when the
@@ -41,9 +41,11 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class EigenSolution:
     energies: np.ndarray       # ascending
-    vectors: np.ndarray        # orthonormal columns, one per energy
-    residuals: np.ndarray      # |H v - E v|_2 per state
+    vectors: np.ndarray        # orthonormal columns, one per lifted level, lowest first
+    residuals: np.ndarray      # |H v - E v|_2 per level
     meta: dict = field(default_factory=dict)
+    # a solve on blocks: (index of the level's block, its vector there) per level
+    block_levels: tuple | None = None
 
     @property
     def k(self) -> int:
@@ -66,6 +68,15 @@ CHECK_EVERY = 5
 def degeneracy_tolerance(width: float) -> float:
     """Levels closer than this are one multiplet; ``width`` counts as at least 1."""
     return 1e-9 * max(1.0, width)
+
+
+def ground_multiplicity(energies: np.ndarray) -> int:
+    """How many of the ascending ``energies`` lie within the degeneracy
+    tolerance of the lowest, the tolerance taken on their own width."""
+    if len(energies) < 2:
+        return 1
+    deg = degeneracy_tolerance(float(energies[-1] - energies[0]))
+    return int(np.count_nonzero(energies - energies[0] <= deg))
 
 
 def _fix_phases(vectors: np.ndarray) -> np.ndarray:
@@ -95,7 +106,7 @@ def _check_symmetric(mats: list) -> None:
 
 
 def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
-                   apply=None) -> EigenSolution:
+                   apply=None, lift: str = "all", checked: bool = False) -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
     matrix.
 
@@ -105,34 +116,45 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
     sum_t coefs[t, a] e_{rows[t, a]} of the whole, with ``rows`` and
     ``coefs`` of shape (r, d).  The block columns must cover the whole
     exactly once: the block dims add up to dim, and each row's squared
-    coefficients add up to 1.  LAPACK runs once per distinct block
-    object, so a block listed twice (a mirrored Sz sector) is solved once,
-    and every level of every block is kept until the merge.
+    coefficients add up to 1.  Both that and the symmetry of each block
+    are checked, unless ``checked`` says the blocks come from a layout
+    that checked them when it was built (``models.sector_matrices``).
+    LAPACK runs once per distinct block object, so a block listed twice
+    (a mirrored Sz sector) is solved once, and every level of every
+    block is kept until the merge.
 
     Levels are merged in ascending order, except that levels within
     ``degeneracy_tolerance`` of the spectrum's width of each other form
     one multiplet, whose members keep the order of their blocks; so a
     degenerate level's members come out in block order, not in the order
-    of their last bits.  Each returned vector is lifted from its block
-    through the block's rows and coefficients, and its largest-magnitude
-    amplitude is made positive.  Residuals are formed only for the
-    returned columns, with ``apply`` (the operator the matrix was built
-    from, acting on a block of columns) when given, else block by block.
+    of their last bits.  Given blocks, the solution keeps each level as
+    its block's index in the list and its vector in that block
+    (``block_levels``).  ``lift`` says which levels are lifted into the
+    whole basis as ``vectors`` columns: "all", "ground" (the levels of
+    ``ground_multiplicity``) or "none".  A lifted vector goes through its
+    block's rows and coefficients, with its largest-magnitude amplitude
+    made positive, and its residual is taken with ``apply`` (the operator
+    the matrix was built from, acting on a block of columns) when given;
+    every other residual is |H_b v_b - E v_b| in the level's block.
     With ``vectors=False`` LAPACK computes every energy alone and the
     lowest ``levels`` are kept, so each kept level is bitwise the same for
-    any ``levels``; the solution then has no vector columns and no
-    residuals.  A LAPACK failure raises ConvergenceError.
+    any ``levels``; the solution then has no vector columns, no residuals
+    and no block levels.  A LAPACK failure raises ConvergenceError.
     """
-    if isinstance(matrix, np.ndarray):
+    if lift not in ("all", "ground", "none"):
+        raise ValueError(f"lift must be all, ground or none, not {lift!r}")
+    whole = isinstance(matrix, np.ndarray)
+    if whole:
         matrix = [(np.arange(len(matrix))[None], np.ones((1, len(matrix))), matrix)]
     rows, coefs, subs = zip(*matrix)
     dims = [idx.shape[1] for idx in rows]
-    if any(sub.shape != (d, d) for sub, d in zip(subs, dims)):
-        raise ValueError("expected square blocks matching their rows")
     dim = sum(dims)
-    _check_cover(rows, coefs, dim)
     distinct = {id(sub): sub for sub in subs}
-    _check_symmetric(list(distinct.values()))
+    if not checked:
+        if any(sub.shape != (d, d) for sub, d in zip(subs, dims)):
+            raise ValueError("expected square blocks matching their rows")
+        _check_cover(rows, coefs, dim)
+        _check_symmetric(list(distinct.values()))
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         solved = {key: solve(sub) for key, sub in distinct.items()}
@@ -150,21 +172,32 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
     energies = merged[order]
     if not vectors:
         return EigenSolution(energies, np.empty((dim, 0)), np.empty(0))
-    owner = np.repeat(np.arange(len(subs)), dims)[order]
-    vecs = np.empty((dim, len(order)))
+    members = {}  # block -> its kept levels, which are its lowest, ascending
+    for c, b in enumerate(np.repeat(np.arange(len(subs)), dims)[order].tolist()):
+        members.setdefault(b, []).append(c)
+    lifted = (len(order) if lift == "all" else 0 if lift == "none"
+              else ground_multiplicity(energies))
+    vecs = np.empty((dim, lifted))
     resid = np.empty(len(order))
-    for b in np.unique(owner):
-        cols = np.flatnonzero(owner == b)
+    block_levels = [None] * len(order)
+    for b, cols in members.items():
         e_b, v_b = per_block[b][0][:len(cols)], per_block[b][1][:, :len(cols)]
-        # entry (t, i, c) of the lift is coefs[t, i] v_b[i, c], on row rows[t, i]
-        lifted = np.bincount((rows[b][:, :, None] * len(cols) + np.arange(len(cols))).ravel(),
-                             (coefs[b][:, :, None] * v_b).ravel(), dim * len(cols))
-        vecs[:, cols] = _fix_phases(lifted.reshape(dim, len(cols)))
-        if apply is None:
-            resid[cols] = np.linalg.norm(subs[b] @ v_b - v_b * e_b, axis=0)
-    if apply is not None:
-        resid = np.linalg.norm(apply(vecs) - vecs * energies, axis=0)
-    return EigenSolution(energies, vecs, resid)
+        for i, c in enumerate(cols):
+            block_levels[c] = (b, v_b[:, i])
+        up = sum(c < lifted for c in cols)  # the block's lifted levels lead
+        if up:
+            # entry (t, i, c) of the lift is coefs[t, i] v_b[i, c], on row rows[t, i]
+            full = np.bincount((rows[b][:, :, None] * up + np.arange(up)).ravel(),
+                               (coefs[b][:, :, None] * v_b[:, :up]).ravel(), dim * up)
+            vecs[:, cols[:up]] = _fix_phases(full.reshape(dim, up))
+        inside = 0 if apply is None else up
+        if inside < len(cols):
+            resid[cols[inside:]] = np.linalg.norm(
+                subs[b] @ v_b[:, inside:] - v_b[:, inside:] * e_b[inside:], axis=0)
+    if apply is not None and lifted:
+        resid[:lifted] = np.linalg.norm(apply(vecs) - vecs * energies[:lifted], axis=0)
+    return EigenSolution(energies, vecs, resid,
+                         block_levels=None if whole else tuple(block_levels))
 
 
 def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,

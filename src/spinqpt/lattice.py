@@ -58,9 +58,9 @@ class SectorBasis:
     enumeration order reproducible by construction.  Bases come from
     ``enumerate_sector``, which hands every caller the same read-only
     instance per (lattice, sector).  Everything built from a basis alone
-    is kept on it through ``cached``: the operator terms and the dense
-    block layouts of ``spinqpt.models``, the flip table and label arrays
-    of ``spinqpt.observables``.
+    is kept on it through ``cached``: the operator terms, the dense block
+    layouts and the blocks' label terms of ``spinqpt.models``, the flip
+    table, label arrays and pair groupings of ``spinqpt.observables``.
     """
 
     lattice: LatticeSpec

@@ -42,6 +42,7 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
+from .eigensolver import SYMMETRY_TOL, _check_cover
 from .lattice import LatticeSpec, SectorBasis
 
 
@@ -378,14 +379,46 @@ class _Layout:
     """Every symmetry block of one basis for one list of operator terms:
     with values[index] = amplitudes @ weights in a zeroed buffer of
     ``size``, matrix m is values[start:start + d * d] as d x d, for
-    (start, d) = spans[m]; ``blocks`` holds (rows, coefs, m) in order.
-    Row t of ``weights`` is term t projected as W^T T W (``_layout``).
-    Its arrays are read-only, since every solve on the basis shares them."""
+    (start, d) = spans[m]; ``blocks`` holds (rows, coefs, m) in order,
+    and ``groups`` each block's popcount, or popcount mod 2 where
+    ``parity_groups``.  Row t of ``weights`` is term t projected as
+    W^T T W, with ``iso`` the W (``_layout``).  Its arrays are read-only,
+    since every solve on the basis shares them."""
     index: np.ndarray
     weights: np.ndarray  # (terms, len(index)): each term's block entries
     size: int
     spans: tuple
     blocks: tuple
+    groups: tuple
+    parity_groups: bool
+    iso: sparse.csr_matrix
+
+
+def _project(basis: SectorBasis, iso, spans: tuple, key: tuple):
+    """The term ``key`` ((pairs, part), cached on ``basis``) projected as
+    W^T T W, with the blocks of ``spans`` side by side in ``iso`` (W):
+    its entries inside a block, as (places in a value buffer laid out as
+    in ``_Layout``, values); whether an entry between two blocks passes
+    1e-12 of its largest entry; and whether the blocks are symmetric to
+    ``SYMMETRY_TOL``, as ``dense_spectrum`` checks a block list."""
+    starts, widths = np.array(spans).T
+    block = np.repeat(np.arange(len(widths)), widths)  # the block of each column of W
+    local = np.arange(len(block)) - (np.cumsum(widths) - widths)[block]
+    term = _term(basis, *key)
+    term = sparse.diags(term) if isinstance(term, np.ndarray) else term
+    proj = (iso.T @ term @ iso).tocoo()
+    inside = block[proj.row] == block[proj.col]
+    largest = np.abs(proj.data).max(initial=0.0)
+    couples = bool(np.any(np.abs(proj.data[~inside]) > 1e-12 * largest))
+    i, j, m = proj.row[inside], proj.col[inside], block[proj.row[inside]]
+    blocks = sparse.csr_matrix((proj.data[inside], (i, j)), shape=proj.shape)
+    symmetric = abs(blocks - blocks.T).max() <= SYMMETRY_TOL * max(1.0, largest)
+    return starts[m] + local[i] * widths[m] + local[j], proj.data[inside], couples, symmetric
+
+
+def _block_matrices(values: np.ndarray, spans: tuple) -> list:
+    """The matrices of a value buffer laid out as in ``_Layout``."""
+    return [values[start:start + d * d].reshape(d, d) for start, d in spans]
 
 
 def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
@@ -393,7 +426,9 @@ def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
     each, cached on ``basis``), with W every distinct block's isometry
     side by side.  An entry of W^T T W between two blocks, beyond
     rounding, means the reflection or spin inversion is no symmetry of
-    the terms and raises ValueError."""
+    the terms and raises ValueError.  The checks ``dense_spectrum`` runs
+    on a block list run here once: the blocks cover every row once, and
+    each term's blocks are symmetric, so every combination of them is."""
     n, configs = basis.n_sites, basis.configs
     parts = {part for _, part in keys}
     no_field, conserves_sz = "field" not in parts, "aligned" not in parts
@@ -414,35 +449,45 @@ def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
             isometries.append((members[rows], coefs))
     widths = np.array([rows.shape[1] for rows, _ in isometries])
     offsets, starts = np.cumsum(widths) - widths, np.cumsum(widths ** 2) - widths ** 2
-    block = np.repeat(np.arange(len(widths)), widths)  # the block of each column of W
-    local = np.arange(len(block)) - offsets[block]
+    spans = tuple(zip(starts.tolist(), widths.tolist()))
     entries = []  # (coefficient, row, column) of W, block by block
     for (rows, coefs), offset in zip(isometries, offsets):
         t, a = np.nonzero(coefs)
         entries.append((coefs[t, a], rows[t, a], offset + a))
     data, rows, cols = map(np.concatenate, zip(*entries))
-    iso = sparse.csr_matrix((data, (rows, cols)), shape=(basis.dimension, len(block)))
+    iso = sparse.csr_matrix((data, (rows, cols)), shape=(basis.dimension, int(widths.sum())))
+    size = int(np.sum(widths ** 2))
     flats, values = [], []
-    for pairs, part in keys:
-        term = _term(basis, pairs, part)
-        term = sparse.diags(term) if isinstance(term, np.ndarray) else term
-        proj = (iso.T @ term @ iso).tocoo()
-        inside = block[proj.row] == block[proj.col]
-        if np.any(np.abs(proj.data[~inside]) > 1e-12 * np.abs(proj.data).max(initial=0.0)):
+    for key in keys:
+        flat, vals, couples, symmetric = _project(basis, iso, spans, key)
+        if couples:
             raise ValueError("H couples two symmetry blocks: the reflection or "
                              "spin inversion is not a symmetry of the model")
-        i, j, m = proj.row[inside], proj.col[inside], block[proj.row[inside]]
-        flats.append(starts[m] + local[i] * widths[m] + local[j])
-        values.append(proj.data[inside])
+        if not symmetric:
+            raise ValueError("a term of H is not symmetric in the blocks")
+        flats.append(flat)
+        values.append(vals)
     index = np.unique(np.concatenate(flats))
     weights = np.zeros((len(keys), len(index)))
     for t, (flat, vals) in enumerate(zip(flats, values)):
         weights[t, np.searchsorted(index, flat)] = vals
     blocks = tuple(b for label in groups.tolist() for b in per_group[label])
+    _check_cover([rows for rows, _, _ in blocks], [coefs for _, coefs, _ in blocks],
+                 basis.dimension)
     for arr in (index, weights, *(a for rows, coefs, _ in blocks for a in (rows, coefs))):
         arr.setflags(write=False)
-    return _Layout(index, weights, int(np.sum(widths ** 2)),
-                   tuple(zip(starts.tolist(), widths.tolist())), blocks)
+    return _Layout(index, weights, size, spans, blocks,
+                   tuple(label for label in groups.tolist() for _ in per_group[label]),
+                   not conserves_sz, iso)
+
+
+def _model_layout(model: ModelSpec, basis: SectorBasis):
+    """The terms of ``model`` on ``basis`` (``_model_terms``) and their
+    ``_Layout``, cached on the basis by the terms' keys."""
+    _check_geometry(family_spec(model.family), basis.lattice)
+    terms = list(_model_terms(model, basis.lattice))
+    keys = tuple((pairs, part) for _, pairs, part in terms)
+    return terms, keys, basis.cached(("layout", keys), lambda: _layout(basis, keys))
 
 
 def sector_matrices(model: ModelSpec, basis: SectorBasis) -> list:
@@ -464,7 +509,9 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis) -> list:
     in the layout.  An entry of W^T T W coupling two blocks beyond 1e-12
     of the term's largest entry means a symmetry used is none of H's and
     raises ValueError; this is the only check that H commutes with the
-    reflection and spin inversion.  The layout's arrays are read-only.
+    reflection and spin inversion.  The layout also checks, once, that
+    the blocks cover the basis and are symmetric, so ``dense_spectrum``
+    may skip both (``checked``).  The layout's arrays are read-only.
 
     Without a z field, spin inversion maps Sz = -m onto Sz = +m and
     commutes with H and the reflection, so on the full basis each -m
@@ -472,11 +519,63 @@ def sector_matrices(model: ModelSpec, basis: SectorBasis) -> list:
     object; only the Sz >= 0 blocks are built, and a solver can recognize
     a repeated block by identity.
     """
-    _check_geometry(family_spec(model.family), basis.lattice)
-    terms = list(_model_terms(model, basis.lattice))
-    keys = tuple((pairs, part) for _, pairs, part in terms)
-    layout = basis.cached(("layout", keys), lambda: _layout(basis, keys))
+    terms, _, layout = _model_layout(model, basis)
     values = np.zeros(layout.size)
     values[layout.index] = np.array([amp for amp, _, _ in terms]) @ layout.weights
-    mats = [values[start:start + d * d].reshape(d, d) for start, d in layout.spans]
+    mats = _block_matrices(values, layout.spans)
     return [(rows, coefs, mats[m]) for rows, coefs, m in layout.blocks]
+
+
+@dataclass(frozen=True, eq=False)
+class BlockLabels:
+    """What the quantum numbers of a level in one symmetry block are read
+    from: the block's ``group`` (the popcount of its configurations, or
+    the popcount mod 2 where ``parity_group``), S^2 in the block, and on
+    a parity group Sz and Sz^2 in the block (None on a popcount group,
+    where Sz is the group's).  Its arrays are read-only."""
+    group: int
+    parity_group: bool
+    s_squared: np.ndarray
+    sz: np.ndarray | None = None
+    sz_squared: np.ndarray | None = None
+
+
+def block_labels(model: ModelSpec, basis: SectorBasis) -> tuple:
+    """``BlockLabels`` per block of ``sector_matrices(model, basis)``, in
+    its order, built once per layout and cached on the basis.
+
+    S^2 = 3N/4 + sum_{i<j} 2 s_i.s_j is the all-pairs bond list's "zz"
+    part at amplitude 1/2 plus its "anti" part at amplitude 1, Sz is the
+    "field" term and Sz^2 = N/4 + zz/2; each is a coupling-free term
+    cached on the basis (``_term``) and projected by the layout's W.
+    Only the entries inside a block are kept, and none is refused: Sz is
+    odd under spin inversion, so on a parity group that inversion splits
+    it couples the f = +1 and f = -1 blocks and is 0 inside each.
+    """
+    _, keys, layout = _model_layout(model, basis)
+
+    def build():
+        n = basis.n_sites
+        pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
+        label_keys = [(pairs, "zz"), (pairs, "anti")]
+        if layout.parity_groups:
+            label_keys.append((None, "field"))
+        terms = []
+        for key in label_keys:
+            flat, vals, _, _ = _project(basis, layout.iso, layout.spans, key)
+            values = np.zeros(layout.size)
+            values[flat] = vals
+            terms.append(_block_matrices(values, layout.spans))
+        zz, anti, field = terms + [None] * (3 - len(terms))
+        per_block = []
+        for m, (_, d) in enumerate(layout.spans):
+            eye = np.eye(d)
+            mats = [0.75 * n * eye + 0.5 * zz[m] + anti[m]]
+            if field is not None:
+                mats += [field[m], 0.25 * n * eye + 0.5 * zz[m]]
+            for mat in mats:
+                mat.setflags(write=False)
+            per_block.append(mats)
+        return tuple(BlockLabels(group, layout.parity_groups, *per_block[m])
+                     for (_, _, m), group in zip(layout.blocks, layout.groups))
+    return basis.cached(("labels", keys), build)

@@ -8,14 +8,15 @@ B|psi> carries all the information needed for overlaps (|<n|A|0>|^2 =
 the same real formula as in the symmetric x/z cases.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .lattice import SectorBasis, enumerate_sector
-from .models import (BOND_PAIRS, DENSE_CAP_DEFAULT, FAMILY_TABLE, ModelSpec,
+from .models import (BOND_PAIRS, DENSE_CAP_DEFAULT, FAMILY_TABLE, BlockLabels, ModelSpec,
                      HamiltonianAction, ResourceLimitError, _check_geometry,
-                     family_spec, sector_matrices)
+                     block_labels, family_spec, sector_matrices)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
@@ -30,9 +31,22 @@ PAIR_OPS = {"x": _OP_XX, "y": _OP_YY, "z": _OP_ZZ}
 
 
 def _check_normalized(vec):
-    nrm = np.linalg.norm(vec)
+    nrm = math.sqrt(float(vec.dot(vec)))
     if abs(nrm - 1.0) > NORM_TOL:
         raise ValueError(f"state not normalized: |v| = {nrm!r}")
+
+
+def _pair_groups(basis: SectorBasis, i: int, j: int):
+    """For the sites (i, j): each configuration's environment (all bits
+    but i, j) as an index into the sorted distinct environments, its
+    local state in the (uu, ud, du, dd) order, and the number of
+    environments; cached on the basis per pair."""
+    def build():
+        bit_i, bit_j = (basis.configs >> i) & 1, (basis.configs >> j) & 1
+        envs, inv = np.unique(basis.configs & ~((1 << i) | (1 << j)), return_inverse=True)
+        local = (1 - bit_i) * 2 + (1 - bit_j)
+        return inv, local, len(envs)
+    return basis.cached(("pair_groups", i, j), build)
 
 
 def two_site_rdm(basis: SectorBasis, vec: np.ndarray, i: int, j: int) -> np.ndarray:
@@ -47,13 +61,8 @@ def two_site_rdm(basis: SectorBasis, vec: np.ndarray, i: int, j: int) -> np.ndar
     if not (0 <= i < n and 0 <= j < n):
         raise ValueError(f"sites ({i}, {j}) outside lattice of {n}")
     _check_normalized(vec)
-    mask = (1 << i) | (1 << j)
-    env = basis.configs & ~mask
-    bit_i = (basis.configs >> i) & 1
-    bit_j = (basis.configs >> j) & 1
-    local = (1 - bit_i) * 2 + (1 - bit_j)
-    _, inv = np.unique(env, return_inverse=True)
-    table = np.zeros((inv.max() + 1, 4))
+    inv, local, count = _pair_groups(basis, i, j)
+    table = np.zeros((count, 4))
     table[inv, local] = vec
     return table.T @ table
 
@@ -101,6 +110,15 @@ def _raising_flips(basis: SectorBasis):
     return basis.cached("s_plus", build)
 
 
+def _spin_label(s_sq: float):
+    """(S, <S^2>) with S = None when <S^2> is not quantized."""
+    s = 0.5 * (-1.0 + math.sqrt(max(0.0, 1.0 + 4.0 * s_sq)))
+    s_half = round(2.0 * s) / 2.0
+    if abs(s_half * (s_half + 1.0) - s_sq) <= QUANTIZATION_TOL:
+        return s_half, s_sq
+    return None, s_sq
+
+
 def total_spin(basis: SectorBasis, vec: np.ndarray):
     """(S, <S^2>) with S = None when <S^2> is not quantized.
 
@@ -115,12 +133,7 @@ def total_spin(basis: SectorBasis, vec: np.ndarray):
     # site after site, as one scatter per site would
     raised = np.bincount(dst, weights=vec[src], minlength=2 ** n)
     sz = basis.popcounts - 0.5 * n
-    s_sq = float(raised @ raised) + float(np.sum(sz * (sz + 1.0) * vec * vec))
-    s = 0.5 * (-1.0 + np.sqrt(max(0.0, 1.0 + 4.0 * s_sq)))
-    s_half = round(2.0 * s) / 2.0
-    if abs(s_half * (s_half + 1.0) - s_sq) <= QUANTIZATION_TOL:
-        return s_half, s_sq
-    return None, s_sq
+    return _spin_label(float(raised @ raised) + float(np.sum(sz * (sz + 1.0) * vec * vec)))
 
 
 def parity(basis: SectorBasis, vec: np.ndarray):
@@ -136,6 +149,12 @@ def parity(basis: SectorBasis, vec: np.ndarray):
     return None
 
 
+def _sz_label(mean: float, var: float):
+    """2<Sz> as an integer label, or None when its variance says the
+    state mixes sectors."""
+    return int(round(mean)) if var <= QUANTIZATION_TOL else None
+
+
 def sz_twice_label(basis: SectorBasis, vec: np.ndarray):
     """2<Sz> as an integer label, or None when the state mixes sectors."""
     if basis.sz_twice is not None:
@@ -143,10 +162,7 @@ def sz_twice_label(basis: SectorBasis, vec: np.ndarray):
     _check_normalized(vec)
     szt = basis.cached("sz_twice", lambda: 2.0 * basis.popcounts - basis.n_sites)
     mean = float(np.sum(szt * vec * vec))
-    var = float(np.sum(szt * szt * vec * vec)) - mean * mean
-    if var <= QUANTIZATION_TOL:
-        return int(round(mean))
-    return None
+    return _sz_label(mean, float(np.sum(szt * szt * vec * vec)) - mean * mean)
 
 
 @dataclass(frozen=True)
@@ -157,11 +173,44 @@ class StateLabels:
     s_squared: float
 
 
-def label_state(basis: SectorBasis, vec: np.ndarray) -> StateLabels:
-    s, s_sq = total_spin(basis, vec)
-    par = parity(basis, vec) if basis.sz_twice is None else None
-    return StateLabels(sz_twice=sz_twice_label(basis, vec), total_spin=s,
-                       parity=par, s_squared=s_sq)
+def label_state(basis: SectorBasis, vec: np.ndarray,
+                block: BlockLabels | None = None) -> StateLabels:
+    """The quantum numbers of one level: ``vec`` is its vector in
+    ``basis``, or with ``block`` its vector in that symmetry block of
+    ``basis`` (``models.block_labels``).
+
+    In a block, <S^2> is v^T S^2_b v.  On a popcount group 2Sz is
+    2 popcount - N and the parity (-1)^(N - popcount), on the full basis
+    only; on a parity group the parity is the group's, and 2<Sz> and its
+    variance come from Sz and Sz^2 in the block, with the same tolerance
+    as on a vector.
+    """
+    if block is None:
+        s, s_sq = total_spin(basis, vec)
+        par = parity(basis, vec) if basis.sz_twice is None else None
+        return StateLabels(sz_twice=sz_twice_label(basis, vec), total_spin=s,
+                           parity=par, s_squared=s_sq)
+    _check_normalized(vec)
+    s, s_sq = _spin_label(float(vec.dot(block.s_squared.dot(vec))))
+    n = basis.n_sites
+    par = 1 - 2 * ((n - block.group) % 2) if basis.sz_twice is None else None
+    if block.parity_group:
+        mean = 2.0 * float(vec.dot(block.sz.dot(vec)))
+        sz = _sz_label(mean, 4.0 * float(vec.dot(block.sz_squared.dot(vec))) - mean * mean)
+    else:
+        sz = 2 * block.group - n
+    return StateLabels(sz_twice=sz, total_spin=s, parity=par, s_squared=s_sq)
+
+
+def level_labels(model: ModelSpec, basis: SectorBasis,
+                 solution: EigenSolution) -> list[StateLabels]:
+    """``label_state`` of every level of a solve of ``model`` on ``basis``:
+    from the level's symmetry block where the solve kept it there (a
+    dense solve on ``sector_matrices``), else from its vector."""
+    if solution.block_levels is None:
+        return [label_state(basis, solution.vectors[:, c]) for c in range(solution.k)]
+    blocks = block_labels(model, basis)
+    return [label_state(basis, vec, blocks[b]) for b, vec in solution.block_levels]
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +308,7 @@ def _full_solution(model: ModelSpec, lattice, solution):
         raise ResourceLimitError(f"sum rules need the full spectrum; "
                                  f"dim {basis.dimension} > cap {DENSE_CAP_DEFAULT}")
     if solution is None:
-        solution = dense_spectrum(sector_matrices(model, basis))
+        solution = dense_spectrum(sector_matrices(model, basis), checked=True)
     return basis, solution
 
 

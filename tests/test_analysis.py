@@ -6,7 +6,7 @@ import pytest
 from spinqpt.eigensolver import ConvergenceError
 from spinqpt.lattice import chain, ladder
 from spinqpt.models import BOND_PAIRS, FAMILY_TABLE
-from spinqpt.analysis import (GridSpec, SolverOptions, build_model, classify,
+from spinqpt.analysis import (GridSpec, PointConfig, SolverOptions, build_model, classify,
                               derivative, detect_crossings, fit_inverse_size,
                               locate_extrema, parse_space, resolve_pairs,
                               scaling_study, space_name, sweep)
@@ -550,3 +550,28 @@ def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
     asked.clear()
     detect_crossings(res, 1, 2)
     assert asked and set(asked) == {3}
+
+
+@pytest.mark.parametrize("family, fixed, swept, lattice, g", [
+    ("xxz", (), "delta", chain(8), -1.0),  # the kept levels all lie in the N + 1 multiplet
+    ("xxz", (), "delta", chain(8), -1.5),  # a twofold ground level
+    ("xxz", (), "delta", chain(8), 1.0),
+    ("j1j2", (("j1", 1.0),), "j2", chain(8), 0.5),  # the twofold Majumdar-Ghosh ground
+    ("ladder", (("j_leg", 1.0),), "j_rung", ladder(8), 0.4),
+    ("ising", (), "lam", chain(8), 0.9),
+    ("xyz", (("jx", 0.8), ("jy", 1.2), ("jz", 0.9)), "h", chain(8), 0.0),
+])
+def test_dense_sweep_point_lifts_only_its_ground_multiplet(family, fixed, swept, lattice, g):
+    import spinqpt.analysis as analysis
+    pairs = (("a", (0, 1)), ("b", (0, 2)), ("c", (1, 5)))
+    cfg = PointConfig(family, fixed, swept, lattice, None, 6, pairs, SolverOptions())
+    point = analysis._sweep_point(cfg, g)
+    sol, basis = analysis.solve_levels(cfg, g, cfg.k_levels)  # every level lifted
+    lifted = analysis._observe_point(cfg, g, sol, basis)
+    assert point.flag is None and sol.vectors.shape[1] == cfg.k_levels
+    assert np.array_equal(point.energies, lifted.energies)
+    assert point.pairs == lifted.pairs
+    assert point.gs_multiplicity == lifted.gs_multiplicity
+    ground, _ = analysis.solve_levels(cfg, g, cfg.k_levels, lift="ground")
+    assert ground.vectors.shape[1] == point.gs_multiplicity
+    assert np.array_equal(ground.vectors, sol.vectors[:, :point.gs_multiplicity])

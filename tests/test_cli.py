@@ -387,6 +387,33 @@ def test_non_finite_model_parameter_is_config_error(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value, delta", [("-1e-3", -1e-3), ("-.5e2", -50.0),
+                                          ("-1E+2", -100.0), ("-0.5", -0.5)])
+def test_negative_exponent_values_read_as_values(value, delta, tmp_path, capsys):
+    argv = ["spectrum", "--model", "xxz", "--sites", "4", "--levels", "1"]
+    assert build_parser().parse_args(argv + ["--delta", value]).delta == delta
+    code, out, err = run_capture(argv + ["--delta", value], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["delta"] == delta
+    cfg = tmp_path / "run.flags"
+    cfg.write_text(f"--delta {value}\n")
+    code, out, err = run_capture(argv + ["--config", str(cfg)], capsys)
+    assert (code, err) == (0, "")
+    assert json.loads(out)["config"]["delta"] == delta
+
+
+@pytest.mark.parametrize("value", ["-inf", "-nan", "-Infinity"])
+def test_negative_non_finite_values_reach_the_finite_check(value, tmp_path, capsys):
+    argv = ["spectrum", "--model", "xxz", "--sites", "4"]
+    message = f"error: xxz parameter delta must be finite, not {float(value)}\n"
+    code, out, err = run_capture(argv + ["--delta", value], capsys)
+    assert (code, out, err) == (2, "", message)
+    cfg = tmp_path / "run.flags"
+    cfg.write_text(f"--delta {value}\n")
+    code, out, err = run_capture(argv + ["--config", str(cfg)], capsys)
+    assert (code, out, err) == (2, "", message)
+
+
 def test_repeated_sizes_are_config_error(capsys):
     code, out, err = run_capture(
         ["scaling", "--model", "ising", "--sweep", "lambda:0.5:1.5:0.05",

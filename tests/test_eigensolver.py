@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy import sparse
 from hypothesis import given, settings, strategies as st
 
 from spinqpt import models
@@ -188,6 +189,35 @@ def test_layout_refuses_a_reflection_the_bonds_break(monkeypatch):
     enumerate_sector.cache_clear()
     with pytest.raises(ValueError, match="couples two symmetry blocks"):
         sector_matrices(xxz(0.5), enumerate_sector(chain(6), None))
+
+
+def test_layout_checks_cover_and_symmetry_once(monkeypatch):
+    # a solve on a layout's blocks skips both checks, so the layout runs them
+    lattice = chain(6)
+    real_blocks, real_term = models._symmetry_blocks, models._term
+
+    def fresh():
+        return SectorBasis(lattice, None, np.arange(2 ** 6))
+
+    def dropping(lat, configs, invert):  # the last block loses a column
+        blocks = real_blocks(lat, configs, invert)
+        rows, coefs = blocks[-1]
+        return blocks[:-1] + [(rows[:, :-1], coefs[:, :-1])]
+
+    monkeypatch.setattr(models, "_symmetry_blocks", dropping)
+    with pytest.raises(ValueError, match="exactly once"):
+        sector_matrices(xxz(0.5), fresh())
+    monkeypatch.setattr(models, "_symmetry_blocks", real_blocks)
+
+    def lopsided(basis, pairs, part):  # T D, with D diagonal and invariant under
+        term = real_term(basis, pairs, part)  # both symmetries, keeps the blocks
+        if part != "anti":
+            return term
+        return term @ sparse.diags(2.0 + real_term(basis, pairs, "zz"))
+
+    monkeypatch.setattr(models, "_term", lopsided)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sector_matrices(xxz(0.5), fresh())
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.5, 1.0, 2.0])

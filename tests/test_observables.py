@@ -3,11 +3,12 @@ import pytest
 
 import oracle as orc
 from spinqpt.lattice import chain, ladder, enumerate_sector, lift_to_full
-from spinqpt.models import (HamiltonianAction, hamiltonian_dense, j1j2,
+from spinqpt.models import (HamiltonianAction, block_labels, hamiltonian_dense, j1j2,
                             ladder_model, transverse_ising, xxz, general_xyz)
 from spinqpt.eigensolver import dense_spectrum
+from spinqpt.analysis import SolverOptions, solve_model
 from spinqpt.observables import (bond_averaged_correlators, collective_apply,
-                                 correlator, label_state, parity,
+                                 correlator, label_state, level_labels, parity,
                                  rearranged_sum_rule, structure_factor,
                                  sum_rule_residual, total_spin,
                                  transition_weights, two_site_rdm)
@@ -382,3 +383,37 @@ def test_bond_average_over_a_kind_the_model_lacks_is_rejected(model, lattice, ki
     vec = np.ones(basis.dimension) / np.sqrt(basis.dimension)
     with pytest.raises(ValueError, match=f"no '{kind}' bonds"):
         bond_averaged_correlators(model, basis, vec, kind=kind)
+
+
+# --- labels read from a dense level's symmetry block --------------------------
+
+@pytest.mark.parametrize("model, lattice, sz_twice, cutoff", [
+    pytest.param(xxz(-1.0), chain(8), None, 512, id="xxz-ferro-edge"),
+    pytest.param(xxz(0.6), chain(8), None, 512, id="xxz-0.6"),
+    pytest.param(xxz(1.0), chain(8), None, 512, id="xxz-heisenberg"),
+    pytest.param(j1j2(1.0, 0.3), chain(8), None, 512, id="j1j2"),
+    pytest.param(ladder_model(0.6), ladder(8), None, 512, id="ladder-8"),
+    # the field leaves the parity groups without spin inversion
+    pytest.param(transverse_ising(0.8), chain(8), None, 512, id="ising"),
+    # parity groups split by spin inversion, under which Sz is odd
+    pytest.param(general_xyz(0.8, 1.2, 0.9), chain(6), None, 512, id="xyz-h0-6"),
+    pytest.param(general_xyz(0.8, 1.2, 0.9), chain(8), None, 512, id="xyz-h0-8"),
+    pytest.param(general_xyz(0.8, 1.2, 0.9, 0.3), chain(8), None, 512, id="xyz-field"),
+    pytest.param(xxz(0.6), chain(7), None, 512, id="xxz-odd-7"),
+    pytest.param(transverse_ising(0.8), chain(7), None, 512, id="ising-odd-7"),
+    pytest.param(j1j2(1.0, 0.3), chain(10), 0, 300, id="j1j2-sz0-10"),
+])
+def test_block_labels_match_the_lifted_vectors(model, lattice, sz_twice, cutoff):
+    basis = enumerate_sector(lattice, sz_twice)
+    sol = solve_model(model, basis, basis.dimension, SolverOptions(dense_cutoff=cutoff))
+    assert sol.block_levels is not None and sol.vectors.shape[1] == sol.k
+    parity_groups = model.family in ("ising", "xyz")  # both flip aligned pairs here
+    assert all(block.parity_group == parity_groups for block in block_labels(model, basis))
+    labels = level_labels(model, basis, sol)
+    for c, got in enumerate(labels):
+        ref = label_state(basis, sol.vectors[:, c])
+        assert (got.sz_twice, got.total_spin, got.parity) == \
+            (ref.sz_twice, ref.total_spin, ref.parity), c
+        assert abs(got.s_squared - ref.s_squared) <= 1e-12 * max(1.0, abs(ref.s_squared))
+    # on parity groups some levels mix Sz sectors
+    assert parity_groups == any(lab.sz_twice is None for lab in labels)

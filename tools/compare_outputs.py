@@ -52,6 +52,8 @@ COMMANDS = (
     "sweep --model xxz --sweep delta:0.5:1.5:0.25 --sites 8 --levels 3 --space sz0",
     # odd N: Sz sectors split by the reflection alone
     "sweep --model xxz --sweep delta:0:1:0.1 --sites 7 --levels 4",
+    # dense ising sweep: parity groups, where Sz is no label of the block
+    "sweep --model ising --sweep lambda:0.5:1.5:0.1 --sites 8 --levels 4",
     "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.7:0.05 --sites 16 --levels 3 --format csv",
     # --dense-cutoff picks only the solver: this sweep solves Sz = 0 as without it
     "sweep --model j1j2 --j1 1 --sweep j2:0.2:0.4:0.1 --sites 10 --levels 3 --dense-cutoff 1024",
