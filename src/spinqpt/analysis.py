@@ -30,7 +30,7 @@ import numpy as np
 
 from .lattice import LatticeSpec, SectorBasis, enumerate_sector
 from .models import (BOND_PAIRS, FAMILY_TABLE, ModelSpec, HamiltonianAction,
-                     build_model, family_spec, sector_matrices)
+                     build_model, family_spec)
 from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
                           ground_multiplicity, lanczos_lowest_k, ConvergenceError)
 from .observables import StateLabels, level_labels, pair_correlators, two_site_rdm
@@ -161,25 +161,30 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
     k below 1 or above the dimension raises ValueError on both paths.
 
     The dense path solves each symmetry block of the basis on its own and
-    keeps every level in its block (``EigenSolution.block_levels``); it
-    lifts into the basis the vectors of ``lift`` ("all", "ground" or
-    "none", see ``dense_spectrum``), whose residuals are taken with the
-    matrix-free operator, and takes the others' residuals in their
-    blocks.  ``energies_only`` lets the dense path skip eigenvectors,
-    residuals and the operator; Lanczos produces every vector either way,
-    with matrix-free residuals.
+    keeps every level in its block (``EigenSolution.block_levels``), with
+    each block's label terms (``block_labels``); it lifts into the basis
+    the vectors of ``lift`` ("all", "ground" or "none", see
+    ``dense_spectrum``), whose residuals are taken with the sparse
+    operator, and takes the others' residuals in their blocks.
+    ``energies_only`` lets the dense path skip eigenvectors, residuals and
+    the operator; Lanczos produces every vector either way, with sparse
+    residuals.  One ``HamiltonianAction`` gives the blocks, their labels
+    and the operator, so the model's terms are built once per solve.
     """
     if k < 1:
         raise ValueError("need k >= 1")
     if k > basis.dimension:
         raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
+    action = HamiltonianAction(model, basis)
     if not _dense(basis, options):
-        return lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, k,
+        return lanczos_lowest_k(action, basis.dimension, k,
                                 tol=options.tol, seed=options.seed)
-    blocks = sector_matrices(model, basis)
-    apply = None if energies_only or lift == "none" else HamiltonianAction(model, basis)
-    return dense_spectrum(blocks, levels=k, vectors=not energies_only, apply=apply,
-                          lift=lift, checked=True)
+    solution = dense_spectrum(action.blocks(), levels=k, vectors=not energies_only,
+                              apply=None if energies_only or lift == "none" else action,
+                              lift=lift, checked=True)
+    if solution.block_levels is not None:
+        solution.block_labels = action.labels()
+    return solution
 
 
 def _dense(basis: SectorBasis, options: SolverOptions) -> bool:

@@ -27,7 +27,7 @@ amplitude positive, and both report explicit residuals |H v - E v|.
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
+from scipy.linalg.lapack import dstebz, dstein
 
 
 class ConvergenceError(RuntimeError):
@@ -46,6 +46,8 @@ class EigenSolution:
     meta: dict = field(default_factory=dict)
     # a solve on blocks: (index of the level's block, its vector there) per level
     block_levels: tuple | None = None
+    # a solve on a model's blocks: each block's label terms (models.BlockLabels)
+    block_labels: tuple | None = None
 
     @property
     def k(self) -> int:
@@ -200,6 +202,33 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
                          block_levels=None if whole else tuple(block_levels))
 
 
+def _ritz(alphas: np.ndarray, betas: np.ndarray, nwant: int):
+    """The lowest ``nwant`` eigenpairs ``(theta, s_mat)`` and the top
+    eigenvalue of the symmetric tridiagonal matrix with diagonal
+    ``alphas`` and off-diagonal ``betas`` (float64, contiguous).
+
+    These are the LAPACK calls ``scipy.linalg.eigh_tridiagonal`` makes
+    for ``select="i"``, and the one ``eigvalsh_tridiagonal`` makes for
+    the top value, so every bit is the same, without their checks on the
+    input: bisection (``dstebz``, range by index, tolerance 0, eigenvalues
+    ordered by split block for ``dstein``), inverse iteration for the
+    vectors (``dstein``), then ascending order.  A 1 x 1 matrix, which
+    ``dstebz`` refuses (no off-diagonal), is its own eigenpair, as in
+    scipy.  A LAPACK failure raises ConvergenceError."""
+    n = len(alphas)
+    if n == 1:
+        return alphas.copy(), np.ones((1, 1)), float(alphas[0])
+    count, w, iblock, isplit, info = dstebz(alphas, betas, 2, 0.0, 1.0, 1, nwant, 0.0, "B")
+    if info == 0:
+        s_mat, info = dstein(alphas, betas, w[:count], iblock, isplit)
+    if info == 0:
+        _, top, _, _, info = dstebz(alphas, betas, 2, 0.0, 1.0, n, n, 0.0, "E")
+    if info != 0:
+        raise ConvergenceError(f"tridiagonal eigensolver failed (LAPACK info {info})")
+    order = np.argsort(w[:count])
+    return w[order], s_mat[:, order], float(top[0])
+
+
 def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
                      seed: int = 0x5EED) -> EigenSolution:
     """Lowest ``k`` eigenpairs of a symmetric operator given as a closure.
@@ -212,9 +241,9 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
     runs at most min(dim, max(3k + 80, 320)) steps, and at most 3k + 12
     deflation restarts follow the first.  Every ``CHECK_EVERY`` steps the
     Ritz check solves the tridiagonal matrix for the lowest wanted pairs
-    and its top value only.  ``meta`` counts the deflation ``restarts``,
-    the calls to ``apply`` (``matvecs``), the Krylov ``steps`` taken,
-    the steps that ran the full reorthogonalization pass
+    and its top value only (``_ritz``).  ``meta`` counts the deflation
+    ``restarts``, the calls to ``apply`` (``matvecs``), the Krylov
+    ``steps`` taken, the steps that ran the full reorthogonalization pass
     (``reorthogonalizations``) and the second Gram-Schmidt passes among
     them (``second_passes``), and keeps the first sequence's lowest Ritz
     values (``ritz_history``) and the ``spectral_width`` estimate.
@@ -337,11 +366,7 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
             if (m + 1) % CHECK_EVERY == 0 or m == steps - 1 or exhausted:
                 # only what the check reads: the lowest wanted pairs, whose
                 # last components bound their residuals, and the top value
-                nwant = min(want, m + 1)
-                theta, s_mat = eigh_tridiagonal(alphas[:m + 1], betas[:m], select="i",
-                                                select_range=(0, nwant - 1))
-                top = eigvalsh_tridiagonal(alphas[:m + 1], betas[:m], select="i",
-                                           select_range=(m, m))[0]
+                theta, s_mat, top = _ritz(alphas[:m + 1], betas[:m], min(want, m + 1))
                 width = max(width, float(top - theta[0]))
                 if restarts == 0:
                     history.append(float(theta[0]))

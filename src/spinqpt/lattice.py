@@ -58,8 +58,9 @@ class SectorBasis:
     enumeration order reproducible by construction.  Bases come from
     ``enumerate_sector``, which hands every caller the same read-only
     instance per (lattice, sector).  Everything built from a basis alone
-    is kept on it through ``cached``: the operator terms, the dense block
-    layouts and the blocks' label terms of ``spinqpt.models``, the flip
+    is kept on it through ``cached``: the operator terms, the merged
+    operator patterns, the dense block layouts and the blocks' label
+    terms of ``spinqpt.models``, the flip
     table, label arrays and pair groupings of ``spinqpt.observables``.
     """
 

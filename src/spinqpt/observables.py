@@ -206,10 +206,12 @@ def level_labels(model: ModelSpec, basis: SectorBasis,
                  solution: EigenSolution) -> list[StateLabels]:
     """``label_state`` of every level of a solve of ``model`` on ``basis``:
     from the level's symmetry block where the solve kept it there (a
-    dense solve on ``sector_matrices``), else from its vector."""
+    dense solve on ``sector_matrices``), else from its vector.  The block
+    label terms are the solution's own where the solve kept them
+    (``analysis.solve_model``)."""
     if solution.block_levels is None:
         return [label_state(basis, solution.vectors[:, c]) for c in range(solution.k)]
-    blocks = block_labels(model, basis)
+    blocks = solution.block_labels or block_labels(model, basis)
     return [label_state(basis, vec, blocks[b]) for b, vec in solution.block_levels]
 
 

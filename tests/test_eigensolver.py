@@ -1,9 +1,10 @@
 import numpy as np
 import pytest
 from scipy import sparse
+from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from hypothesis import given, settings, strategies as st
 
-from spinqpt import models
+from spinqpt import eigensolver, models
 from spinqpt.lattice import SectorBasis, chain, enumerate_sector, ladder, popcount
 from spinqpt.models import (HamiltonianAction, _reflection, family_spec,
                             general_xyz, hamiltonian_dense, j1j2, ladder_model,
@@ -329,6 +330,42 @@ def test_lanczos_oracle_equivalence_random_symmetric(seed):
     k = rng.randint(1, min(5, dim) + 1)
     lanc = lanczos_lowest_k(lambda v: m @ v, dim, k, seed=seed)
     assert np.allclose(lanc.energies, dense.energies[:k], atol=1e-9)
+
+
+def test_ritz_check_is_scipy_bit_for_bit():
+    # the Ritz check calls dstebz and dstein itself; scipy's tridiagonal
+    # solvers, which validate first, make the same calls
+    rng = np.random.RandomState(17)
+    for n in range(2, 321):
+        alphas, betas = rng.standard_normal(n), rng.standard_normal(n - 1)
+        if n % 7 == 0:
+            betas[rng.rand(n - 1) < 0.1] = 0.0  # split into blocks
+        nwant = n if n % 5 == 0 and n <= 60 else rng.randint(1, min(n, 8) + 1)
+        theta, s_mat, top = eigensolver._ritz(alphas, betas, nwant)
+        ref_theta, ref_s = eigh_tridiagonal(alphas, betas, select="i",
+                                            select_range=(0, nwant - 1))
+        ref_top = eigvalsh_tridiagonal(alphas, betas, select="i",
+                                       select_range=(n - 1, n - 1))
+        assert np.array_equal(theta, ref_theta) and np.array_equal(s_mat, ref_s)
+        assert top == ref_top[0]
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lanczos_on_the_smallest_spaces(monkeypatch, dim):
+    # a Krylov sequence that ends at its first step leaves a 1 x 1
+    # tridiagonal matrix, which the Ritz check solves without LAPACK: the
+    # only one at dim 1, the certifying restart's at dim 2
+    m = np.array([[0.3, -0.8], [-0.8, 1.1]])[:dim, :dim]
+    sizes, ritz = [], eigensolver._ritz
+
+    def recorded(alphas, betas, nwant):
+        sizes.append(len(alphas))
+        return ritz(alphas, betas, nwant)
+    monkeypatch.setattr(eigensolver, "_ritz", recorded)
+    sol = lanczos_lowest_k(lambda v: m @ v, dim, 1)
+    assert sizes[-1] == 1
+    assert abs(sol.energies[0] - np.linalg.eigvalsh(m)[0]) <= 1e-14
+    assert np.max(sol.residuals) <= 1e-14
 
 
 def _fivefold_matrix():

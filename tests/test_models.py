@@ -275,6 +275,43 @@ def test_actions_on_one_basis_share_cached_terms():
     assert HamiltonianAction(xxz(0.5), basis).terms[0][1] is a.terms[0][1]
 
 
+@pytest.mark.parametrize("model, lattice, sector", [  # sector: 2Sz, None for the full space
+    (xxz(0.6), chain(6), None),
+    (xxz(0.0), chain(6), 0),                         # zz at amplitude 0
+    (j1j2(1.0, 0.5), chain(4), None),                # NNN pairs listed twice
+    (j1j2(1.0, 0.0), chain(7), None),                # nnn flips at amplitude 0
+    (j1j2(0.8, 0.3), chain(8), 2),
+    (transverse_ising(0.7), chain(6), None),
+    (ladder_model(0.7), ladder(6), None),
+    (ladder_model(0.0), ladder(6), 0),               # rungs at amplitude 0
+    (general_xyz(0.9, 0.3, -0.5, h=0.4), chain(5), None),   # aligned flips and a field
+    (general_xyz(1.0, -1.0, 0.0, h=0.2), chain(6), None),   # anti flips and zz at 0
+], ids=lambda v: getattr(v, "family", None))
+def test_merged_operator_matches_the_dense_matrix(model, lattice, sector):
+    basis = enumerate_sector(lattice, sector)
+    action = HamiltonianAction(model, basis)
+    dense = hamiltonian_dense(model, basis)
+    rng = np.random.RandomState(5)
+    block = rng.standard_normal((basis.dimension, 3))
+    assert np.max(np.abs(action(block) - dense @ block)) <= 1e-13
+    assert np.max(np.abs(action(block[:, 1]) - dense @ block[:, 1])) <= 1e-13
+    assert np.array_equal(action.matrix.toarray(), dense)
+
+
+def test_actions_on_one_basis_share_the_merged_pattern():
+    basis = enumerate_sector(chain(8), 0)
+    a = HamiltonianAction(j1j2(1.0, 0.2), basis).matrix
+    b = HamiltonianAction(j1j2(1.0, 0.7), basis).matrix
+    assert np.shares_memory(a.indices, b.indices) and np.shares_memory(a.indptr, b.indptr)
+    assert not np.shares_memory(a.data, b.data)
+    for arr in (a.indices, a.indptr):
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = 1
+    # without the nnn flips the pattern is another one
+    assert not np.shares_memory(HamiltonianAction(j1j2(1.0, 0.0), basis).matrix.indices,
+                                a.indices)
+
+
 # --- mirrored Sz sectors ------------------------------------------------------
 
 def _isometry(rows, coefs, dim):

@@ -40,6 +40,8 @@ COMMANDS = (
     "spectrum --model ladder --j-rung 0.8 --sites 12 --levels 4",
     "spectrum --model xyz --jx 0.9 --jy 1.1 --jz 0.8 --hz 0.2 --sites 12 --sector full",
     "spectrum --model xxz --delta -1 --sites 12 --sector full --levels 14",
+    # Lanczos on the 4-site ring, whose NNN bond list holds each pair twice
+    "spectrum --model j1j2 --j1 1 --j2 0.5 --sites 4 --dense-cutoff 1 --levels 2",
     # parity groups of the full basis split by the reflection and spin inversion
     "spectrum --model xyz --jx 0.8 --jy 1.2 --jz 0.9 --sites 8 --levels 6",
     # sweep: CSV and JSON, dense full space and Lanczos Sz = 0
