@@ -277,7 +277,7 @@ def _sweep_point(cfg: PointConfig, g: float) -> SweepPoint:
 
 
 def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
-    labels = level_labels(cfg.model_at(g), basis, sol)
+    labels = level_labels(basis, sol)
     # a degenerate ground level has no preferred eigenvector; pair
     # observables then come from the ensemble over the solved part of the
     # multiplet, which is invariant under mixing within the degenerate

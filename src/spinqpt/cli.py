@@ -329,7 +329,7 @@ def cmd_spectrum(settings) -> dict:
     basis = enumerate_sector(lattice, sz_twice)
     sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings),
                       lift="none")
-    labels = level_labels(model, basis, sol)
+    labels = level_labels(basis, sol)
     return {"model": model.describe(), "n_sites": lattice.n_sites,
             "space": space_name(sz_twice), "dimension": basis.dimension,
             "energies": list(sol.energies),

@@ -214,7 +214,11 @@ def _ritz(alphas: np.ndarray, betas: np.ndarray, nwant: int):
     ordered by split block for ``dstein``), inverse iteration for the
     vectors (``dstein``), then ascending order.  A 1 x 1 matrix, which
     ``dstebz`` refuses (no off-diagonal), is its own eigenpair, as in
-    scipy.  A LAPACK failure raises ConvergenceError."""
+    scipy.  A non-finite entry raises ValueError, as scipy's check does:
+    LAPACK's result on it is undefined.  A LAPACK failure raises
+    ConvergenceError."""
+    if not (np.isfinite(alphas).all() and np.isfinite(betas).all()):
+        raise ValueError("array must not contain infs or NaNs")
     n = len(alphas)
     if n == 1:
         return alphas.copy(), np.ones((1, 1)), float(alphas[0])

@@ -270,12 +270,12 @@ def _pattern(basis: SectorBasis, keys: tuple) -> tuple:
     flips (``_flips``): each row holds its diagonal entry first, then
     each term's entries, bond by bond, one per flip.  A duplicated bond
     keeps both its entries, which the product sums, so every entry of a
-    term has the term's amplitude as its value.  Returns the pattern as a
-    CSR matrix of unit values held by no memory (one broadcast 1.0), and
-    per row the length of each of its runs, 1 for the diagonal and then
-    each term's count, so H's values are ``np.repeat`` of [diagonal,
-    amplitudes] per row by ``lengths``.  The index arrays are int32 and
-    read-only; the build takes O(dim) memory besides them."""
+    term has the term's amplitude as its value.  Returns the CSR index
+    arrays ``(indptr, indices)`` and per row the length of each of its
+    runs, 1 for the diagonal and then each term's count, so H's values are
+    ``np.repeat`` of [diagonal, amplitudes] per row by ``lengths``.  The
+    index arrays are int32 and read-only; the build takes O(dim) memory
+    besides them."""
     dim = basis.dimension
     lengths = np.ones((dim, 1 + len(keys)), dtype=np.int32)
     for t, key in enumerate(keys, 1):
@@ -293,8 +293,7 @@ def _pattern(basis: SectorBasis, keys: tuple) -> tuple:
             free[rows] += 1
     for arr in (indptr, indices):
         arr.setflags(write=False)
-    unit = np.broadcast_to(1.0, indices.shape)
-    return sparse.csr_matrix((unit, indices, indptr), shape=(dim, dim)), lengths
+    return indptr, indices, lengths
 
 
 class HamiltonianAction:
@@ -329,14 +328,14 @@ class HamiltonianAction:
         self.amps = tuple(amp for amp, _, _ in terms)
         self.keys = tuple((pairs, part) for _, pairs, part in terms)
         # (amplitude, key) of each nonzero off-diagonal term
-        self._flips = [(amp, key) for amp, key in zip(self.amps, self.keys)
-                       if amp != 0.0 and key[1] in ("anti", "aligned")]
+        self._flip_terms = [(amp, key) for amp, key in zip(self.amps, self.keys)
+                            if amp != 0.0 and key[1] in ("anti", "aligned")]
 
     @cached_property
     def terms(self) -> list:
         """(amplitude, CSR term cached on the basis, ``_term``) per nonzero
         off-diagonal term, in term order."""
-        return [(amp, _term(self.basis, *key)) for amp, key in self._flips]
+        return [(amp, _term(self.basis, *key)) for amp, key in self._flip_terms]
 
     def diagonal(self) -> np.ndarray:
         """H's diagonal: its zz terms and field, each times its amplitude."""
@@ -349,15 +348,14 @@ class HamiltonianAction:
     @cached_property
     def matrix(self) -> sparse.csr_matrix:
         """H on the basis as one CSR matrix on the cached ``_pattern``."""
-        keys = tuple(key for _, key in self._flips)
-        pattern, lengths = self.basis.cached(("pattern", keys),
-                                             lambda: _pattern(self.basis, keys))
+        keys = tuple(key for _, key in self._flip_terms)
+        indptr, indices, lengths = self.basis.cached(("pattern", keys),
+                                                     lambda: _pattern(self.basis, keys))
         runs = np.empty(lengths.shape)  # per row: the diagonal, then each amplitude
         runs[:, 0] = self.diagonal()
-        runs[:, 1:] = [amp for amp, _ in self._flips]
-        matrix = sparse.csr_matrix(pattern)  # a new matrix on the pattern's index arrays
-        matrix.data = np.repeat(runs.ravel(), lengths.ravel())
-        return matrix
+        runs[:, 1:] = [amp for amp, _ in self._flip_terms]
+        return sparse.csr_matrix((np.repeat(runs.ravel(), lengths.ravel()), indices, indptr),
+                                 shape=(self.dim, self.dim))
 
     def __call__(self, vec: np.ndarray) -> np.ndarray:
         vec = np.asarray(vec)

@@ -16,7 +16,7 @@ import numpy as np
 from .lattice import SectorBasis, enumerate_sector
 from .models import (BOND_PAIRS, DENSE_CAP_DEFAULT, FAMILY_TABLE, BlockLabels, ModelSpec,
                      HamiltonianAction, ResourceLimitError, _check_geometry,
-                     block_labels, family_spec, sector_matrices)
+                     family_spec, sector_matrices)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
@@ -202,16 +202,15 @@ def label_state(basis: SectorBasis, vec: np.ndarray,
     return StateLabels(sz_twice=sz, total_spin=s, parity=par, s_squared=s_sq)
 
 
-def level_labels(model: ModelSpec, basis: SectorBasis,
-                 solution: EigenSolution) -> list[StateLabels]:
-    """``label_state`` of every level of a solve of ``model`` on ``basis``:
-    from the level's symmetry block where the solve kept it there (a
-    dense solve on ``sector_matrices``), else from its vector.  The block
-    label terms are the solution's own where the solve kept them
-    (``analysis.solve_model``)."""
+def level_labels(basis: SectorBasis, solution: EigenSolution) -> list[StateLabels]:
+    """``label_state`` of every level of a solve on ``basis``
+    (``analysis.solve_model``): from the level's symmetry block and that
+    block's label terms, which a dense solve keeps
+    (``EigenSolution.block_levels`` and ``block_labels``), else from its
+    vector."""
     if solution.block_levels is None:
         return [label_state(basis, solution.vectors[:, c]) for c in range(solution.k)]
-    blocks = solution.block_labels or block_labels(model, basis)
+    blocks = solution.block_labels
     return [label_state(basis, vec, blocks[b]) for b, vec in solution.block_levels]
 
 

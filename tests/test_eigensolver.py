@@ -368,6 +368,19 @@ def test_lanczos_on_the_smallest_spaces(monkeypatch, dim):
     assert np.max(sol.residuals) <= 1e-14
 
 
+@pytest.mark.parametrize("apply", [
+    lambda basis: (lambda v: np.full_like(v, np.nan)),
+    # the public constructors skip build_model's check of the parameters
+    lambda basis: HamiltonianAction(xxz(float("nan")), basis),
+], ids=["closure", "model"])
+def test_lanczos_refuses_a_non_finite_operator(apply):
+    # LAPACK's tridiagonal solvers are undefined on NaN, so the Ritz check
+    # refuses it rather than report garbage or a convergence failure
+    basis = enumerate_sector(chain(8), 0)
+    with pytest.raises(ValueError, match="infs or NaNs"):
+        lanczos_lowest_k(apply(basis), basis.dimension, 2)
+
+
 def _fivefold_matrix():
     rng = np.random.RandomState(3)
     q, _ = np.linalg.qr(rng.standard_normal((20, 20)))

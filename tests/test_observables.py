@@ -409,7 +409,7 @@ def test_block_labels_match_the_lifted_vectors(model, lattice, sz_twice, cutoff)
     assert sol.block_levels is not None and sol.vectors.shape[1] == sol.k
     parity_groups = model.family in ("ising", "xyz")  # both flip aligned pairs here
     assert all(block.parity_group == parity_groups for block in block_labels(model, basis))
-    labels = level_labels(model, basis, sol)
+    labels = level_labels(basis, sol)
     for c, got in enumerate(labels):
         ref = label_state(basis, sol.vectors[:, c])
         assert (got.sz_twice, got.total_spin, got.parity) == \
