@@ -5,13 +5,12 @@ __version__ = "0.1.0"
 
 from .lattice import (LatticeSpec, SectorBasis, chain, ladder,
                       enumerate_sector, index_of, lift_to_full)
-from .models import (ModelSpec, HamiltonianAction, ResourceLimitError,
-                     apply_hamiltonian, general_xyz, hamiltonian_dense, j1j2,
-                     ladder_model, transverse_ising, xxz)
+from .models import (ModelSpec, HamiltonianAction, apply_hamiltonian,
+                     general_xyz, j1j2, ladder_model, transverse_ising, xxz)
 from .eigensolver import (ConvergenceError, EigenSolution, dense_spectrum,
                           lanczos_lowest_k)
-from .observables import (StateLabels, SumRuleReport, RearrangedSumRule,
-                          TransitionWeights, bond_averaged_correlators,
+from .observables import (ResourceLimitError, StateLabels, SumRuleReport,
+                          RearrangedSumRule, TransitionWeights, bond_averaged_correlators,
                           collective_apply, correlator, label_state, parity,
                           rearranged_sum_rule, structure_factor,
                           sum_rule_residual, total_spin, transition_weights,

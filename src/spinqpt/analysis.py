@@ -70,7 +70,7 @@ class GridSpec:
 @dataclass(frozen=True)
 class SolverOptions:
     """How ``solve_model`` solves one point.  The sum rules' full-spectrum
-    cap is not here: it is ``models.DENSE_CAP_DEFAULT``."""
+    cap is not here: it is ``observables.DENSE_CAP_DEFAULT``."""
     tol: float = 1e-10           # Lanczos residual tolerance, relative to the width
     seed: int = DEFAULT_SEED     # Lanczos start vectors
     dense_cutoff: int = 512      # spaces of this dimension or less use LAPACK
@@ -181,7 +181,7 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
                                 tol=options.tol, seed=options.seed)
     solution = dense_spectrum(action.blocks(), levels=k, vectors=not energies_only,
                               apply=None if energies_only or lift == "none" else action,
-                              lift=lift, checked=True)
+                              lift=lift)
     if solution.block_levels is not None:
         solution.block_labels = action.labels()
     return solution

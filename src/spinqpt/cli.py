@@ -26,10 +26,10 @@ from dataclasses import asdict
 
 from . import __version__
 from .lattice import enumerate_sector
-from .models import FAMILY_TABLE, ResourceLimitError, build_model, family_spec
+from .models import FAMILY_TABLE, build_model, family_spec
 from .eigensolver import ConvergenceError
-from .observables import (OPERATOR_TAGS, level_labels, rearranged_sum_rule,
-                          sum_rule_residual)
+from .observables import (OPERATOR_TAGS, ResourceLimitError, level_labels,
+                          rearranged_sum_rule, sum_rule_residual)
 from .analysis import (GridSpec, SolverOptions, SweepResult, classify, parse_space,
                        scaling_study, solve_model, space_name, sweep)
 

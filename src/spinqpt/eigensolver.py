@@ -1,12 +1,11 @@
 """Dense and Lanczos eigensolvers for real symmetric operators.
 
-``dense_spectrum`` wraps LAPACK for small matrices.  Given the blocks of
-one on symmetry-adapted states (``models.sector_matrices``: each block
-column a combination of up to four basis states), it solves each
-distinct block once and merges the levels, so each level keeps its
+``dense_spectrum`` wraps LAPACK for small matrices.  It takes the blocks
+of one on symmetry-adapted states (``models.HamiltonianAction.blocks``:
+each block column a combination of up to four basis states), solves
+each distinct block once and merges the levels, so each level keeps its
 block and its vector in that block; it lifts into the whole basis only
-the vectors its caller reads.  Given one whole matrix, it is the oracle
-everything else is checked against.  ``lanczos_lowest_k`` is a Krylov
+the vectors its caller reads.  ``lanczos_lowest_k`` is a Krylov
 iteration with partial reorthogonalization (H. D. Simon, Math. Comp. 42,
 115 (1984)): a recurrence on the stored alpha and beta estimates how far
 each new Krylov vector has drifted from orthogonality, and only when the
@@ -44,7 +43,7 @@ class EigenSolution:
     vectors: np.ndarray        # orthonormal columns, one per lifted level, lowest first
     residuals: np.ndarray      # |H v - E v|_2 per level
     meta: dict = field(default_factory=dict)
-    # a solve on blocks: (index of the level's block, its vector there) per level
+    # per level: (index of its block, its vector there); None when energies only
     block_levels: tuple | None = None
     # a solve on a model's blocks: each block's label terms (models.BlockLabels)
     block_labels: tuple | None = None
@@ -57,8 +56,6 @@ class EigenSolution:
         return float(self.energies[0]), self.vectors[:, 0]
 
 
-# largest asymmetry |A - A^T|, relative to max(1, max|A|), a matrix may carry
-SYMMETRY_TOL = 1e-12
 EPS = np.finfo(float).eps
 # Simon's semi-orthogonality level: a Krylov vector whose estimated overlap
 # with an earlier one exceeds this is reorthogonalized
@@ -89,48 +86,27 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def _check_cover(rows, coefs, dim: int) -> None:
-    """Raise unless the block columns cover rows 0 ... dim - 1 exactly once:
-    each row's squared coefficients add up to 1."""
-    flat = np.concatenate(rows, axis=None)
-    if flat.min() < 0 or flat.max() >= dim or np.max(np.abs(np.bincount(
-            flat, np.concatenate(coefs, axis=None) ** 2, dim) - 1.0)) > 1e-12:
-        raise ValueError("block rows must cover 0 ... dim - 1 exactly once")
-
-
-def _check_symmetric(mats: list) -> None:
-    """Raise when a matrix departs from its transpose by more than
-    ``SYMMETRY_TOL`` relative to max(1, the largest entry of any)."""
-    entries = np.concatenate(mats, axis=None)
-    mirror = np.concatenate([mat.T for mat in mats], axis=None)
-    if np.max(np.abs(entries - mirror)) > SYMMETRY_TOL * max(1.0, np.max(np.abs(entries))):
-        raise ValueError("matrix is not symmetric")
-
-
-def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
-                   apply=None, lift: str = "all", checked: bool = False) -> EigenSolution:
+def dense_spectrum(blocks: list, *, levels: int | None = None, vectors: bool = True,
+                   apply=None, lift: str = "all") -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
-    matrix.
+    matrix, given as its invariant blocks.
 
-    ``matrix`` is one ndarray, or the invariant blocks of one as a list
-    of ``(rows, coefs, block)`` triples (``models.sector_matrices``).
-    Column a of a d x d block stands for the unit vector
-    sum_t coefs[t, a] e_{rows[t, a]} of the whole, with ``rows`` and
-    ``coefs`` of shape (r, d).  The block columns must cover the whole
-    exactly once: the block dims add up to dim, and each row's squared
-    coefficients add up to 1.  Both that and the symmetry of each block
-    are checked, unless ``checked`` says the blocks come from a layout
-    that checked them when it was built (``models.sector_matrices``).
-    LAPACK runs once per distinct block object, so a block listed twice
-    (a mirrored Sz sector) is solved once, and every level of every
-    block is kept until the merge.
+    ``blocks`` is a list of ``(rows, coefs, block)`` triples
+    (``models.HamiltonianAction.blocks``).  Column a of a d x d block
+    stands for the unit vector sum_t coefs[t, a] e_{rows[t, a]} of the
+    whole, with ``rows`` and ``coefs`` of shape (r, d).  The block
+    columns cover the whole exactly once, and each block is symmetric:
+    the layout that made the blocks checked both when it was built, so
+    neither is checked here.  LAPACK runs once per distinct block
+    object, so a block listed twice (a mirrored Sz sector) is solved
+    once, and every level of every block is kept until the merge.
 
     Levels are merged in ascending order, except that levels within
     ``degeneracy_tolerance`` of the spectrum's width of each other form
     one multiplet, whose members keep the order of their blocks; so a
     degenerate level's members come out in block order, not in the order
-    of their last bits.  Given blocks, the solution keeps each level as
-    its block's index in the list and its vector in that block
+    of their last bits.  The solution keeps each level as its block's
+    index in the list and its vector in that block
     (``block_levels``).  ``lift`` says which levels are lifted into the
     whole basis as ``vectors`` columns: "all", "ground" (the levels of
     ``ground_multiplicity``) or "none".  A lifted vector goes through its
@@ -145,18 +121,10 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
     """
     if lift not in ("all", "ground", "none"):
         raise ValueError(f"lift must be all, ground or none, not {lift!r}")
-    whole = isinstance(matrix, np.ndarray)
-    if whole:
-        matrix = [(np.arange(len(matrix))[None], np.ones((1, len(matrix))), matrix)]
-    rows, coefs, subs = zip(*matrix)
+    rows, coefs, subs = zip(*blocks)
     dims = [idx.shape[1] for idx in rows]
     dim = sum(dims)
     distinct = {id(sub): sub for sub in subs}
-    if not checked:
-        if any(sub.shape != (d, d) for sub, d in zip(subs, dims)):
-            raise ValueError("expected square blocks matching their rows")
-        _check_cover(rows, coefs, dim)
-        _check_symmetric(list(distinct.values()))
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
         solved = {key: solve(sub) for key, sub in distinct.items()}
@@ -198,8 +166,7 @@ def dense_spectrum(matrix, *, levels: int | None = None, vectors: bool = True,
                 subs[b] @ v_b[:, inside:] - v_b[:, inside:] * e_b[inside:], axis=0)
     if apply is not None and lifted:
         resid[:lifted] = np.linalg.norm(apply(vecs) - vecs * energies[:lifted], axis=0)
-    return EigenSolution(energies, vecs, resid,
-                         block_levels=None if whole else tuple(block_levels))
+    return EigenSolution(energies, vecs, resid, block_levels=tuple(block_levels))
 
 
 def _ritz(alphas: np.ndarray, betas: np.ndarray, nwant: int):

@@ -16,11 +16,11 @@ in ``BOND_PAIRS``; the two together are the only description of a model.
 Model building, symmetry checks, the sweep space, the sum rules and the
 command line all read them.  ``HamiltonianAction`` holds a model's
 terms on one basis, their keys built once: it applies H as one sparse
-product, and gives ``sector_matrices`` and ``block_labels`` the dense
-blocks of H on symmetry-adapted states (popcount groups of the basis,
-popcount parity groups of the full basis where H does not conserve Sz,
-split by the lattice reflection and spin inversion) and their label
-terms.  Three things are cached per basis (``SectorBasis.cached``): each
+product, and gives the dense blocks of H on symmetry-adapted states
+(``blocks``: popcount groups of the basis, popcount parity groups of
+the full basis where H does not conserve Sz, split by the lattice
+reflection and spin inversion) and their label terms (``labels``).
+Three things are cached per basis (``SectorBasis.cached``): each
 operator term; for a set of nonzero flip terms one merged CSR pattern
 of the diagonal and every flip; and for the whole set of a model's
 terms one block layout, every term projected into all blocks by one
@@ -46,12 +46,10 @@ from typing import Callable
 import numpy as np
 from scipy import sparse
 
-from .eigensolver import SYMMETRY_TOL, _check_cover
 from .lattice import LatticeSpec, SectorBasis
 
-
-class ResourceLimitError(RuntimeError):
-    """Raised when a dense construction would exceed the configured cap."""
+# largest asymmetry |A - A^T|, relative to max(1, max|A|), a block may carry
+SYMMETRY_TOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -331,12 +329,6 @@ class HamiltonianAction:
         self._flip_terms = [(amp, key) for amp, key in zip(self.amps, self.keys)
                             if amp != 0.0 and key[1] in ("anti", "aligned")]
 
-    @cached_property
-    def terms(self) -> list:
-        """(amplitude, CSR term cached on the basis, ``_term``) per nonzero
-        off-diagonal term, in term order."""
-        return [(amp, _term(self.basis, *key)) for amp, key in self._flip_terms]
-
     def diagonal(self) -> np.ndarray:
         """H's diagonal: its zz terms and field, each times its amplitude."""
         diag = np.zeros(self.dim)
@@ -370,7 +362,34 @@ class HamiltonianAction:
                                  lambda: _layout(self.basis, self.keys))
 
     def blocks(self) -> list:
-        """``sector_matrices`` of this action's model and basis."""
+        """``(rows, coefs, dense H)`` per symmetry block of the basis, for
+        ``dense_spectrum``: block column a is the state sum_t coefs[t, a]
+        |rows[t, a]> of the basis.
+
+        The basis's configurations group by popcount (ascending) when the
+        model conserves Sz, else by popcount mod 2 (even first), which
+        every model conserves; only labels the basis holds form groups,
+        so an Sz sector basis is one group.  Each group splits by the
+        lattice reflection, and by spin inversion on a group it maps to
+        itself (Sz = 0, or a parity group at even N) when the model has
+        no z field (``_symmetry_blocks``).  The blocks, with each
+        operator term cached on the basis projected by one sparse product
+        W^T T W, form one ``_Layout`` cached on the basis, so a new
+        parameter value costs one product and one scatter for all blocks
+        together; a zz or anti term of amplitude 0 keeps its place in the
+        layout.  An entry of W^T T W coupling two blocks beyond 1e-12 of
+        the term's largest entry means a symmetry used is none of H's and
+        raises ValueError; this is the only check that H commutes with
+        the reflection and spin inversion.  The layout also checks, once,
+        that the blocks cover the basis and are symmetric.  The layout's
+        arrays are read-only.
+
+        Without a z field, spin inversion maps Sz = -m onto Sz = +m and
+        commutes with H and the reflection, so on the full basis each -m
+        block is a +m block with its rows inverted and the very same
+        matrix object; only the Sz >= 0 blocks are built, and a solver
+        can recognize a repeated block by identity.
+        """
         layout = self._block_layout()
         values = np.zeros(layout.size)
         values[layout.index] = np.array(self.amps) @ layout.weights
@@ -378,7 +397,18 @@ class HamiltonianAction:
         return [(rows, coefs, mats[m]) for rows, coefs, m in layout.blocks]
 
     def labels(self) -> tuple:
-        """``block_labels`` of this action's model and basis."""
+        """``BlockLabels`` per block of ``blocks()``, in its order, built
+        once per layout and cached on the basis.
+
+        S^2 = 3N/4 + sum_{i<j} 2 s_i.s_j is the all-pairs bond list's
+        "zz" part at amplitude 1/2 plus its "anti" part at amplitude 1,
+        Sz is the "field" term and Sz^2 = N/4 + zz/2; each is a
+        coupling-free term cached on the basis (``_term``) and projected
+        by the layout's W.  Only the entries inside a block are kept, and
+        none is refused: Sz is odd under spin inversion, so on a parity
+        group that inversion splits it couples the f = +1 and f = -1
+        blocks and is 0 inside each.
+        """
         return self.basis.cached(("labels", self.keys),
                                  lambda: _block_labels(self.basis, self._block_layout()))
 
@@ -386,26 +416,6 @@ class HamiltonianAction:
 def apply_hamiltonian(model: ModelSpec, basis: SectorBasis, vec: np.ndarray) -> np.ndarray:
     """H|vec> for one-off use; hot loops should hold a HamiltonianAction."""
     return HamiltonianAction(model, basis)(vec)
-
-
-DENSE_CAP_DEFAULT = 4096
-
-
-def hamiltonian_dense(model: ModelSpec, basis: SectorBasis,
-                      cap: int = DENSE_CAP_DEFAULT) -> np.ndarray:
-    """Dense real-symmetric matrix of H on the whole basis, the oracle the
-    symmetry blocks of ``sector_matrices`` and the sparse operator
-    ``HamiltonianAction.matrix`` are checked against: each cached term
-    (``HamiltonianAction.terms``) added in turn, without ``_pattern``."""
-    if basis.dimension > cap:
-        raise ResourceLimitError(
-            f"dimension {basis.dimension} exceeds dense cap {cap}")
-    action = HamiltonianAction(model, basis)
-    mat = np.diag(action.diagonal())
-    for amp, term in action.terms:
-        rows = np.repeat(np.arange(basis.dimension), np.diff(term.indptr))
-        mat[rows, term.indices] += amp * term.data
-    return mat
 
 
 def _reflection(lattice: LatticeSpec) -> np.ndarray | None:
@@ -491,7 +501,7 @@ def _project(basis: SectorBasis, iso, spans: tuple, key: tuple):
     its entries inside a block, as (places in a value buffer laid out as
     in ``_Layout``, values); whether an entry between two blocks passes
     1e-12 of its largest entry; and whether the blocks are symmetric to
-    ``SYMMETRY_TOL``, as ``dense_spectrum`` checks a block list."""
+    ``SYMMETRY_TOL``."""
     starts, widths = np.array(spans).T
     block = np.repeat(np.arange(len(widths)), widths)  # the block of each column of W
     local = np.arange(len(block)) - (np.cumsum(widths) - widths)[block]
@@ -507,6 +517,15 @@ def _project(basis: SectorBasis, iso, spans: tuple, key: tuple):
     return starts[m] + local[i] * widths[m] + local[j], proj.data[inside], couples, symmetric
 
 
+def _check_cover(rows, coefs, dim: int) -> None:
+    """Raise unless the block columns cover rows 0 ... dim - 1 exactly once:
+    each row's squared coefficients add up to 1."""
+    flat = np.concatenate(rows, axis=None)
+    if flat.min() < 0 or flat.max() >= dim or np.max(np.abs(np.bincount(
+            flat, np.concatenate(coefs, axis=None) ** 2, dim) - 1.0)) > 1e-12:
+        raise ValueError("block rows must cover 0 ... dim - 1 exactly once")
+
+
 def _block_matrices(values: np.ndarray, spans: tuple) -> list:
     """The matrices of a value buffer laid out as in ``_Layout``."""
     return [values[start:start + d * d].reshape(d, d) for start, d in spans]
@@ -517,9 +536,10 @@ def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
     each, cached on ``basis``), with W every distinct block's isometry
     side by side.  An entry of W^T T W between two blocks, beyond
     rounding, means the reflection or spin inversion is no symmetry of
-    the terms and raises ValueError.  The checks ``dense_spectrum`` runs
-    on a block list run here once: the blocks cover every row once, and
-    each term's blocks are symmetric, so every combination of them is."""
+    the terms and raises ValueError.  So do blocks that do not cover
+    every row once (``_check_cover``) and a term whose blocks are not
+    symmetric, so every combination of the terms is symmetric; these are
+    the only checks of the blocks ``dense_spectrum`` solves."""
     n, configs = basis.n_sites, basis.configs
     parts = {part for _, part in keys}
     no_field, conserves_sz = "field" not in parts, "aligned" not in parts
@@ -572,38 +592,6 @@ def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
                    not conserves_sz, iso)
 
 
-def sector_matrices(model: ModelSpec, basis: SectorBasis) -> list:
-    """``(rows, coefs, dense H)`` per symmetry block of ``basis``, for
-    ``dense_spectrum``: block column a is the state sum_t coefs[t, a]
-    |rows[t, a]> of the basis.
-
-    The basis's configurations group by popcount (ascending) when the
-    model conserves Sz, else by popcount mod 2 (even first), which every
-    model conserves; only labels the basis holds form groups, so an Sz
-    sector basis is one group.  Each group splits by the lattice
-    reflection, and by spin inversion on a group it maps to itself
-    (Sz = 0, or a parity group at even N) when the model has no z field
-    (``_symmetry_blocks``).  The blocks, with each operator term cached
-    on ``basis`` (those ``HamiltonianAction`` applies) projected by one
-    sparse product W^T T W, form one ``_Layout`` cached on the basis, so
-    a new parameter value costs one product and one scatter for all
-    blocks together; a zz or anti term of amplitude 0 keeps its place
-    in the layout.  An entry of W^T T W coupling two blocks beyond 1e-12
-    of the term's largest entry means a symmetry used is none of H's and
-    raises ValueError; this is the only check that H commutes with the
-    reflection and spin inversion.  The layout also checks, once, that
-    the blocks cover the basis and are symmetric, so ``dense_spectrum``
-    may skip both (``checked``).  The layout's arrays are read-only.
-
-    Without a z field, spin inversion maps Sz = -m onto Sz = +m and
-    commutes with H and the reflection, so on the full basis each -m
-    block is a +m block with its rows inverted and the very same matrix
-    object; only the Sz >= 0 blocks are built, and a solver can recognize
-    a repeated block by identity.
-    """
-    return HamiltonianAction(model, basis).blocks()
-
-
 @dataclass(frozen=True, eq=False)
 class BlockLabels:
     """What the quantum numbers of a level in one symmetry block are read
@@ -618,23 +606,9 @@ class BlockLabels:
     sz_squared: np.ndarray | None = None
 
 
-def block_labels(model: ModelSpec, basis: SectorBasis) -> tuple:
-    """``BlockLabels`` per block of ``sector_matrices(model, basis)``, in
-    its order, built once per layout and cached on the basis.
-
-    S^2 = 3N/4 + sum_{i<j} 2 s_i.s_j is the all-pairs bond list's "zz"
-    part at amplitude 1/2 plus its "anti" part at amplitude 1, Sz is the
-    "field" term and Sz^2 = N/4 + zz/2; each is a coupling-free term
-    cached on the basis (``_term``) and projected by the layout's W.
-    Only the entries inside a block are kept, and none is refused: Sz is
-    odd under spin inversion, so on a parity group that inversion splits
-    it couples the f = +1 and f = -1 blocks and is 0 inside each.
-    """
-    return HamiltonianAction(model, basis).labels()
-
-
 def _block_labels(basis: SectorBasis, layout: _Layout) -> tuple:
-    """``BlockLabels`` per block of ``layout`` on ``basis`` (``block_labels``)."""
+    """``BlockLabels`` per block of ``layout`` on ``basis``
+    (``HamiltonianAction.labels``)."""
     n = basis.n_sites
     pairs = tuple((i, j) for i in range(n) for j in range(i + 1, n))
     label_keys = [(pairs, "zz"), (pairs, "anti")]

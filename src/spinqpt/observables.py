@@ -14,14 +14,20 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .lattice import SectorBasis, enumerate_sector
-from .models import (BOND_PAIRS, DENSE_CAP_DEFAULT, FAMILY_TABLE, BlockLabels, ModelSpec,
-                     HamiltonianAction, ResourceLimitError, _check_geometry,
-                     family_spec, sector_matrices)
+from .models import (BOND_PAIRS, FAMILY_TABLE, BlockLabels, ModelSpec,
+                     HamiltonianAction, _check_geometry, family_spec)
 from .eigensolver import EigenSolution, dense_spectrum
 
 NORM_TOL = 1e-10
 # how far an expectation may sit from a quantum number and still carry its label
 QUANTIZATION_TOL = 1e-6
+# the largest full basis the sum rules solve for its whole spectrum
+DENSE_CAP_DEFAULT = 4096
+
+
+class ResourceLimitError(RuntimeError):
+    """Raised when a full spectrum would exceed ``DENSE_CAP_DEFAULT``."""
+
 
 # two-site operators s^a (x) s^a over the pair basis (uu, ud, du, dd)
 _OP_XX = 0.25 * np.array([[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [1, 0, 0, 0]], dtype=float)
@@ -177,7 +183,7 @@ def label_state(basis: SectorBasis, vec: np.ndarray,
                 block: BlockLabels | None = None) -> StateLabels:
     """The quantum numbers of one level: ``vec`` is its vector in
     ``basis``, or with ``block`` its vector in that symmetry block of
-    ``basis`` (``models.block_labels``).
+    ``basis`` (``models.HamiltonianAction.labels``).
 
     In a block, <S^2> is v^T S^2_b v.  On a popcount group 2Sz is
     2 popcount - N and the parity (-1)^(N - popcount), on the full basis
@@ -309,7 +315,7 @@ def _full_solution(model: ModelSpec, lattice, solution):
         raise ResourceLimitError(f"sum rules need the full spectrum; "
                                  f"dim {basis.dimension} > cap {DENSE_CAP_DEFAULT}")
     if solution is None:
-        solution = dense_spectrum(sector_matrices(model, basis), checked=True)
+        solution = dense_spectrum(HamiltonianAction(model, basis).blocks())
     return basis, solution
 
 

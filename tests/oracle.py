@@ -11,9 +11,16 @@ Basis convention matches the package so matrices compare entrywise:
 product-state index = sum_k bit_k 2^k with bit 1 = spin-up, i.e. site 0
 is the least significant Kronecker factor and the single-site basis is
 (down, up).
+
+``hamiltonian_dense`` is the one reference here that reads the package:
+only its model tables (``FAMILY_TABLE``, ``BOND_PAIRS``), from which it
+builds H on any basis entry by entry, with no operator code of the
+package.  The tests check it against the Kronecker products.
 """
 
 import numpy as np
+
+from spinqpt.models import BOND_PAIRS, FAMILY_TABLE
 
 SX = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex) / 2.0
 SY = np.array([[0.0, 1.0j], [-1.0j, 0.0]], dtype=complex) / 2.0  # (down, up) order
@@ -88,6 +95,48 @@ def h_xyz(n, jx, jy, jz, hz):
         h += bond(i, (i + 1) % n, n, jx, jy, jz)
         h += hz * site_op(SZ, i, n)
     return h
+
+
+def hamiltonian_dense(model, basis):
+    """H of ``model`` on ``basis`` as a dense matrix over ``basis.configs``.
+
+    A bond (i, j) with couplings (cx, cy, cz) adds cz/4 to the diagonal
+    where its spins are aligned and -cz/4 where not, and (cx - cy)/4 or
+    (cx + cy)/4 to the entry of the configuration with both spins
+    flipped; the field h adds h (popcount - N/2).  Terms are added per
+    bond kind, bond by bond, then the field, the package's order, so a
+    matrix entry is the same float as the package's.  A double flip
+    that leaves the basis raises ValueError."""
+    fam = FAMILY_TABLE[model.family]
+    params = model.as_dict()
+    configs = basis.configs
+    cols = np.arange(len(configs))
+    mat = np.zeros((len(configs), len(configs)))
+    diag = np.zeros(len(configs))
+    for kind in fam.bond_kinds:
+        cx, cy, cz = fam.couplings(params, kind)
+        zz = np.zeros(len(configs))
+        for i, j in BOND_PAIRS[kind](basis.lattice):
+            aligned = (configs >> i & 1) == (configs >> j & 1)
+            zz += np.where(aligned, 1.0, -1.0)
+            amp = np.where(aligned, cx - cy, cx + cy) / 4
+            hit = amp != 0.0
+            flipped = configs[hit] ^ (1 << i | 1 << j)
+            rows = np.searchsorted(configs, flipped)
+            if not np.array_equal(configs.take(rows, mode="clip"), flipped):
+                raise ValueError(f"double flips of sites ({i}, {j}) leave the basis")
+            mat[rows, cols[hit]] += amp[hit]
+        diag += cz / 4 * zz
+    if fam.field is not None:
+        ups = sum(configs >> i & 1 for i in range(basis.n_sites))
+        diag += fam.field(params) * (ups - basis.n_sites / 2)
+    return mat + np.diag(diag)
+
+
+def one_block(mat):
+    """The symmetric matrix ``mat`` as the one block of itself, the input
+    ``dense_spectrum`` takes."""
+    return [(np.arange(len(mat))[None], np.ones((1, len(mat))), mat)]
 
 
 def ground_state(h):

@@ -16,8 +16,7 @@ import oracle as orc
 from spinqpt import analysis
 from spinqpt.lattice import chain, ladder, enumerate_sector, index_of, popcount
 from spinqpt.models import (HamiltonianAction, apply_hamiltonian,
-                            general_xyz, hamiltonian_dense, j1j2,
-                            ladder_model, transverse_ising, xxz)
+                            general_xyz, j1j2, ladder_model, transverse_ising, xxz)
 from spinqpt.eigensolver import dense_spectrum, lanczos_lowest_k
 from spinqpt.observables import (PAIR_OPS, correlator, sum_rule_residual,
                                  rearranged_sum_rule, total_spin, two_site_rdm)
@@ -71,7 +70,7 @@ def test_criterion_2_lanczos_dense_oracle_equivalence():
 
     def check(model, basis, seed):
         nonlocal worst, checked
-        dense = dense_spectrum(hamiltonian_dense(model, basis))
+        dense = dense_spectrum(orc.one_block(orc.hamiltonian_dense(model, basis)))
         action = HamiltonianAction(model, basis)
         lanc = lanczos_lowest_k(action, basis.dimension, 4, seed=seed)
         diff = float(np.max(np.abs(lanc.energies - dense.energies[:4])))
@@ -218,7 +217,7 @@ def test_criterion_6_wootters_vs_closed_form():
     for n in (6, 8, 10):
         basis = enumerate_sector(chain(n), 0)
         for delta in np.arange(-0.9, 2.0001, 0.05):
-            sol = dense_spectrum(hamiltonian_dense(xxz(float(delta)), basis))
+            sol = dense_spectrum(orc.one_block(orc.hamiltonian_dense(xxz(float(delta)), basis)))
             _, g = sol.ground()
             rho = two_site_rdm(basis, g, 0, 1)
             general = wootters_concurrence(rho)
@@ -236,7 +235,7 @@ def test_criterion_6_wootters_vs_closed_form():
 def test_criterion_7_isotropic_point_quantum_numbers():
     """Singlet ground state and threefold degenerate S=1 multiplet at Delta=1."""
     basis = enumerate_sector(chain(8), None)
-    sol = dense_spectrum(hamiltonian_dense(xxz(1.0), basis))
+    sol = dense_spectrum(orc.one_block(orc.hamiltonian_dense(xxz(1.0), basis)))
     s0, _ = total_spin(basis, sol.vectors[:, 0])
     assert s0 == 0.0
     spread = float(sol.energies[3] - sol.energies[1])
@@ -344,7 +343,7 @@ def test_criterion_9_randomized_invariant_suite():
     for _ in range(100):
         model = families[rng.randint(len(families))](rng)
         n = int(rng.choice([4, 6]))
-        mat = hamiltonian_dense(model, enumerate_sector(chain(n), None))
+        mat = HamiltonianAction(model, enumerate_sector(chain(n), None)).matrix.toarray()
         assert np.max(np.abs(mat - mat.T)) == 0.0
         checks += 1
 

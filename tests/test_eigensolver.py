@@ -4,25 +4,25 @@ from scipy import sparse
 from scipy.linalg import eigh_tridiagonal, eigvalsh_tridiagonal
 from hypothesis import given, settings, strategies as st
 
+from oracle import hamiltonian_dense, one_block
 from spinqpt import eigensolver, models
 from spinqpt.lattice import SectorBasis, chain, enumerate_sector, ladder, popcount
 from spinqpt.models import (HamiltonianAction, _reflection, family_spec,
-                            general_xyz, hamiltonian_dense, j1j2, ladder_model,
-                            sector_matrices, transverse_ising, xxz)
+                            general_xyz, j1j2, ladder_model, transverse_ising, xxz)
 from spinqpt.eigensolver import (CHECK_EVERY, dense_spectrum, degeneracy_tolerance,
                                  lanczos_lowest_k, ConvergenceError)
 from spinqpt.observables import parity, sz_twice_label
 
 
 def test_two_by_two_exchange_block():
-    sol = dense_spectrum(np.array([[0.0, 0.5], [0.5, 0.0]]))
+    sol = dense_spectrum(one_block(np.array([[0.0, 0.5], [0.5, 0.0]])))
     assert np.allclose(sol.energies, [-0.5, 0.5])
 
 
 def test_heisenberg_ring_ground_energy():
     # frozen from the independent Kronecker oracle: E0(N=4, Delta=1) = -2
     basis = enumerate_sector(chain(4), None)
-    sol = dense_spectrum(hamiltonian_dense(xxz(1.0), basis))
+    sol = dense_spectrum(one_block(hamiltonian_dense(xxz(1.0), basis)))
     assert sol.energies[0] == pytest.approx(-2.0, abs=1e-12)
     distinct = np.unique(np.round(sol.energies, 9))
     assert distinct[0] == pytest.approx(-2.0) and distinct[1] == pytest.approx(-1.0)
@@ -32,15 +32,10 @@ def test_shift_invariance():
     rng = np.random.RandomState(0)
     m = rng.standard_normal((12, 12))
     m = m + m.T
-    base = dense_spectrum(m)
-    shifted = dense_spectrum(m + 2.5 * np.eye(12))
+    base = dense_spectrum(one_block(m))
+    shifted = dense_spectrum(one_block(m + 2.5 * np.eye(12)))
     assert np.allclose(shifted.energies, base.energies + 2.5, atol=1e-10)
     assert np.allclose(np.abs(shifted.vectors), np.abs(base.vectors), atol=1e-8)
-
-
-def test_rejects_non_symmetric():
-    with pytest.raises(ValueError):
-        dense_spectrum(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 def test_energies_only_match_full_eigh():
@@ -50,11 +45,11 @@ def test_energies_only_match_full_eigh():
     for m in (a + a.T, degenerate):
         ref = np.linalg.eigh(m)[0]
         for levels in (1, 6, len(m)):
-            sol = dense_spectrum(m, levels=levels, vectors=False)
+            sol = dense_spectrum(one_block(m), levels=levels, vectors=False)
             assert sol.k == levels and sol.vectors.shape == (len(m), 0)
             assert np.max(np.abs(sol.energies - ref[:levels])) <= 1e-12
-        lowest = dense_spectrum(m, levels=6)
-        full = dense_spectrum(m)
+        lowest = dense_spectrum(one_block(m), levels=6)
+        full = dense_spectrum(one_block(m))
         assert np.array_equal(lowest.energies, full.energies[:6])
         assert np.array_equal(lowest.vectors, full.vectors[:, :6])
         assert np.allclose(lowest.residuals, full.residuals[:6], atol=1e-13)
@@ -82,8 +77,8 @@ def test_block_solve_matches_full_space(model, n):
     # the blocks are the Sz sectors or parity groups split by the lattice
     # reflection and, at zero field, spin inversion, built from cached terms
     basis = enumerate_sector(family_spec(model.family).lattice(n), None)
-    blocks = sector_matrices(model, basis)
-    ref = dense_spectrum(hamiltonian_dense(model, basis))
+    blocks = HamiltonianAction(model, basis).blocks()
+    ref = dense_spectrum(one_block(hamiltonian_dense(model, basis)))
     full = dense_spectrum(blocks)
     assert np.max(np.abs(full.energies - ref.energies)) <= 1e-12
     assert np.max(full.residuals) <= 1e-12
@@ -109,20 +104,20 @@ def test_block_solve_matches_full_space(model, n):
 def test_block_solve_rejects_blocks_the_matrix_leaves():
     # a sector basis H leaves raises while its terms are built
     with pytest.raises(ValueError, match="does not conserve Sz"):
-        hamiltonian_dense(transverse_ising(1.0), enumerate_sector(chain(6), 0))
+        HamiltonianAction(transverse_ising(1.0), enumerate_sector(chain(6), 0)).matrix
     with pytest.raises(ValueError, match="does not conserve Sz"):
-        sector_matrices(transverse_ising(1.0), enumerate_sector(chain(6), 0))
+        HamiltonianAction(transverse_ising(1.0), enumerate_sector(chain(6), 0)).blocks()
     # an Sz = 0 basis of four sites missing 0b1001, which a flip of sites
     # (0, 1) reaches from 0b1010, and the reflection from 0b0011
     partial = SectorBasis(chain(4), 0, np.array([0b0011, 0b0101, 0b0110, 0b1010, 0b1100]))
     with pytest.raises(ValueError, match="leave the sector"):
-        hamiltonian_dense(xxz(1.0), partial)
+        HamiltonianAction(xxz(1.0), partial).matrix
     with pytest.raises(ValueError, match="leave the sector"):
-        sector_matrices(xxz(1.0), partial)
+        HamiltonianAction(xxz(1.0), partial).blocks()
     # a sector basis is one sector: Sz = 0 splits by reflection and
     # inversion, with rows indexing the basis itself
     sector = enumerate_sector(chain(6), 0)
-    blocks = sector_matrices(xxz(1.0), sector)
+    blocks = HamiltonianAction(xxz(1.0), sector).blocks()
     assert [len(mat) for _, _, mat in blocks] == [6, 6, 4, 4]
     assert all(rows.shape[0] == 4 for rows, _, _ in blocks)
     covered = np.concatenate([rows[coefs != 0] for rows, coefs, _ in blocks])
@@ -156,7 +151,8 @@ def test_symmetry_blocks_resolve_the_full_space(model, n):
     params = model.as_dict()
     sz_conserved = model.family != "ising" and params.get("jx") == params.get("jy")
     no_field = model.family != "ising" and params.get("h", 0.0) == 0.0
-    sol = dense_spectrum(sector_matrices(model, full), apply=HamiltonianAction(model, full))
+    action = HamiltonianAction(model, full)
+    sol = dense_spectrum(action.blocks(), apply=action)
     exact = np.linalg.eigvalsh(hamiltonian_dense(model, full))
     assert np.max(np.abs(np.sort(sol.energies) - exact)) <= 1e-12
     vecs = sol.vectors
@@ -179,7 +175,7 @@ def test_symmetry_blocks_resolve_the_full_space(model, n):
             assert np.max(np.abs(inverted[:, c] - flip * vec)) <= 1e-12
 
 
-def test_layout_refuses_a_reflection_the_bonds_break(monkeypatch):
+def test_layout_refuses_a_reflection_the_bonds_break(monkeypatch, fresh_bases):
     assert np.array_equal(_reflection(chain(5)), [0, 4, 3, 2, 1])
     assert np.array_equal(_reflection(ladder(8)), [0, 1, 6, 7, 4, 5, 2, 3])
     assert _reflection(chain(2)) is None and _reflection(ladder(4)) is None
@@ -187,9 +183,8 @@ def test_layout_refuses_a_reflection_the_bonds_break(monkeypatch):
     # so H couples the reflection's blocks and the layout refuses them
     monkeypatch.setitem(models.BOND_PAIRS, "nn",
                         lambda lat: [(i, i + 1) for i in range(lat.n_sites - 1)])
-    enumerate_sector.cache_clear()
     with pytest.raises(ValueError, match="couples two symmetry blocks"):
-        sector_matrices(xxz(0.5), enumerate_sector(chain(6), None))
+        HamiltonianAction(xxz(0.5), enumerate_sector(chain(6), None)).blocks()
 
 
 def test_layout_checks_cover_and_symmetry_once(monkeypatch):
@@ -207,7 +202,7 @@ def test_layout_checks_cover_and_symmetry_once(monkeypatch):
 
     monkeypatch.setattr(models, "_symmetry_blocks", dropping)
     with pytest.raises(ValueError, match="exactly once"):
-        sector_matrices(xxz(0.5), fresh())
+        HamiltonianAction(xxz(0.5), fresh()).blocks()
     monkeypatch.setattr(models, "_symmetry_blocks", real_blocks)
 
     def lopsided(basis, pairs, part):  # T D, with D diagonal and invariant under
@@ -218,7 +213,7 @@ def test_layout_checks_cover_and_symmetry_once(monkeypatch):
 
     monkeypatch.setattr(models, "_term", lopsided)
     with pytest.raises(ValueError, match="not symmetric"):
-        sector_matrices(xxz(0.5), fresh())
+        HamiltonianAction(xxz(0.5), fresh()).blocks()
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.5, 1.0, 2.0])
@@ -226,7 +221,7 @@ def test_multiplet_members_come_out_in_sz_order(delta):
     # levels within the degeneracy tolerance of each other keep block order
     # (Sz ascending), not the order of their last bits
     basis = enumerate_sector(chain(8), None)
-    sol = dense_spectrum(sector_matrices(xxz(delta), basis))
+    sol = dense_spectrum(HamiltonianAction(xxz(delta), basis).blocks())
     sz = np.array([sz_twice_label(basis, vec) for vec in sol.vectors.T])
     ascending = np.sort(sol.energies)
     tol = degeneracy_tolerance(ascending[-1] - ascending[0])
@@ -243,7 +238,7 @@ def test_multiplet_members_come_out_in_sz_order(delta):
 def test_dense_reconstruction():
     basis = enumerate_sector(chain(6), 0)
     m = hamiltonian_dense(xxz(0.5), basis)
-    sol = dense_spectrum(m)
+    sol = dense_spectrum(one_block(m))
     rebuilt = sol.vectors @ np.diag(sol.energies) @ sol.vectors.T
     assert np.max(np.abs(m - rebuilt)) <= 1e-9 * max(1.0, np.max(np.abs(m)))
 
@@ -251,7 +246,7 @@ def test_dense_reconstruction():
 def test_lanczos_matches_dense_sector():
     basis = enumerate_sector(chain(8), 0)   # dimension 70
     model = xxz(1.0)
-    dense = dense_spectrum(hamiltonian_dense(model, basis))
+    dense = dense_spectrum(one_block(hamiltonian_dense(model, basis)))
     action = HamiltonianAction(model, basis)
     lanc = lanczos_lowest_k(action, basis.dimension, 6)
     assert np.allclose(lanc.energies, dense.energies[:6], atol=1e-10)
@@ -272,7 +267,7 @@ def test_lanczos_resolves_degenerate_triplet():
 def test_lanczos_full_spectrum_small_sector():
     basis = enumerate_sector(chain(4), 0)  # dimension 6
     model = xxz(0.7)
-    dense = dense_spectrum(hamiltonian_dense(model, basis))
+    dense = dense_spectrum(one_block(hamiltonian_dense(model, basis)))
     action = HamiltonianAction(model, basis)
     lanc = lanczos_lowest_k(action, 6, 6)
     assert np.allclose(lanc.energies, dense.energies, atol=1e-10)
@@ -313,7 +308,7 @@ def test_lanczos_raises_on_impossible_budget():
 
 def test_phase_convention_largest_amplitude_positive():
     basis = enumerate_sector(chain(6), 0)
-    sol = dense_spectrum(hamiltonian_dense(xxz(1.0), basis))
+    sol = dense_spectrum(one_block(hamiltonian_dense(xxz(1.0), basis)))
     for c in range(sol.k):
         v = sol.vectors[:, c]
         assert v[np.argmax(np.abs(v))] > 0
@@ -326,7 +321,7 @@ def test_lanczos_oracle_equivalence_random_symmetric(seed):
     dim = rng.randint(8, 40)
     m = rng.standard_normal((dim, dim))
     m = 0.5 * (m + m.T)
-    dense = dense_spectrum(m)
+    dense = dense_spectrum(one_block(m))
     k = rng.randint(1, min(5, dim) + 1)
     lanc = lanczos_lowest_k(lambda v: m @ v, dim, k, seed=seed)
     assert np.allclose(lanc.energies, dense.energies[:k], atol=1e-9)
@@ -406,7 +401,7 @@ def test_lanczos_second_pass_fires_when_the_krylov_space_runs_out(make, k):
     sol = lanczos_lowest_k(apply, len(m), k)
     assert sol.meta["second_passes"] >= 1
     assert sol.meta["matvecs"] == len(calls)
-    assert np.max(np.abs(sol.energies - dense_spectrum(m).energies[:k])) <= 1e-10
+    assert np.max(np.abs(sol.energies - dense_spectrum(one_block(m)).energies[:k])) <= 1e-10
     assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(k))) <= 1e-12
 
 
@@ -443,7 +438,7 @@ def test_lanczos_reorthogonalizes_only_where_the_basis_drifts(j2):
     basis = enumerate_sector(chain(12), 0)
     model = j1j2(1.0, j2)
     sol = lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, 2)
-    dense = dense_spectrum(hamiltonian_dense(model, basis))
+    dense = dense_spectrum(one_block(hamiltonian_dense(model, basis)))
     assert np.max(np.abs(sol.energies - dense.energies[:2])) <= 1e-10
     assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(2))) <= 1e-12
     assert sol.meta["steps"] < sol.meta["matvecs"]
@@ -456,7 +451,7 @@ def test_lanczos_closes_the_ferromagnetic_multiplet():
     basis = enumerate_sector(chain(10), None)
     model = xxz(-1.0)
     sol = lanczos_lowest_k(HamiltonianAction(model, basis), basis.dimension, 12)
-    dense = dense_spectrum(hamiltonian_dense(model, basis), vectors=False).energies
+    dense = dense_spectrum(one_block(hamiltonian_dense(model, basis)), vectors=False).energies
     assert np.ptp(dense[:11]) <= 1e-12 and dense[11] > dense[10] + 0.1
     assert np.max(np.abs(sol.energies - dense[:12])) <= 1e-10
     assert np.max(np.abs(sol.vectors.T @ sol.vectors - np.eye(12))) <= 1e-10
@@ -482,7 +477,7 @@ def test_mirrored_sectors_cost_one_lapack_call_each(monkeypatch, n, vectors):
     # one call per distinct block: the Sz >= 0 sectors split by the
     # reflection, and Sz = 0 by spin inversion too; the -m blocks are free
     dims = {6: [1, 2, 4, 4, 4, 6, 6, 6, 9], 8: [1, 3, 5, 12, 16, 16, 16, 19, 19, 25, 31]}[n]
-    blocks = sector_matrices(xxz(0.6), enumerate_sector(chain(n), None))
+    blocks = HamiltonianAction(xxz(0.6), enumerate_sector(chain(n), None)).blocks()
     calls = _lapack_calls(monkeypatch)
     dense_spectrum(blocks, levels=3, vectors=vectors)
     assert len(calls) == len({id(mat) for _, _, mat in blocks}) == len(dims)
@@ -493,7 +488,7 @@ def test_mirrored_sectors_cost_one_lapack_call_each(monkeypatch, n, vectors):
 def test_mirrored_levels_are_equal_and_minus_m_comes_first():
     n = 8
     basis = enumerate_sector(chain(n), None)
-    sol = dense_spectrum(sector_matrices(xxz(0.6), basis))
+    sol = dense_spectrum(HamiltonianAction(xxz(0.6), basis).blocks())
     sz = np.array([sz_twice_label(basis, sol.vectors[:, c]) for c in range(sol.k)])
     for m in range(2, n + 1, 2):
         minus, plus = np.flatnonzero(sz == -m), np.flatnonzero(sz == m)
@@ -505,8 +500,8 @@ def test_mirrored_levels_are_equal_and_minus_m_comes_first():
 def test_energies_only_levels_do_not_depend_on_levels():
     rng = np.random.RandomState(8)
     a = rng.standard_normal((30, 30))
-    blocks = sector_matrices(j1j2(1.0, 0.4), enumerate_sector(chain(8), None))
-    for matrix in (a + a.T, blocks):
+    blocks = HamiltonianAction(j1j2(1.0, 0.4), enumerate_sector(chain(8), None)).blocks()
+    for matrix in (one_block(a + a.T), blocks):
         full = dense_spectrum(matrix, vectors=False).energies
         for levels in range(1, len(full) + 1):
             part = dense_spectrum(matrix, levels=levels, vectors=False).energies
@@ -514,13 +509,13 @@ def test_energies_only_levels_do_not_depend_on_levels():
 
 
 def test_block_rows_must_cover_every_row_once():
+    # the layout checks its blocks' rows; dense_spectrum takes any order
     m = np.array([[0.0, 0.5], [0.5, 0.0]])
     shifted = m + 3.0 * np.eye(2)
     for first, second in ([0, 1], [1, 2]), ([0, 1], [3, 4]), ([0, 1], [-2, 2]):
         with pytest.raises(ValueError, match="exactly once"):
-            dense_spectrum([(np.array([first]), np.ones((1, 2)), m),
-                            (np.array([second]), np.ones((1, 2)), shifted)])
-    # rows in any order are fine
+            models._check_cover([np.array([first]), np.array([second])],
+                                [np.ones((1, 2))] * 2, 4)
     sol = dense_spectrum([(np.array([[3, 1]]), np.ones((1, 2)), m),
                           (np.array([[2, 0]]), np.ones((1, 2)), shifted)])
     assert np.allclose(sol.energies, [-0.5, 0.5, 2.5, 3.5])
@@ -537,4 +532,4 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, vectors):
 
     monkeypatch.setattr(np.linalg, "eigh" if vectors else "eigvalsh", broken)
     with pytest.raises(ConvergenceError, match="did not converge"):
-        dense_spectrum(np.eye(3), vectors=vectors)
+        dense_spectrum(one_block(np.eye(3)), vectors=vectors)

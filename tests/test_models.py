@@ -4,10 +4,8 @@ from hypothesis import given, settings, strategies as st
 
 import oracle as orc
 from spinqpt.lattice import chain, ladder, enumerate_sector, popcount
-from spinqpt.models import (HamiltonianAction, ResourceLimitError,
-                            apply_hamiltonian, general_xyz, hamiltonian_dense,
-                            j1j2, ladder_model, sector_matrices,
-                            transverse_ising, xxz)
+from spinqpt.models import (HamiltonianAction, _term, apply_hamiltonian, general_xyz,
+                            j1j2, ladder_model, transverse_ising, xxz)
 
 SQ2 = np.sqrt(2.0)
 
@@ -48,7 +46,7 @@ def test_conserved_quantities():
             (general_xyz(1.0, 1.0, 0.5), True, [1, 3, 1, 2, 2, 1, 1, 3, 1, 1]),
             (transverse_ising(1.0), False, [6, 2, 6, 2]),
             (general_xyz(1.0, 0.5, 0.5), False, [3, 3, 1, 1, 3, 3, 1, 1])):
-        blocks = sector_matrices(model, full)
+        blocks = HamiltonianAction(model, full).blocks()
         assert [len(mat) for _, _, mat in blocks] == dims
         sectors = [_block_sector(rows, coefs, sz_conserved) for rows, coefs, _ in blocks]
         assert sectors == sorted(sectors)
@@ -122,7 +120,7 @@ def test_ising_zero_coupling_limit_is_field_only():
 def test_dense_matches_oracle_chain(model):
     n = 6
     basis = enumerate_sector(chain(n), None)
-    mat = hamiltonian_dense(model, basis)
+    mat = HamiltonianAction(model, basis).matrix.toarray()
     if model.family == "xxz":
         ref = orc.h_xxz(n, model.param("delta"))
     elif model.family == "j1j2":
@@ -143,7 +141,7 @@ def test_dense_matches_oracle_chain(model):
 ])
 def test_dense_matches_oracle_ladder(n, sector):
     basis = enumerate_sector(ladder(n), sector)
-    mat = hamiltonian_dense(ladder_model(0.7), basis)
+    mat = HamiltonianAction(ladder_model(0.7), basis).matrix.toarray()
     ref = orc.h_ladder(n, 0.7)[np.ix_(basis.configs, basis.configs)]
     assert np.allclose(mat, ref.real, atol=1e-13)
 
@@ -153,14 +151,14 @@ def test_dense_exactly_symmetric_all_families():
                        (transverse_ising(0.8), chain(6)),
                        (general_xyz(0.9, 0.3, -0.5, h=0.2), chain(6)),
                        (ladder_model(0.7), ladder(6))]:
-        mat = hamiltonian_dense(model, enumerate_sector(lat, None))
+        mat = HamiltonianAction(model, enumerate_sector(lat, None)).matrix.toarray()
         assert np.max(np.abs(mat - mat.T)) == 0.0
 
 
 def test_dense_agrees_with_apply_on_unit_vectors():
     basis = enumerate_sector(chain(6), 0)
     model = xxz(1.0)
-    mat = hamiltonian_dense(model, basis)
+    mat = orc.hamiltonian_dense(model, basis)
     action = HamiltonianAction(model, basis)
     for k in range(basis.dimension):
         e = np.zeros(basis.dimension)
@@ -169,13 +167,8 @@ def test_dense_agrees_with_apply_on_unit_vectors():
 
 
 def test_xxz_trace_zero():
-    mat = hamiltonian_dense(xxz(0.8), enumerate_sector(chain(4), None))
+    mat = HamiltonianAction(xxz(0.8), enumerate_sector(chain(4), None)).matrix.toarray()
     assert abs(np.trace(mat)) < 1e-13
-
-
-def test_dense_cap_enforced():
-    with pytest.raises(ResourceLimitError):
-        hamiltonian_dense(xxz(1.0), enumerate_sector(chain(8), None), cap=100)
 
 
 def test_sector_preserved_by_conserving_families():
@@ -211,12 +204,12 @@ def test_parity_invariance_transverse_ising():
 def test_xyz_reduces_to_xxz_and_ising():
     basis = enumerate_sector(chain(6), None)
     for delta in (-0.5, 1.0, 2.0):
-        a = hamiltonian_dense(general_xyz(1.0, 1.0, delta), basis)
-        b = hamiltonian_dense(xxz(delta), basis)
+        a = HamiltonianAction(general_xyz(1.0, 1.0, delta), basis).matrix.toarray()
+        b = HamiltonianAction(xxz(delta), basis).matrix.toarray()
         assert np.array_equal(a, b)
     for lam in (0.5, 1.0):
-        a = hamiltonian_dense(general_xyz(-lam, 0.0, 0.0, h=-0.5), basis)
-        b = hamiltonian_dense(transverse_ising(lam), basis)
+        a = HamiltonianAction(general_xyz(-lam, 0.0, 0.0, h=-0.5), basis).matrix.toarray()
+        b = HamiltonianAction(transverse_ising(lam), basis).matrix.toarray()
         assert np.array_equal(a, b)
 
 
@@ -243,6 +236,7 @@ def _oracle_matrix(model, n):
     ref = {"xxz": lambda: orc.h_xxz(n, p.get("delta")),
            "j1j2": lambda: orc.h_j1j2(n, p.get("j1"), p.get("j2")),
            "ising": lambda: orc.h_ising(n, p.get("lam")),
+           "ladder": lambda: orc.h_ladder(n, p.get("j_rung"), p.get("j_leg")),
            "xyz": lambda: orc.h_xyz(n, p.get("jx"), p.get("jy"), p.get("jz"),
                                     p.get("h"))}[model.family]()
     assert np.max(np.abs(ref.imag)) < 1e-14
@@ -261,7 +255,26 @@ def _oracle_matrix(model, n):
 def test_dense_matches_oracle_on_basis(model, n, sector):
     basis = enumerate_sector(chain(n), sector)
     ref = _oracle_matrix(model, n)[np.ix_(basis.configs, basis.configs)]
-    assert np.allclose(hamiltonian_dense(model, basis), ref, atol=1e-13)
+    assert np.allclose(HamiltonianAction(model, basis).matrix.toarray(), ref, atol=1e-13)
+
+
+@pytest.mark.parametrize("model, lattice, sector", [  # sector: 2Sz, None for the full space
+    (xxz(0.5), chain(6), None),
+    (xxz(-1.0), chain(8), 0),
+    (j1j2(1.0, 0.6), chain(4), None),                # duplicated NNN bonds
+    (j1j2(1.0, 0.35), chain(7), -1),
+    (transverse_ising(0.8), chain(5), None),
+    (ladder_model(0.7), ladder(4), None),            # duplicated leg bonds
+    (ladder_model(0.7), ladder(8), 2),
+    (general_xyz(0.9, 0.3, -0.5, h=0.4), chain(6), None),   # aligned flips and a field
+    (general_xyz(0.8, 0.8, 1.3, h=0.3), chain(6), 0),
+], ids=lambda v: getattr(v, "family", None))
+def test_oracle_matrix_matches_the_kronecker_products(model, lattice, sector):
+    # the tests' whole-basis reference, built entry by entry from the model
+    # tables, against the Kronecker products of Pauli matrices
+    basis = enumerate_sector(lattice, sector)
+    ref = _oracle_matrix(model, lattice.n_sites)[np.ix_(basis.configs, basis.configs)]
+    assert np.max(np.abs(orc.hamiltonian_dense(model, basis) - ref)) <= 1e-13
 
 
 def test_actions_on_one_basis_share_cached_terms():
@@ -269,10 +282,13 @@ def test_actions_on_one_basis_share_cached_terms():
     assert enumerate_sector(chain(8), 0) is basis
     a = HamiltonianAction(j1j2(1.0, 0.2), basis)
     b = HamiltonianAction(j1j2(1.0, 0.7), basis)
-    assert len(a.terms) == len(b.terms) == 2
-    assert all(ta is tb for (_, ta), (_, tb) in zip(a.terms, b.terms))
+    flips = [[_term(basis, *key) for key in action.keys if key[1] == "anti"]
+             for action in (a, b)]
+    assert len(flips[0]) == len(flips[1]) == 2
+    assert all(ta is tb for ta, tb in zip(*flips))
     # nearest-neighbour flips serve every chain family on the basis
-    assert HamiltonianAction(xxz(0.5), basis).terms[0][1] is a.terms[0][1]
+    xxz_flip = [key for key in HamiltonianAction(xxz(0.5), basis).keys if key[1] == "anti"]
+    assert _term(basis, *xxz_flip[0]) is flips[0][0]
 
 
 @pytest.mark.parametrize("model, lattice, sector", [  # sector: 2Sz, None for the full space
@@ -290,7 +306,7 @@ def test_actions_on_one_basis_share_cached_terms():
 def test_merged_operator_matches_the_dense_matrix(model, lattice, sector):
     basis = enumerate_sector(lattice, sector)
     action = HamiltonianAction(model, basis)
-    dense = hamiltonian_dense(model, basis)
+    dense = orc.hamiltonian_dense(model, basis)
     rng = np.random.RandomState(5)
     block = rng.standard_normal((basis.dimension, 3))
     assert np.max(np.abs(action(block) - dense @ block)) <= 1e-13
@@ -333,7 +349,7 @@ def test_zero_field_sz_sectors_share_their_mirror(model, n):
     # with the inverted orbit table
     lattice = ladder(n) if model.family == "ladder" else chain(n)
     full = enumerate_sector(lattice, None)
-    blocks = sector_matrices(model, full)
+    blocks = HamiltonianAction(model, full).blocks()
     by_up = {}
     for block in blocks:
         by_up.setdefault(_block_sector(block[0], block[1], True), []).append(block)
@@ -349,7 +365,7 @@ def test_zero_field_sz_sectors_share_their_mirror(model, n):
             assert np.array_equal(rows, src_rows ^ ((1 << n) - 1))
             assert np.array_equal(coefs, src_coefs)
     # every block, shared or not, is H restricted to its columns
-    dense = hamiltonian_dense(model, full)
+    dense = orc.hamiltonian_dense(model, full)
     for rows, coefs, mat in blocks:
         iso = _isometry(rows, coefs, full.dimension)
         assert np.max(np.abs(iso.T @ dense @ iso - mat)) <= 1e-13
@@ -358,7 +374,7 @@ def test_zero_field_sz_sectors_share_their_mirror(model, n):
 def test_a_z_field_shares_no_sector_matrix():
     model = general_xyz(0.8, 0.8, 1.3, 0.3)
     full = enumerate_sector(chain(6), None)
-    blocks = sector_matrices(model, full)
+    blocks = HamiltonianAction(model, full).blocks()
     assert len({id(mat) for _, _, mat in blocks}) == len(blocks)
     # no spin inversion anywhere: the orbit tables hold the reflection's
     # two rows, and Sz = 0 splits in two, not four
@@ -374,13 +390,13 @@ def test_a_z_field_shares_no_sector_matrix():
     # the field splits the mirror images: the Sz = -1 blocks are not the +1 ones
     for (_, _, minus), (_, _, plus) in zip(by_up[2], by_up[4]):
         assert minus.shape == plus.shape and not np.array_equal(minus, plus)
-    dense = hamiltonian_dense(model, full)
+    dense = orc.hamiltonian_dense(model, full)
     for rows, coefs, mat in blocks:
         iso = _isometry(rows, coefs, full.dimension)
         assert np.max(np.abs(iso.T @ dense @ iso - mat)) <= 1e-13
 
 
-def test_a_zero_coupling_reuses_the_block_layout(monkeypatch):
+def test_a_zero_coupling_reuses_the_block_layout(monkeypatch, fresh_bases):
     # zz and anti parts stay in the layout at amplitude 0, so Delta = 0
     # needs no second layout on a basis that already has one for 0.5
     import spinqpt.models as models
@@ -390,32 +406,30 @@ def test_a_zero_coupling_reuses_the_block_layout(monkeypatch):
         built.append(args)
         return layout(*args)
     monkeypatch.setattr(models, "_layout", counted)
-    enumerate_sector.cache_clear()
     full = enumerate_sector(chain(8), None)
-    sector_matrices(xxz(0.5), full)
-    blocks = sector_matrices(xxz(0.0), full)
+    HamiltonianAction(xxz(0.5), full).blocks()
+    blocks = HamiltonianAction(xxz(0.0), full).blocks()
     assert len(built) == 1
     energies = np.sort(np.concatenate([np.linalg.eigvalsh(mat) for _, _, mat in blocks]))
-    exact = np.linalg.eigvalsh(hamiltonian_dense(xxz(0.0), full))
+    exact = np.linalg.eigvalsh(orc.hamiltonian_dense(xxz(0.0), full))
     assert np.max(np.abs(energies - exact)) <= 1e-12
 
 
-def test_blocks_a_term_couples_are_refused(monkeypatch):
+def test_blocks_a_term_couples_are_refused(monkeypatch, fresh_bases):
     # a site swap that is no symmetry of the ring splits each sector into
     # blocks that H couples; the layout checks W^T T W and refuses them
     import spinqpt.models as models
     monkeypatch.setattr(models, "_reflection",
                         lambda lattice: np.array([1, 0, 2, 3, 4, 5]))
-    enumerate_sector.cache_clear()
     with pytest.raises(ValueError, match="couples two symmetry blocks"):
-        sector_matrices(xxz(0.5), enumerate_sector(chain(6), None))
+        HamiltonianAction(xxz(0.5), enumerate_sector(chain(6), None)).blocks()
 
 
 def test_cached_layout_arrays_are_read_only():
     # every later solve on the basis shares the layout, so a caller that
     # writes to a block's orbit table must fail rather than corrupt it
     full = enumerate_sector(chain(6), None)
-    for rows, coefs, _ in sector_matrices(xxz(0.5), full):
+    for rows, coefs, _ in HamiltonianAction(xxz(0.5), full).blocks():
         with pytest.raises(ValueError, match="read-only"):
             rows[:, [0, -1]] = rows[:, [-1, 0]]
         with pytest.raises(ValueError, match="read-only"):

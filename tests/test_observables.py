@@ -3,8 +3,8 @@ import pytest
 
 import oracle as orc
 from spinqpt.lattice import chain, ladder, enumerate_sector, lift_to_full
-from spinqpt.models import (HamiltonianAction, block_labels, hamiltonian_dense, j1j2,
-                            ladder_model, transverse_ising, xxz, general_xyz)
+from spinqpt.models import (HamiltonianAction, j1j2, ladder_model, transverse_ising, xxz,
+                            general_xyz)
 from spinqpt.eigensolver import dense_spectrum
 from spinqpt.analysis import SolverOptions, solve_model
 from spinqpt.observables import (bond_averaged_correlators, collective_apply,
@@ -26,7 +26,7 @@ def singlet_state(n=2):
 
 def ground(model, n, lat=None):
     basis = enumerate_sector(lat or chain(n), None)
-    sol = dense_spectrum(hamiltonian_dense(model, basis))
+    sol = dense_spectrum(orc.one_block(orc.hamiltonian_dense(model, basis)))
     return basis, sol
 
 
@@ -78,7 +78,7 @@ def test_rdm_validation():
 def test_rdm_works_in_sector_basis():
     basis = enumerate_sector(chain(6), 0)
     model = xxz(0.4)
-    sol = dense_spectrum(hamiltonian_dense(model, basis))
+    sol = dense_spectrum(orc.one_block(orc.hamiltonian_dense(model, basis)))
     _, g = sol.ground()
     rho = two_site_rdm(basis, g, 0, 1)
     full, lifted = lift_to_full(basis, g)
@@ -281,7 +281,7 @@ def test_staggered_z_dominant_weight_on_triplet():
 def test_transition_weights_need_full_spectrum():
     basis = enumerate_sector(chain(6), None)
     model = xxz(0.5)
-    sol = dense_spectrum(hamiltonian_dense(model, basis))
+    sol = dense_spectrum(orc.one_block(orc.hamiltonian_dense(model, basis)))
     partial = type(sol)(sol.energies[:4], sol.vectors[:, :4], sol.residuals[:4])
     with pytest.raises(ValueError):
         transition_weights(basis, sol.vectors[:, 0], partial, "staggered_z")
@@ -356,7 +356,7 @@ def test_sum_rule_master_grid():
 
 def test_su2_isotropy_of_heisenberg_ground_state():
     basis = enumerate_sector(chain(8), None)
-    sol = dense_spectrum(hamiltonian_dense(xxz(1.0), basis))
+    sol = dense_spectrum(orc.one_block(orc.hamiltonian_dense(xxz(1.0), basis)))
     _, g = sol.ground()
     vals = [correlator(basis, g, ax, 0, 1) for ax in "xyz"]
     assert max(vals) - min(vals) <= 1e-9
@@ -367,7 +367,7 @@ def test_su2_isotropy_of_heisenberg_ground_state():
 def test_bond_averaged_matches_single_bond_when_invariant():
     basis = enumerate_sector(chain(6), None)
     model = xxz(0.5)
-    sol = dense_spectrum(hamiltonian_dense(model, basis))
+    sol = dense_spectrum(orc.one_block(orc.hamiltonian_dense(model, basis)))
     _, g = sol.ground()
     avg = bond_averaged_correlators(model, basis, g, kind="nn")
     single = [correlator(basis, g, ax, 0, 1) for ax in "xyz"]
@@ -408,7 +408,8 @@ def test_block_labels_match_the_lifted_vectors(model, lattice, sz_twice, cutoff)
     sol = solve_model(model, basis, basis.dimension, SolverOptions(dense_cutoff=cutoff))
     assert sol.block_levels is not None and sol.vectors.shape[1] == sol.k
     parity_groups = model.family in ("ising", "xyz")  # both flip aligned pairs here
-    assert all(block.parity_group == parity_groups for block in block_labels(model, basis))
+    blocks = HamiltonianAction(model, basis).labels()
+    assert all(block.parity_group == parity_groups for block in blocks)
     labels = level_labels(basis, sol)
     for c, got in enumerate(labels):
         ref = label_state(basis, sol.vectors[:, c])
