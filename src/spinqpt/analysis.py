@@ -2,6 +2,16 @@
 concurrence, transition-type classification, and finite-size drift of
 derivative extrema.
 
+A sweep splits its grid into contiguous chunks, one per worker process
+(one chunk in all without ``threads``), and each chunk runs the same
+function.  Dense grid points are solved in batches: consecutive points
+whose models share a block layout stack their block matrices, at most
+``BATCH_BYTES`` of them, for one ``dense_spectra`` call (``solve_batch``),
+and each batch is observed before the next is solved.  A point's result
+never depends on the points solved with it, so any worker count gives
+the same bytes.  Lanczos grid points and refinement probes are solved
+one at a time (``solve_levels``).
+
 Crossings are found on the sorted level curves of a sweep.  Because the
 solvers resolve degenerate multiplets exactly, a crossing shows up in
 the gap of an adjacent level pair either as a degenerate run that ends
@@ -30,15 +40,20 @@ import numpy as np
 
 from .lattice import LatticeSpec, SectorBasis, enumerate_sector
 from .models import (BOND_PAIRS, FAMILY_TABLE, ModelSpec, HamiltonianAction,
-                     build_model, family_spec)
-from .eigensolver import (EigenSolution, dense_spectrum, degeneracy_tolerance,
-                          ground_multiplicity, lanczos_lowest_k, ConvergenceError)
+                     build_model, family_spec, stacked_blocks)
+from .eigensolver import (EigenSolution, dense_spectra, dense_spectrum,
+                          degeneracy_tolerance, ground_multiplicity, lanczos_lowest_k,
+                          ConvergenceError)
 from .observables import StateLabels, level_labels, pair_correlators, two_site_rdm
 from .entanglement import wootters_concurrence
 
 DEFAULT_SEED = 0x5EED
 # width to which crossing refinement brackets a gap minimum or boundary
 REFINE_TOL = 1e-9
+# the most bytes of block matrices a batch of dense grid points stacks for
+# LAPACK; their eigenvectors take as much again, and a batch is observed
+# before the next is solved, so this bounds what a sweep holds at once
+BATCH_BYTES = 1 << 19
 
 
 @dataclass(frozen=True)
@@ -171,10 +186,7 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
     residuals.  One ``HamiltonianAction`` gives the blocks, their labels
     and the operator, so the model's terms are built once per solve.
     """
-    if k < 1:
-        raise ValueError("need k >= 1")
-    if k > basis.dimension:
-        raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
+    _check_levels(k, basis)
     action = HamiltonianAction(model, basis)
     if not _dense(basis, options):
         return lanczos_lowest_k(action, basis.dimension, k,
@@ -185,6 +197,26 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
     if solution.block_levels is not None:
         solution.block_labels = action.labels()
     return solution
+
+
+def solve_batch(actions: list, k: int) -> list[EigenSolution]:
+    """``solve_model`` with ``lift="ground"`` of each of ``actions``,
+    models on one dense basis with the same term keys, by one
+    ``dense_spectra`` call; each solution is bitwise the single solve's,
+    except that every residual is taken in the level's block."""
+    _check_levels(k, actions[0].basis)
+    solutions = dense_spectra(stacked_blocks(actions), levels=k, lift="ground")
+    labels = actions[0].labels()
+    for solution in solutions:
+        solution.block_labels = labels
+    return solutions
+
+
+def _check_levels(k: int, basis: SectorBasis) -> None:
+    if k < 1:
+        raise ValueError("need k >= 1")
+    if k > basis.dimension:
+        raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
 
 
 def _dense(basis: SectorBasis, options: SolverOptions) -> bool:
@@ -267,13 +299,53 @@ def _sweep_point(cfg: PointConfig, g: float) -> SweepPoint:
     try:
         sol, basis = solve_levels(cfg, g, cfg.k_levels, lift="ground")
     except ConvergenceError as err:
-        flag = str(err)
-    else:
+        return _flagged(cfg, g, err)
+    return _observe_or_flag(cfg, g, sol, basis)
+
+
+def _flagged(cfg: PointConfig, g: float, err: Exception) -> SweepPoint:
+    return SweepPoint(g, np.full(cfg.k_levels, np.nan), [], {}, flag=str(err))
+
+
+def _observe_or_flag(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
+    try:
+        return _observe_point(cfg, g, sol, basis)
+    except ValueError as err:  # an invalid state or RDM at this point only
+        return _flagged(cfg, g, err)
+
+
+def _sweep_chunk(cfg: PointConfig, values: np.ndarray) -> list[SweepPoint]:
+    """The points of consecutive grid ``values``, as ``_sweep_point`` gives
+    them one by one.
+
+    On a dense basis each run of consecutive points whose models have the
+    same term keys (one block layout) is solved in batches
+    (``solve_batch``) of at most ``BATCH_BYTES`` of block matrices, and
+    each batch is observed before the next is solved.  A LAPACK failure
+    re-solves its batch point by point, so only the point that fails is
+    flagged.  Lanczos points are solved one by one.
+    """
+    basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
+    if not _dense(basis, cfg.options):
+        return [_sweep_point(cfg, g) for g in values]
+    actions = [HamiltonianAction(cfg.model_at(g), basis) for g in values]
+    points = []
+    start = 0
+    while start < len(values):
+        size = max(1, BATCH_BYTES // (8 * actions[start].block_entries))
+        stop = start + 1
+        while (stop < len(values) and stop - start < size
+               and actions[stop].keys == actions[start].keys):
+            stop += 1
         try:
-            return _observe_point(cfg, g, sol, basis)
-        except ValueError as err:  # an invalid state or RDM at this point only
-            flag = str(err)
-    return SweepPoint(g, np.full(cfg.k_levels, np.nan), [], {}, flag=flag)
+            solutions = solve_batch(actions[start:stop], cfg.k_levels)
+        except ConvergenceError:
+            points += [_sweep_point(cfg, g) for g in values[start:stop]]
+        else:
+            points += [_observe_or_flag(cfg, g, sol, basis)
+                       for g, sol in zip(values[start:stop], solutions)]
+        start = stop
+    return points
 
 
 def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
@@ -308,10 +380,15 @@ def sweep(family: str, fixed_params: dict, swept: GridSpec, lattice: LatticeSpec
     values = swept.values()
     workers = min(threads, len(values), os.cpu_count() or 1)
     if workers > 1:
+        # each worker takes one contiguous chunk of the grid; a point's
+        # result does not depend on the points solved with it
+        size = -(-len(values) // workers)
+        chunks = [values[i:i + size] for i in range(0, len(values), size)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_point, [cfg] * len(values), values))
+            points = [p for part in pool.map(_sweep_chunk, [cfg] * len(chunks), chunks)
+                      for p in part]
     else:
-        points = [_sweep_point(cfg, g) for g in values]
+        points = _sweep_chunk(cfg, values)
     return SweepResult(cfg, swept, points)
 
 

@@ -421,10 +421,11 @@ def cmd_sumrule(settings) -> dict:
     else:
         raise ConfigError(f"--operator must be one of {OPERATOR_TAGS} or 'all'")
     reports = []
-    sol = None  # one full spectrum serves every operator and the rearrangement
+    # one operator and one full spectrum serve every operator and the rearrangement
+    sol = action = None
     for tag in tags:
-        rep = sum_rule_residual(model, lattice, tag, solution=sol)
-        sol = rep.solution
+        rep = sum_rule_residual(model, lattice, tag, solution=sol, action=action)
+        sol, action = rep.solution, rep.action
         reports.append({"operator": tag, "lhs": rep.lhs, "rhs": rep.rhs,
                         "residual": rep.residual})
     payload = {"model": model.describe(), "n_sites": lattice.n_sites,

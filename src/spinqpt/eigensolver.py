@@ -5,7 +5,11 @@ of one on symmetry-adapted states (``models.HamiltonianAction.blocks``:
 each block column a combination of up to four basis states), solves
 each distinct block once and merges the levels, so each level keeps its
 block and its vector in that block; it lifts into the whole basis only
-the vectors its caller reads.  ``lanczos_lowest_k`` is a Krylov
+the vectors its caller reads.  ``dense_spectra`` does the same for P
+matrices with the same blocks at once: each distinct block's (P, d, d)
+stack goes to LAPACK in one call, which solves each matrix as it would
+alone, and the levels of all P are merged by one sort, so each solution
+is bitwise the one-matrix solve's.  ``lanczos_lowest_k`` is a Krylov
 iteration with partial reorthogonalization (H. D. Simon, Math. Comp. 42,
 115 (1984)): a recurrence on the stored alpha and beta estimates how far
 each new Krylov vector has drifted from orthogonality, and only when the
@@ -64,9 +68,10 @@ SEMI_ORTHOGONAL = np.sqrt(EPS)
 CHECK_EVERY = 5
 
 
-def degeneracy_tolerance(width: float) -> float:
-    """Levels closer than this are one multiplet; ``width`` counts as at least 1."""
-    return 1e-9 * max(1.0, width)
+def degeneracy_tolerance(width):
+    """Levels closer than this are one multiplet; ``width`` counts as at
+    least 1.  An array of widths gives one tolerance per width."""
+    return 1e-9 * np.fmax(1.0, width)
 
 
 def ground_multiplicity(energies: np.ndarray) -> int:
@@ -106,7 +111,7 @@ def dense_spectrum(blocks: list, *, levels: int | None = None, vectors: bool = T
     one multiplet, whose members keep the order of their blocks; so a
     degenerate level's members come out in block order, not in the order
     of their last bits.  The solution keeps each level as its block's
-    index in the list and its vector in that block
+    index in the list and its vector in that block, a copy
     (``block_levels``).  ``lift`` says which levels are lifted into the
     whole basis as ``vectors`` columns: "all", "ground" (the levels of
     ``ground_multiplicity``) or "none".  A lifted vector goes through its
@@ -119,53 +124,104 @@ def dense_spectrum(blocks: list, *, levels: int | None = None, vectors: bool = T
     any ``levels``; the solution then has no vector columns, no residuals
     and no block levels.  A LAPACK failure raises ConvergenceError.
     """
+    solution = _dense_levels(blocks, levels, vectors, lift, stacked=False)[0]
+    lifted = solution.vectors.shape[1]
+    if apply is not None and lifted:
+        vecs = solution.vectors
+        solution.residuals[:lifted] = np.linalg.norm(
+            apply(vecs) - vecs * solution.energies[:lifted], axis=0)
+    return solution
+
+
+def dense_spectra(blocks: list, *, levels: int | None = None,
+                  lift: str = "all") -> list[EigenSolution]:
+    """``dense_spectrum`` of P matrices with the same blocks at once, one
+    solution per matrix, in order: the block of each triple of ``blocks``
+    is a (P, d, d) stack, that block of each matrix
+    (``models.stacked_blocks``).
+
+    LAPACK runs once per distinct stack, on each of its matrices in turn
+    as it would on that matrix alone, and the levels of all P matrices
+    are merged together, so each solution's levels and vectors are
+    bitwise those ``dense_spectrum`` gives its matrix.  Every residual is
+    taken in the level's block.  A LAPACK failure on any matrix raises
+    ConvergenceError.
+    """
+    return _dense_levels(blocks, levels, True, lift, stacked=True)
+
+
+def _dense_levels(blocks, levels, vectors, lift, stacked) -> list[EigenSolution]:
+    """The solutions of ``dense_spectrum`` (one matrix, 2-D blocks) and of
+    ``dense_spectra`` (``stacked``), without sparse residuals."""
     if lift not in ("all", "ground", "none"):
         raise ValueError(f"lift must be all, ground or none, not {lift!r}")
     rows, coefs, subs = zip(*blocks)
     dims = [idx.shape[1] for idx in rows]
     dim = sum(dims)
-    distinct = {id(sub): sub for sub in subs}
+    keys = [id(sub) for sub in subs]
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        solved = {key: solve(sub) for key, sub in distinct.items()}
+        solved = {key: solve(sub) for key, sub in dict(zip(keys, subs)).items()}
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"dense eigensolver failed: {err}") from err
-    per_block = [solved[id(sub)] for sub in subs]
-    merged = np.concatenate([out[0] if vectors else out for out in per_block])
-    order = np.argsort(merged, kind="stable")
-    ascending = merged[order]
-    tol = degeneracy_tolerance(float(ascending[-1] - ascending[0]))
-    multiplet = np.cumsum(np.concatenate(([False], ascending[1:] - ascending[:-1] > tol)))
+    if not stacked:  # one matrix: a stack of one, of every block and output
+        solved = {key: tuple(part[None] for part in out) if vectors else out[None]
+                  for key, out in solved.items()}
+        subs = [sub[None] for sub in subs]
+    per_block = [solved[key] for key in keys]
+    merged = np.concatenate([out[0] if vectors else out for out in per_block], axis=1)
+    order = np.argsort(merged, axis=1, kind="stable")
+    ascending = np.take_along_axis(merged, order, 1)
+    tol = degeneracy_tolerance(ascending[:, -1] - ascending[:, 0])
+    split = np.diff(ascending, axis=1) > tol[:, None]
+    multiplet = np.cumsum(np.concatenate((np.zeros((len(merged), 1), bool), split), axis=1),
+                          axis=1)
     # merged is block-major, so sorting a multiplet by position keeps block
     # order, and each block's kept levels stay its lowest, ascending
-    order = order[np.lexsort((order, multiplet))][:levels]
-    energies = merged[order]
+    order = np.take_along_axis(order, np.lexsort((order, multiplet), axis=1), 1)[:, :levels]
+    energies = np.take_along_axis(merged, order, 1)
     if not vectors:
-        return EigenSolution(energies, np.empty((dim, 0)), np.empty(0))
+        return [EigenSolution(e, np.empty((dim, 0)), np.empty(0)) for e in energies]
+    offsets = np.cumsum(dims) - dims
+    block = np.repeat(np.arange(len(subs)), dims)[order]  # each kept level's block
+    local = order - offsets[block]                         # and its column there
+    resid = np.empty(order.shape)
+    for b in np.unique(block).tolist():
+        e_b, v_b = per_block[b]
+        kept = block == b
+        m = int(local[kept].max()) + 1
+        inside = np.linalg.norm(subs[b] @ v_b[:, :, :m] - v_b[:, :, :m] * e_b[:, None, :m],
+                                axis=1)
+        resid[kept] = inside[np.nonzero(kept)[0], local[kept]]
+    stacks = [out[1] for out in per_block]
+    return [_matrix_solution(rows, coefs, dim, stacks, p, block[p].tolist(), energies[p],
+                             resid[p], lift)
+            for p in range(len(energies))]
+
+
+def _matrix_solution(rows, coefs, dim, stacks, p, block: list, energies, resid,
+                     lift) -> EigenSolution:
+    """The solution of matrix ``p`` of the blocks' eigenvector ``stacks``,
+    given the block of each kept level, lifting the levels of ``lift``."""
     members = {}  # block -> its kept levels, which are its lowest, ascending
-    for c, b in enumerate(np.repeat(np.arange(len(subs)), dims)[order].tolist()):
+    for c, b in enumerate(block):
         members.setdefault(b, []).append(c)
-    lifted = (len(order) if lift == "all" else 0 if lift == "none"
+    lifted = (len(block) if lift == "all" else 0 if lift == "none"
               else ground_multiplicity(energies))
     vecs = np.empty((dim, lifted))
-    resid = np.empty(len(order))
-    block_levels = [None] * len(order)
+    block_levels = [None] * len(block)
     for b, cols in members.items():
-        e_b, v_b = per_block[b][0][:len(cols)], per_block[b][1][:, :len(cols)]
-        for i, c in enumerate(cols):
-            block_levels[c] = (b, v_b[:, i])
+        v_b = stacks[b][p, :, :len(cols)]
+        # a copy, so a kept level holds its own vector, not the block's
+        # whole eigenvector matrix (or a whole stack of them)
+        for c, vec in zip(cols, v_b.T.copy()):
+            block_levels[c] = (b, vec)
         up = sum(c < lifted for c in cols)  # the block's lifted levels lead
         if up:
             # entry (t, i, c) of the lift is coefs[t, i] v_b[i, c], on row rows[t, i]
             full = np.bincount((rows[b][:, :, None] * up + np.arange(up)).ravel(),
                                (coefs[b][:, :, None] * v_b[:, :up]).ravel(), dim * up)
             vecs[:, cols[:up]] = _fix_phases(full.reshape(dim, up))
-        inside = 0 if apply is None else up
-        if inside < len(cols):
-            resid[cols[inside:]] = np.linalg.norm(
-                subs[b] @ v_b[:, inside:] - v_b[:, inside:] * e_b[inside:], axis=0)
-    if apply is not None and lifted:
-        resid[:lifted] = np.linalg.norm(apply(vecs) - vecs * energies[:lifted], axis=0)
     return EigenSolution(energies, vecs, resid, block_levels=tuple(block_levels))
 
 

@@ -20,6 +20,8 @@ product, and gives the dense blocks of H on symmetry-adapted states
 (``blocks``: popcount groups of the basis, popcount parity groups of
 the full basis where H does not conserve Sz, split by the lattice
 reflection and spin inversion) and their label terms (``labels``).
+``stacked_blocks`` gives the blocks of several actions with the same
+terms at once, each block's matrices stacked, for a batched solve.
 Three things are cached per basis (``SectorBasis.cached``): each
 operator term; for a set of nonzero flip terms one merged CSR pattern
 of the diagonal and every flip; and for the whole set of a model's
@@ -390,11 +392,14 @@ class HamiltonianAction:
         matrix object; only the Sz >= 0 blocks are built, and a solver
         can recognize a repeated block by identity.
         """
-        layout = self._block_layout()
-        values = np.zeros(layout.size)
-        values[layout.index] = np.array(self.amps) @ layout.weights
-        mats = _block_matrices(values, layout.spans)
+        layout, stacks = _stacked_matrices([self])
+        mats = [stack[0] for stack in stacks]
         return [(rows, coefs, mats[m]) for rows, coefs, m in layout.blocks]
+
+    @property
+    def block_entries(self) -> int:
+        """How many entries the distinct matrices of ``blocks()`` hold."""
+        return self._block_layout().size
 
     def labels(self) -> tuple:
         """``BlockLabels`` per block of ``blocks()``, in its order, built
@@ -411,6 +416,32 @@ class HamiltonianAction:
         """
         return self.basis.cached(("labels", self.keys),
                                  lambda: _block_labels(self.basis, self._block_layout()))
+
+
+def stacked_blocks(actions) -> list:
+    """``blocks()`` of P actions on one basis with the same term keys, at
+    once: ``(rows, coefs, stack)`` per block, with ``stack`` the (P, d, d)
+    block matrices of the actions in order, for ``dense_spectra``.  A
+    block listed twice holds the same stack object."""
+    layout, stacks = _stacked_matrices(actions)
+    return [(rows, coefs, stacks[m]) for rows, coefs, m in layout.blocks]
+
+
+def _stacked_matrices(actions) -> tuple:
+    """The layout the ``actions`` share and each of its matrices as a
+    (P, d, d) stack, one matrix per action in order."""
+    first = actions[0]
+    if any(a.basis is not first.basis or a.keys != first.keys for a in actions):
+        raise ValueError("stacked blocks need one basis and the same term keys")
+    layout = first._block_layout()
+    values = np.zeros((len(actions), layout.size))
+    for row, action in zip(values, actions):
+        # one (terms,) @ (terms, entries) product per action: a product of
+        # all the actions' amplitudes at once can round differently, and
+        # then a point's levels would depend on the points solved with it
+        row[layout.index] = np.array(action.amps) @ layout.weights
+    return layout, [values[:, start:start + d * d].reshape(-1, d, d)
+                    for start, d in layout.spans]
 
 
 def apply_hamiltonian(model: ModelSpec, basis: SectorBasis, vec: np.ndarray) -> np.ndarray:

@@ -299,45 +299,54 @@ class SumRuleReport:
     operator_tag: str
     lhs: float           # <0|[A,[H,A]]|0> by operator application
     rhs: float           # 2 sum_n (E_n - E_0) |<0|A|n>|^2
-    # the full spectrum the right side was summed over, for reuse
+    # the full spectrum the right side was summed over, and the operator
+    # the left side applied, for reuse
     solution: EigenSolution | None = field(default=None, repr=False, compare=False)
+    action: HamiltonianAction | None = field(default=None, repr=False, compare=False)
 
     @property
     def residual(self) -> float:
         return abs(self.lhs - self.rhs)
 
 
-def _full_solution(model: ModelSpec, lattice, solution):
-    """The full basis and full spectrum of H, solved unless ``solution`` is
-    given; spaces above ``DENSE_CAP_DEFAULT`` raise before any solve."""
+def _full_solution(model: ModelSpec, lattice, solution, action=None):
+    """The full basis, the full spectrum of H and ``action``, H on that
+    basis: the spectrum is solved from ``action``, built if None, unless
+    ``solution`` is given, and ``action`` stays None when neither needs
+    it; spaces above ``DENSE_CAP_DEFAULT`` raise before any solve."""
     basis = enumerate_sector(lattice, None)
     if basis.dimension > DENSE_CAP_DEFAULT:
         raise ResourceLimitError(f"sum rules need the full spectrum; "
                                  f"dim {basis.dimension} > cap {DENSE_CAP_DEFAULT}")
     if solution is None:
-        solution = dense_spectrum(HamiltonianAction(model, basis).blocks())
-    return basis, solution
+        if action is None:
+            action = HamiltonianAction(model, basis)
+        solution = dense_spectrum(action.blocks())
+    return basis, solution, action
 
 
 def sum_rule_residual(model: ModelSpec, lattice, operator_tag: str,
-                      solution: EigenSolution | None = None) -> SumRuleReport:
+                      solution: EigenSolution | None = None,
+                      action: HamiltonianAction | None = None) -> SumRuleReport:
     """Double-commutator identity check for one collective operator.
 
     The left side never materializes A or [H, A]: with u = B|0> and the
     real companion B it is 2(<u|H|u> - <u|B H|0>), identical in form for
     symmetric (x, z) and antisymmetric (y companion) operators.
-    ``solution`` is the full spectrum of ``model`` on the full basis, as
-    carried by an earlier report; it is solved when omitted.
+    ``solution`` is the full spectrum of ``model`` on the full basis and
+    ``action`` its operator there, as carried by an earlier report; each
+    is built when omitted.
     """
-    basis, sol = _full_solution(model, lattice, solution)
+    basis, sol, action = _full_solution(model, lattice, solution, action)
+    if action is None:
+        action = HamiltonianAction(model, basis)
     axis, momentum = _parse_tag(operator_tag)
-    action = HamiltonianAction(model, basis)
     e0, ground = sol.ground()
     u = collective_apply(basis, ground, axis, momentum)
     lhs = 2.0 * (u @ action(u) - u @ collective_apply(basis, action(ground), axis, momentum))
     tw = transition_weights(basis, ground, sol, operator_tag)
     rhs = 2.0 * float(tw.excitation_energies @ tw.weights)
-    return SumRuleReport(operator_tag, float(lhs), rhs, solution=sol)
+    return SumRuleReport(operator_tag, float(lhs), rhs, solution=sol, action=action)
 
 
 @dataclass
@@ -364,7 +373,7 @@ def rearranged_sum_rule(model: ModelSpec, lattice,
                         solution: EigenSolution | None = None) -> RearrangedSumRule:
     """Both sides of the per-model rearrangement; ``solution`` as in
     ``sum_rule_residual``."""
-    basis, sol = _full_solution(model, lattice, solution)
+    basis, sol, _ = _full_solution(model, lattice, solution)
     n = lattice.n_sites
     e0, ground = sol.ground()
     cxx, cyy, czz = bond_averaged_correlators(model, basis, ground, kind="nn")

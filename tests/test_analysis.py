@@ -289,6 +289,76 @@ def test_sweep_parallel_matches_serial():
     assert np.array_equal(serial.concurrence(), parallel.concurrence())
 
 
+# (family, fixed parameters, grid, pairs, spaces) at N = 8: every family, xxz
+# through its ninefold ground level at Delta = -1, j1j2 through the twofold
+# Majumdar-Ghosh point, and xyz with a field through h = 0, where the
+# field term, and so the block layout, drops out
+BATCHED_SWEEPS = (
+    ("xxz", {}, GridSpec("delta", -1.25, -0.8, 0.05), ("nn",), ("full", "sz0")),
+    ("j1j2", {"j1": 1.0}, GridSpec("j2", 0.3, 0.75, 0.05), ("nn", "nnn"), ("full", "sz0")),
+    ("ladder", {"j_leg": 1.0}, GridSpec("j_rung", 0.5, 1.4, 0.1), ("leg", "rung"),
+     ("full", "sz0")),
+    ("ising", {}, GridSpec("lam", 0.6, 1.5, 0.1), ("nn",), ("full",)),
+    ("xyz", {"jy": 0.6}, GridSpec("jz", 0.1, 1.9, 0.2), ("nn",), ("full",)),
+    ("xyz", {}, GridSpec("h", -0.5, 0.5, 0.125), ("nn", "0-2"), ("full", "sz0")),
+)
+
+
+def _same_points(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.g == b.g and a.flag is None and b.flag is None
+        assert np.array_equal(a.energies, b.energies)
+        assert a.labels == b.labels and a.pairs == b.pairs
+        assert a.gs_multiplicity == b.gs_multiplicity
+
+
+@pytest.mark.parametrize("family, fixed, grid, pairs, spaces", BATCHED_SWEEPS)
+def test_batched_sweep_points_equal_single_solves(family, fixed, grid, pairs, spaces,
+                                                   monkeypatch):
+    import spinqpt.analysis as analysis
+    from spinqpt.lattice import enumerate_sector
+    from spinqpt.models import HamiltonianAction
+    lattice = FAMILY_TABLE[family].lattice(8)
+    multiplicities = set()
+    for space in spaces:
+        basis = enumerate_sector(lattice, 0 if space == "sz0" else None)
+        model = build_model(family, {**fixed, grid.name: grid.stop})
+        # batches of three points, so the grid spans several
+        monkeypatch.setattr(analysis, "BATCH_BYTES",
+                            3 * 8 * HamiltonianAction(model, basis).block_entries)
+        res = sweep(family, fixed, grid, lattice, k_levels=10, pairs=pairs, space=space)
+        _same_points(res.points, [analysis._sweep_point(res.config, g)
+                                  for g in grid.values()])
+        multiplicities |= {p.gs_multiplicity for p in res.points}
+    if family == "xxz":
+        assert 9 in multiplicities
+    if family == "j1j2":
+        assert 2 in multiplicities
+
+
+def test_batched_sweep_parallel_matches_serial():
+    # ising blocks are large, so both runs span several batches, split differently
+    grid = GridSpec("lam", 0.2, 2.1, 0.1)
+    serial = sweep("ising", {}, grid, chain(8), k_levels=4)
+    parallel = sweep("ising", {}, grid, chain(8), k_levels=4, threads=2)
+    _same_points(parallel.points, serial.points)
+
+
+def test_batched_levels_hold_their_own_vectors():
+    # a kept level's block vector is a copy: it keeps at most k vectors
+    # alive, never a block's whole eigenvector stack
+    from spinqpt.analysis import solve_batch
+    from spinqpt.lattice import enumerate_sector
+    from spinqpt.models import HamiltonianAction, xxz
+    basis = enumerate_sector(chain(8), None)
+    k = 4
+    actions = [HamiltonianAction(xxz(delta), basis) for delta in (-1.0, 0.3, 1.0, 2.0)]
+    for sol in solve_batch(actions, k):
+        for _, vec in sol.block_levels:
+            assert vec.base is None or vec.base.size <= k * len(vec)
+
+
 # --- crossings and classification ---------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -465,15 +535,16 @@ def test_crossing_candidates_on_a_piecewise_linear_gap(monkeypatch):
 
 def test_sweep_flags_a_bad_point_and_continues(monkeypatch):
     import spinqpt.analysis as analysis
-    real = analysis.solve_levels
+    real = analysis.solve_batch
 
-    def unnormalized_at_one(cfg, g, k, **kwargs):
-        sol, basis = real(cfg, g, k, **kwargs)
-        if abs(g - 1.0) < 1e-12:
-            sol.vectors[:, 0] *= 2.0
-        return sol, basis
+    def unnormalized_at_one(actions, k):
+        solutions = real(actions, k)
+        for action, sol in zip(actions, solutions):
+            if abs(action.model.param("delta") - 1.0) < 1e-12:
+                sol.vectors[:, 0] *= 2.0
+        return solutions
 
-    monkeypatch.setattr(analysis, "solve_levels", unnormalized_at_one)
+    monkeypatch.setattr(analysis, "solve_batch", unnormalized_at_one)
     res = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)
     assert len(res.points) == 5
     assert [p.g for p in res.flagged] == [pytest.approx(1.0)]
@@ -511,18 +582,24 @@ def test_refinement_solves_each_probe_once_for_every_level_pair(monkeypatch):
 
 def test_sweep_flags_a_lapack_failure_and_continues(monkeypatch):
     import spinqpt.analysis as analysis
-    real_solve, real_eigh = analysis.solve_levels, np.linalg.eigh
-    current = []
+    real_batch, real_solve = analysis.solve_batch, analysis.solve_levels
+    real_eigh = np.linalg.eigh
+    current = []  # the grid values being solved
+
+    def noting_batch(actions, k):
+        current[:] = [action.model.param("delta") for action in actions]
+        return real_batch(actions, k)
 
     def noting(cfg, g, k, **kwargs):
         current[:] = [g]
         return real_solve(cfg, g, k, **kwargs)
 
     def failing_at_one(mat):
-        if abs(current[0] - 1.0) < 1e-12:
+        if any(abs(g - 1.0) < 1e-12 for g in current):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigh(mat)
 
+    monkeypatch.setattr(analysis, "solve_batch", noting_batch)
     monkeypatch.setattr(analysis, "solve_levels", noting)
     monkeypatch.setattr(np.linalg, "eigh", failing_at_one)
     res = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)

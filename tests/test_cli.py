@@ -445,6 +445,23 @@ def test_fewer_than_one_level_is_config_error(levels, cutoff, capsys):
     assert "need k >= 1" in err
 
 
+def test_sumrule_builds_one_operator_per_call(capsys, monkeypatch):
+    from spinqpt.models import HamiltonianAction
+    builds = []
+    real = HamiltonianAction.__init__
+
+    def counted(self, *args, **kwargs):
+        builds.append(1)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(HamiltonianAction, "__init__", counted)
+    code, out, _ = run_capture(
+        ["sumrule", "--model", "xxz", "--delta", "0.6", "--sites", "6",
+         "--operator", "all"], capsys)
+    assert code == 0
+    assert len(json.loads(out)["payload"]["reports"]) == 3 and len(builds) == 1
+
+
 def test_oversized_sumrule_is_config_error_before_any_solve(capsys, monkeypatch):
     import spinqpt.observables as observables
 
