@@ -7,7 +7,8 @@ A sweep splits its grid into contiguous chunks, one per worker process
 function.  Dense grid points are solved in batches: consecutive points
 whose models share a block layout stack their block matrices, at most
 ``BATCH_BYTES`` of them, for one ``dense_spectra`` call (``solve_batch``),
-and each batch is observed before the next is solved.  A point's result
+and each batch is observed before the next is solved; a batch whose
+LAPACK call fails is re-solved as batches of one.  A point's result
 never depends on the points solved with it, so any worker count gives
 the same bytes.  Lanczos grid points and refinement probes are solved
 one at a time (``solve_levels``).
@@ -90,6 +91,10 @@ class SolverOptions:
     seed: int = DEFAULT_SEED     # Lanczos start vectors
     dense_cutoff: int = 512      # spaces of this dimension or less use LAPACK
 
+    def __post_init__(self):
+        if not (math.isfinite(self.tol) and self.tol > 0):
+            raise ValueError(f"tol must be finite and positive, not {self.tol}")
+
 
 def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
     """Map pair names to site pairs: a bond kind of the lattice's geometry
@@ -170,42 +175,38 @@ def _choose_space(family, lattice, space) -> int | None:
 
 
 def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
-                options: SolverOptions, *, energies_only: bool = False,
-                lift: str = "all") -> EigenSolution:
-    """Lowest k levels of one model on one basis, dense or Lanczos by size;
-    k below 1 or above the dimension raises ValueError on both paths.
+                options: SolverOptions, *, energies_only: bool = False) -> EigenSolution:
+    """Lowest k levels of one model on one basis, dense or Lanczos by size,
+    each with its vector in the basis; k below 1 or above the dimension
+    raises ValueError on both paths.
 
-    The dense path solves each symmetry block of the basis on its own and
-    keeps every level in its block (``EigenSolution.block_levels``), with
-    each block's label terms (``block_labels``); it lifts into the basis
-    the vectors of ``lift`` ("all", "ground" or "none", see
-    ``dense_spectrum``), whose residuals are taken with the sparse
-    operator, and takes the others' residuals in their blocks.
-    ``energies_only`` lets the dense path skip eigenvectors, residuals and
-    the operator; Lanczos produces every vector either way, with sparse
-    residuals.  One ``HamiltonianAction`` gives the blocks, their labels
-    and the operator, so the model's terms are built once per solve.
+    The dense path (``dense_spectrum``) solves each symmetry block of the
+    basis on its own and keeps every level in its block
+    (``EigenSolution.block_levels``), with each block's label terms
+    (``block_labels``), and takes every residual in the level's block.
+    ``energies_only`` lets it skip eigenvectors and residuals; Lanczos
+    produces every vector either way, with sparse residuals.  One
+    ``HamiltonianAction`` gives the blocks and their labels, or the
+    operator, so the model's terms are built once per solve.
     """
     _check_levels(k, basis)
     action = HamiltonianAction(model, basis)
     if not _dense(basis, options):
         return lanczos_lowest_k(action, basis.dimension, k,
                                 tol=options.tol, seed=options.seed)
-    solution = dense_spectrum(action.blocks(), levels=k, vectors=not energies_only,
-                              apply=None if energies_only or lift == "none" else action,
-                              lift=lift)
+    solution = dense_spectrum(action.blocks(), levels=k, vectors=not energies_only)
     if solution.block_levels is not None:
         solution.block_labels = action.labels()
     return solution
 
 
 def solve_batch(actions: list, k: int) -> list[EigenSolution]:
-    """``solve_model`` with ``lift="ground"`` of each of ``actions``,
-    models on one dense basis with the same term keys, by one
-    ``dense_spectra`` call; each solution is bitwise the single solve's,
-    except that every residual is taken in the level's block."""
+    """The lowest k levels of each of ``actions``, models on one dense
+    basis with the same term keys, by one ``dense_spectra`` call; each
+    solution is bitwise ``solve_model``'s, except that it lifts only its
+    ground multiplet, which the pair observables read."""
     _check_levels(k, actions[0].basis)
-    solutions = dense_spectra(stacked_blocks(actions), levels=k, lift="ground")
+    solutions = dense_spectra(stacked_blocks(actions), levels=k)
     labels = actions[0].labels()
     for solution in solutions:
         solution.block_labels = labels
@@ -224,12 +225,12 @@ def _dense(basis: SectorBasis, options: SolverOptions) -> bool:
     return basis.dimension <= options.dense_cutoff
 
 
-def solve_levels(cfg: PointConfig, g: float, k: int, *, energies_only: bool = False,
-                 lift: str = "all") -> tuple[EigenSolution, SectorBasis]:
+def solve_levels(cfg: PointConfig, g: float, k: int, *,
+                 energies_only: bool = False) -> tuple[EigenSolution, SectorBasis]:
     """Lowest k levels of a sweep's model at one parameter value."""
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
     return solve_model(cfg.model_at(g), basis, k, cfg.options,
-                       energies_only=energies_only, lift=lift), basis
+                       energies_only=energies_only), basis
 
 
 @dataclass
@@ -292,12 +293,10 @@ class SweepResult:
 
 
 def _sweep_point(cfg: PointConfig, g: float) -> SweepPoint:
-    """One grid point; a point whose solve or observables fail is flagged
-    with the message, and the sweep carries on.  Labels come from each
-    level's symmetry block on the dense path, so only the ground
-    multiplet, which the pair observables read, is lifted."""
+    """One Lanczos grid point; a point whose solve or observables fail is
+    flagged with the message, and the sweep carries on."""
     try:
-        sol, basis = solve_levels(cfg, g, cfg.k_levels, lift="ground")
+        sol, basis = solve_levels(cfg, g, cfg.k_levels)
     except ConvergenceError as err:
         return _flagged(cfg, g, err)
     return _observe_or_flag(cfg, g, sol, basis)
@@ -315,15 +314,13 @@ def _observe_or_flag(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> S
 
 
 def _sweep_chunk(cfg: PointConfig, values: np.ndarray) -> list[SweepPoint]:
-    """The points of consecutive grid ``values``, as ``_sweep_point`` gives
-    them one by one.
+    """The points of consecutive grid ``values``.
 
     On a dense basis each run of consecutive points whose models have the
     same term keys (one block layout) is solved in batches
     (``solve_batch``) of at most ``BATCH_BYTES`` of block matrices, and
-    each batch is observed before the next is solved.  A LAPACK failure
-    re-solves its batch point by point, so only the point that fails is
-    flagged.  Lanczos points are solved one by one.
+    each batch is observed before the next is solved.  Lanczos points are
+    solved one by one (``_sweep_point``).
     """
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
     if not _dense(basis, cfg.options):
@@ -337,15 +334,23 @@ def _sweep_chunk(cfg: PointConfig, values: np.ndarray) -> list[SweepPoint]:
         while (stop < len(values) and stop - start < size
                and actions[stop].keys == actions[start].keys):
             stop += 1
-        try:
-            solutions = solve_batch(actions[start:stop], cfg.k_levels)
-        except ConvergenceError:
-            points += [_sweep_point(cfg, g) for g in values[start:stop]]
-        else:
-            points += [_observe_or_flag(cfg, g, sol, basis)
-                       for g, sol in zip(values[start:stop], solutions)]
+        points += _batch_points(cfg, basis, actions[start:stop], values[start:stop])
         start = stop
     return points
+
+
+def _batch_points(cfg: PointConfig, basis, actions: list, values) -> list[SweepPoint]:
+    """The points of one batch of dense grid points.  A LAPACK failure
+    re-solves the batch as batches of one, so only a point that fails on
+    its own is flagged."""
+    try:
+        solutions = solve_batch(actions, cfg.k_levels)
+    except ConvergenceError as err:
+        if len(actions) == 1:
+            return [_flagged(cfg, values[0], err)]
+        return [point for action, g in zip(actions, values)
+                for point in _batch_points(cfg, basis, [action], [g])]
+    return [_observe_or_flag(cfg, g, sol, basis) for g, sol in zip(values, solutions)]
 
 
 def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
@@ -674,8 +679,13 @@ def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
     II:  an excited-state true crossing whose location lies within two
          grid steps of the concurrence maximum.
     III: otherwise, some derivative of order <= ``max_derivative_order``
-         has an interior extremum.
+         (1 to 4) has an interior extremum.
     """
+    if jump_tol is not None and not (math.isfinite(jump_tol) and jump_tol > 0):
+        raise ValueError(f"jump_tol must be finite and positive, not {jump_tol}")
+    if not 1 <= max_derivative_order <= 4:
+        raise ValueError(f"max_derivative_order must be between 1 and 4, "
+                         f"not {max_derivative_order}")
     if sweep_result.k_levels < 3:
         raise ValueError("classification needs at least three levels")
     grid = sweep_result.grid

@@ -10,8 +10,9 @@ residual claims can be checked from the files alone; the envelope
 rounds every float in one pass.
 
 Exit codes: 0 success, 1 numeric failure, 2 configuration error (bad
-settings, an unreadable config file or unwritable output path, or a sum
-rule over a space above the dense cap).
+settings, an unreadable config file or unwritable output path, a sum
+rule over a space above the dense cap, or a size whose arrays do not fit
+in memory).
 No environment variables are consulted.
 """
 
@@ -327,8 +328,7 @@ def cmd_spectrum(settings) -> dict:
     except ValueError:
         raise ConfigError("--sector must be full, sz0, sz:<m>, or an integer m = 2*Sz")
     basis = enumerate_sector(lattice, sz_twice)
-    sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings),
-                      lift="none")
+    sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
     labels = level_labels(basis, sol)
     return {"model": model.describe(), "n_sites": lattice.n_sites,
             "space": space_name(sz_twice), "dimension": basis.dimension,
@@ -497,7 +497,7 @@ def run(argv=None) -> int:
                 raise ConfigError(f"cannot write {out_path!r}: {err.strerror}")
         else:
             sys.stdout.write(text)
-    except (ConfigError, ValueError, ResourceLimitError) as err:
+    except (ConfigError, ValueError, ResourceLimitError, MemoryError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
     except ConvergenceError as err:

@@ -4,12 +4,14 @@
 of one on symmetry-adapted states (``models.HamiltonianAction.blocks``:
 each block column a combination of up to four basis states), solves
 each distinct block once and merges the levels, so each level keeps its
-block and its vector in that block; it lifts into the whole basis only
-the vectors its caller reads.  ``dense_spectra`` does the same for P
-matrices with the same blocks at once: each distinct block's (P, d, d)
-stack goes to LAPACK in one call, which solves each matrix as it would
-alone, and the levels of all P are merged by one sort, so each solution
-is bitwise the one-matrix solve's.  ``lanczos_lowest_k`` is a Krylov
+block and its vector in that block, and lifts every kept level into the
+whole basis.  ``dense_spectra`` does the same for P matrices with the
+same blocks at once: each distinct block's (P, d, d) stack goes to
+LAPACK in one call, which solves each matrix as it would alone, and the
+levels of all P are merged by one sort, so each solution is bitwise the
+one-matrix solve's, except that it lifts only its ground multiplet.
+
+``lanczos_lowest_k`` is a Krylov
 iteration with partial reorthogonalization (H. D. Simon, Math. Comp. 42,
 115 (1984)): a recurrence on the stored alpha and beta estimates how far
 each new Krylov vector has drifted from orthogonality, and only when the
@@ -24,7 +26,8 @@ Krylov sequence carries one vector per distinct eigenvalue, so multiplets
 need the restarts).
 
 Both solvers fix eigenvector phase by making the largest-magnitude
-amplitude positive, and both report explicit residuals |H v - E v|.
+amplitude positive, and both report explicit residuals: |H_b v_b - E v_b|
+in the level's block for LAPACK, |H v - E v| for Lanczos.
 """
 
 from dataclasses import dataclass, field
@@ -91,8 +94,8 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     return vectors
 
 
-def dense_spectrum(blocks: list, *, levels: int | None = None, vectors: bool = True,
-                   apply=None, lift: str = "all") -> EigenSolution:
+def dense_spectrum(blocks: list, *, levels: int | None = None,
+                   vectors: bool = True) -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
     matrix, given as its invariant blocks.
 
@@ -112,29 +115,19 @@ def dense_spectrum(blocks: list, *, levels: int | None = None, vectors: bool = T
     degenerate level's members come out in block order, not in the order
     of their last bits.  The solution keeps each level as its block's
     index in the list and its vector in that block, a copy
-    (``block_levels``).  ``lift`` says which levels are lifted into the
-    whole basis as ``vectors`` columns: "all", "ground" (the levels of
-    ``ground_multiplicity``) or "none".  A lifted vector goes through its
-    block's rows and coefficients, with its largest-magnitude amplitude
-    made positive, and its residual is taken with ``apply`` (the operator
-    the matrix was built from, acting on a block of columns) when given;
-    every other residual is |H_b v_b - E v_b| in the level's block.
-    With ``vectors=False`` LAPACK computes every energy alone and the
-    lowest ``levels`` are kept, so each kept level is bitwise the same for
-    any ``levels``; the solution then has no vector columns, no residuals
-    and no block levels.  A LAPACK failure raises ConvergenceError.
+    (``block_levels``), and lifts every kept level into the whole basis
+    as a ``vectors`` column, through its block's rows and coefficients,
+    with its largest-magnitude amplitude made positive.  Every residual
+    is |H_b v_b - E v_b| in the level's block.  With ``vectors=False``
+    LAPACK computes every energy alone and the lowest ``levels`` are
+    kept, so each kept level is bitwise the same for any ``levels``; the
+    solution then has no vector columns, no residuals and no block
+    levels.  A LAPACK failure raises ConvergenceError.
     """
-    solution = _dense_levels(blocks, levels, vectors, lift, stacked=False)[0]
-    lifted = solution.vectors.shape[1]
-    if apply is not None and lifted:
-        vecs = solution.vectors
-        solution.residuals[:lifted] = np.linalg.norm(
-            apply(vecs) - vecs * solution.energies[:lifted], axis=0)
-    return solution
+    return _dense_levels(blocks, levels, vectors, len)[0]
 
 
-def dense_spectra(blocks: list, *, levels: int | None = None,
-                  lift: str = "all") -> list[EigenSolution]:
+def dense_spectra(blocks: list, *, levels: int | None = None) -> list[EigenSolution]:
     """``dense_spectrum`` of P matrices with the same blocks at once, one
     solution per matrix, in order: the block of each triple of ``blocks``
     is a (P, d, d) stack, that block of each matrix
@@ -142,32 +135,30 @@ def dense_spectra(blocks: list, *, levels: int | None = None,
 
     LAPACK runs once per distinct stack, on each of its matrices in turn
     as it would on that matrix alone, and the levels of all P matrices
-    are merged together, so each solution's levels and vectors are
-    bitwise those ``dense_spectrum`` gives its matrix.  Every residual is
-    taken in the level's block.  A LAPACK failure on any matrix raises
-    ConvergenceError.
+    are merged together, so each solution's levels, residuals and block
+    levels are bitwise those ``dense_spectrum`` gives its matrix.  Each
+    solution lifts only its ground multiplet (the levels of
+    ``ground_multiplicity``), as the leading columns of ``dense_spectrum``'s
+    vectors.  A LAPACK failure on any matrix raises ConvergenceError.
     """
-    return _dense_levels(blocks, levels, True, lift, stacked=True)
+    return _dense_levels(blocks, levels, True, ground_multiplicity)
 
 
-def _dense_levels(blocks, levels, vectors, lift, stacked) -> list[EigenSolution]:
-    """The solutions of ``dense_spectrum`` (one matrix, 2-D blocks) and of
-    ``dense_spectra`` (``stacked``), without sparse residuals."""
-    if lift not in ("all", "ground", "none"):
-        raise ValueError(f"lift must be all, ground or none, not {lift!r}")
+def _dense_levels(blocks, levels, vectors, lifted) -> list[EigenSolution]:
+    """The solutions of ``dense_spectrum`` (2-D blocks, a stack of one)
+    and ``dense_spectra``, each lifting its first ``lifted(energies)``
+    levels."""
     rows, coefs, subs = zip(*blocks)
     dims = [idx.shape[1] for idx in rows]
     dim = sum(dims)
+    # a 2-D block is a stack of one, and a block listed twice is solved once
     keys = [id(sub) for sub in subs]
+    stacks = {key: sub.reshape(-1, *sub.shape[-2:]) for key, sub in zip(keys, subs)}
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
     try:
-        solved = {key: solve(sub) for key, sub in dict(zip(keys, subs)).items()}
+        solved = {key: solve(stack) for key, stack in stacks.items()}
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"dense eigensolver failed: {err}") from err
-    if not stacked:  # one matrix: a stack of one, of every block and output
-        solved = {key: tuple(part[None] for part in out) if vectors else out[None]
-                  for key, out in solved.items()}
-        subs = [sub[None] for sub in subs]
     per_block = [solved[key] for key in keys]
     merged = np.concatenate([out[0] if vectors else out for out in per_block], axis=1)
     order = np.argsort(merged, axis=1, kind="stable")
@@ -190,24 +181,22 @@ def _dense_levels(blocks, levels, vectors, lift, stacked) -> list[EigenSolution]
         e_b, v_b = per_block[b]
         kept = block == b
         m = int(local[kept].max()) + 1
-        inside = np.linalg.norm(subs[b] @ v_b[:, :, :m] - v_b[:, :, :m] * e_b[:, None, :m],
-                                axis=1)
+        v_b = v_b[:, :, :m]
+        inside = np.linalg.norm(stacks[keys[b]] @ v_b - v_b * e_b[:, None, :m], axis=1)
         resid[kept] = inside[np.nonzero(kept)[0], local[kept]]
-    stacks = [out[1] for out in per_block]
-    return [_matrix_solution(rows, coefs, dim, stacks, p, block[p].tolist(), energies[p],
-                             resid[p], lift)
+    eigvecs = [out[1] for out in per_block]
+    return [_matrix_solution(rows, coefs, dim, eigvecs, p, block[p].tolist(), energies[p],
+                             resid[p], lifted(energies[p]))
             for p in range(len(energies))]
 
 
 def _matrix_solution(rows, coefs, dim, stacks, p, block: list, energies, resid,
-                     lift) -> EigenSolution:
+                     lifted: int) -> EigenSolution:
     """The solution of matrix ``p`` of the blocks' eigenvector ``stacks``,
-    given the block of each kept level, lifting the levels of ``lift``."""
+    given the block of each kept level, lifting its first ``lifted`` levels."""
     members = {}  # block -> its kept levels, which are its lowest, ascending
     for c, b in enumerate(block):
         members.setdefault(b, []).append(c)
-    lifted = (len(block) if lift == "all" else 0 if lift == "none"
-              else ground_multiplicity(energies))
     vecs = np.empty((dim, lifted))
     block_levels = [None] * len(block)
     for b, cols in members.items():

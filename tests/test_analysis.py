@@ -582,17 +582,13 @@ def test_refinement_solves_each_probe_once_for_every_level_pair(monkeypatch):
 
 def test_sweep_flags_a_lapack_failure_and_continues(monkeypatch):
     import spinqpt.analysis as analysis
-    real_batch, real_solve = analysis.solve_batch, analysis.solve_levels
+    real_batch = analysis.solve_batch
     real_eigh = np.linalg.eigh
-    current = []  # the grid values being solved
+    current = []  # the grid values being solved: every dense point is a batch's
 
     def noting_batch(actions, k):
         current[:] = [action.model.param("delta") for action in actions]
         return real_batch(actions, k)
-
-    def noting(cfg, g, k, **kwargs):
-        current[:] = [g]
-        return real_solve(cfg, g, k, **kwargs)
 
     def failing_at_one(mat):
         if any(abs(g - 1.0) < 1e-12 for g in current):
@@ -600,13 +596,17 @@ def test_sweep_flags_a_lapack_failure_and_continues(monkeypatch):
         return real_eigh(mat)
 
     monkeypatch.setattr(analysis, "solve_batch", noting_batch)
-    monkeypatch.setattr(analysis, "solve_levels", noting)
     monkeypatch.setattr(np.linalg, "eigh", failing_at_one)
     res = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)
     assert len(res.points) == 5
     assert [p.g for p in res.flagged] == [pytest.approx(1.0)]
     assert "did not converge" in res.flagged[0].flag
     assert not np.isnan(np.delete(res.concurrence(), 2)).any()
+    # the failed batch's other points, re-solved one per batch, are the
+    # points an unpatched sweep gives
+    monkeypatch.undo()
+    clean = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)
+    _same_points(res.points[:2] + res.points[3:], clean.points[:2] + clean.points[3:])
 
 
 def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
@@ -640,15 +640,16 @@ def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
 ])
 def test_dense_sweep_point_lifts_only_its_ground_multiplet(family, fixed, swept, lattice, g):
     import spinqpt.analysis as analysis
+    from spinqpt.models import HamiltonianAction
     pairs = (("a", (0, 1)), ("b", (0, 2)), ("c", (1, 5)))
     cfg = PointConfig(family, fixed, swept, lattice, None, 6, pairs, SolverOptions())
-    point = analysis._sweep_point(cfg, g)
+    point, = analysis._sweep_chunk(cfg, np.array([g]))
     sol, basis = analysis.solve_levels(cfg, g, cfg.k_levels)  # every level lifted
     lifted = analysis._observe_point(cfg, g, sol, basis)
     assert point.flag is None and sol.vectors.shape[1] == cfg.k_levels
     assert np.array_equal(point.energies, lifted.energies)
     assert point.pairs == lifted.pairs
     assert point.gs_multiplicity == lifted.gs_multiplicity
-    ground, _ = analysis.solve_levels(cfg, g, cfg.k_levels, lift="ground")
+    ground, = analysis.solve_batch([HamiltonianAction(cfg.model_at(g), basis)], cfg.k_levels)
     assert ground.vectors.shape[1] == point.gs_multiplicity
     assert np.array_equal(ground.vectors, sol.vectors[:, :point.gs_multiplicity])

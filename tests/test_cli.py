@@ -387,6 +387,53 @@ def test_non_finite_model_parameter_is_config_error(argv, message, capsys):
     assert err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_tol_must_be_finite_and_positive(value, capsys):
+    # above the dense cutoff: a NaN tolerance would accept every Ritz pair
+    code, out, err = run_capture(
+        ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "12", "--sector", "sz0",
+         "--tol", value], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: tol must be finite and positive, not {float(value)}\n"
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "0", "-1"])
+def test_jump_tol_must_be_finite_and_positive(value, capsys):
+    code, out, err = run_capture(
+        ["classify", "--model", "xxz", "--sweep", "delta:-2:0:0.02", "--sites", "6",
+         "--levels", "3", "--jump-tol", value], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: jump_tol must be finite and positive, not {float(value)}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "5"])
+def test_max_order_outside_one_to_four_is_config_error(value, capsys):
+    code, out, err = run_capture(
+        ["classify", "--model", "ising", "--sweep", "lambda:0.2:2:0.05", "--sites", "6",
+         "--levels", "3", "--max-order", value], capsys)
+    assert (code, out) == (2, "")
+    assert err == f"error: max_derivative_order must be between 1 and 4, not {value}\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4", "--sector", "sz0"],
+    ["sweep", "--model", "xxz", "--sweep", "delta:0:1:0.5", "--sites", "4"],
+])
+def test_out_of_memory_is_one_error_line(argv, capsys, monkeypatch):
+    # stands in for the basis of a size out of reach; nothing large is allocated
+    import spinqpt.analysis as analysis
+    import spinqpt.cli as cli
+    message = "Unable to allocate 1.02 TiB for an array with shape (137846528820,)"
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "enumerate_sector", out_of_memory)
+    monkeypatch.setattr(analysis, "enumerate_sector", out_of_memory)
+    code, out, err = run_capture(argv, capsys)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize("value, delta", [("-1e-3", -1e-3), ("-.5e2", -50.0),
                                           ("-1E+2", -100.0), ("-0.5", -0.5)])
 def test_negative_exponent_values_read_as_values(value, delta, tmp_path, capsys):

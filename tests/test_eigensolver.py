@@ -77,15 +77,19 @@ def test_block_solve_matches_full_space(model, n):
     # the blocks are the Sz sectors or parity groups split by the lattice
     # reflection and, at zero field, spin inversion, built from cached terms
     basis = enumerate_sector(family_spec(model.family).lattice(n), None)
-    blocks = HamiltonianAction(model, basis).blocks()
+    action = HamiltonianAction(model, basis)
+    blocks = action.blocks()
     ref = dense_spectrum(one_block(hamiltonian_dense(model, basis)))
     full = dense_spectrum(blocks)
     assert np.max(np.abs(full.energies - ref.energies)) <= 1e-12
     assert np.max(full.residuals) <= 1e-12
     for levels in (1, 6):
-        sol = dense_spectrum(blocks, levels=levels, apply=HamiltonianAction(model, basis))
+        sol = dense_spectrum(blocks, levels=levels)
         assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
         assert np.max(sol.residuals) <= 1e-12
+        # the lifted vectors solve the whole-basis operator too
+        vecs = sol.vectors
+        assert np.all(np.linalg.norm(action(vecs) - vecs * sol.energies, axis=0) <= 1e-12)
         sol = dense_spectrum(blocks, levels=levels, vectors=False)
         assert np.max(np.abs(sol.energies - ref.energies[:levels])) <= 1e-12
     sz_conserved = family_spec(model.family).sz_conserved
@@ -152,12 +156,13 @@ def test_symmetry_blocks_resolve_the_full_space(model, n):
     sz_conserved = model.family != "ising" and params.get("jx") == params.get("jy")
     no_field = model.family != "ising" and params.get("h", 0.0) == 0.0
     action = HamiltonianAction(model, full)
-    sol = dense_spectrum(action.blocks(), apply=action)
+    sol = dense_spectrum(action.blocks())
     exact = np.linalg.eigvalsh(hamiltonian_dense(model, full))
     assert np.max(np.abs(np.sort(sol.energies) - exact)) <= 1e-12
     vecs = sol.vectors
     assert np.max(np.abs(vecs.T @ vecs - np.eye(full.dimension))) <= 1e-12
     assert np.max(sol.residuals) <= 1e-12
+    assert np.all(np.linalg.norm(action(vecs) - vecs * sol.energies, axis=0) <= 1e-12)
     up = popcount(full.configs)
     reflected = _reflected(lattice, vecs)
     inverted = vecs[::-1]  # flipping every spin of c gives 2**n - 1 - c
@@ -458,13 +463,14 @@ def test_lanczos_closes_the_ferromagnetic_multiplet():
 
 
 def _lapack_calls(monkeypatch):
-    """Record every symmetric LAPACK call ``dense_spectrum`` makes."""
+    """Record every symmetric LAPACK call ``dense_spectrum`` makes, with
+    the dimension of its matrices."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counted(mat, _real=real, _name=name):
-            calls.append((_name, len(mat)))
+            calls.append((_name, mat.shape[-1]))
             return _real(mat)
 
         monkeypatch.setattr(np.linalg, name, counted)

@@ -44,6 +44,8 @@ COMMANDS = (
     "spectrum --model j1j2 --j1 1 --j2 0.5 --sites 4 --dense-cutoff 1 --levels 2",
     # parity groups of the full basis split by the reflection and spin inversion
     "spectrum --model xyz --jx 0.8 --jy 1.2 --jz 0.9 --sites 8 --levels 6",
+    # every level of a dense full space, each lifted into the basis
+    "spectrum --model xxz --delta 1 --sites 8 --levels 256",
     # sweep: CSV and JSON, dense full space and Lanczos Sz = 0
     "sweep --model j1j2 --j1 1 --sweep j2:0:1:0.01 --sites 8 --levels 5 --format csv",
     "sweep --model ladder --j-leg 1 --sweep j_rung:-1:1:0.05 --sites 8 --levels 6 "
