@@ -8,8 +8,9 @@ function.  Dense grid points are solved in batches: consecutive points
 whose models share a block layout stack their block matrices, at most
 ``BATCH_BYTES`` of them, for one ``dense_spectra`` call (``solve_batch``),
 and each batch is observed before the next is solved; a batch whose
-LAPACK call fails is re-solved as batches of one.  A point's result
-never depends on the points solved with it, so any worker count gives
+LAPACK call fails is re-solved as batches of one.  A batched point is
+bitwise its one-point solve, every level lifted, so a point's result
+never depends on the points solved with it, and any worker count gives
 the same bytes.  Lanczos grid points and refinement probes are solved
 one at a time (``solve_levels``).
 
@@ -94,6 +95,8 @@ class SolverOptions:
     def __post_init__(self):
         if not (math.isfinite(self.tol) and self.tol > 0):
             raise ValueError(f"tol must be finite and positive, not {self.tol}")
+        if self.dense_cutoff < 0:
+            raise ValueError(f"dense_cutoff must be non-negative, not {self.dense_cutoff}")
 
 
 def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
@@ -116,7 +119,9 @@ def resolve_pairs(lattice: LatticeSpec, pairs) -> dict[str, tuple[int, int]]:
         else:
             raise ValueError(f"unknown pair token {token!r}")
     for name, (i, j) in out.items():
-        if not (0 <= i < lattice.n_sites and 0 <= j < lattice.n_sites and i != j):
+        if i == j:
+            raise ValueError(f"pair {name} needs two distinct sites")
+        if not (0 <= i < lattice.n_sites and 0 <= j < lattice.n_sites):
             raise ValueError(f"pair {name} outside lattice")
     return out
 
@@ -203,8 +208,7 @@ def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
 def solve_batch(actions: list, k: int) -> list[EigenSolution]:
     """The lowest k levels of each of ``actions``, models on one dense
     basis with the same term keys, by one ``dense_spectra`` call; each
-    solution is bitwise ``solve_model``'s, except that it lifts only its
-    ground multiplet, which the pair observables read."""
+    solution is bitwise ``solve_model``'s."""
     _check_levels(k, actions[0].basis)
     solutions = dense_spectra(stacked_blocks(actions), levels=k)
     labels = actions[0].labels()

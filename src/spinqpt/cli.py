@@ -328,7 +328,8 @@ def cmd_spectrum(settings) -> dict:
     except ValueError:
         raise ConfigError("--sector must be full, sz0, sz:<m>, or an integer m = 2*Sz")
     basis = enumerate_sector(lattice, sz_twice)
-    sol = solve_model(model, basis, settings.get("levels", 4), _solver_options(settings))
+    k = settings.get("levels", min(4, basis.dimension))
+    sol = solve_model(model, basis, k, _solver_options(settings))
     labels = level_labels(basis, sol)
     return {"model": model.describe(), "n_sites": lattice.n_sites,
             "space": space_name(sz_twice), "dimension": basis.dimension,

@@ -1,15 +1,13 @@
 """Dense and Lanczos eigensolvers for real symmetric operators.
 
-``dense_spectrum`` wraps LAPACK for small matrices.  It takes the blocks
-of one on symmetry-adapted states (``models.HamiltonianAction.blocks``:
+``dense_spectra`` wraps LAPACK for small matrices.  It takes the blocks
+of P matrices on symmetry-adapted states (``models.stacked_blocks``:
 each block column a combination of up to four basis states), solves
-each distinct block once and merges the levels, so each level keeps its
-block and its vector in that block, and lifts every kept level into the
-whole basis.  ``dense_spectra`` does the same for P matrices with the
-same blocks at once: each distinct block's (P, d, d) stack goes to
-LAPACK in one call, which solves each matrix as it would alone, and the
-levels of all P are merged by one sort, so each solution is bitwise the
-one-matrix solve's, except that it lifts only its ground multiplet.
+each distinct block's (P, d, d) stack in one LAPACK call, which solves
+each matrix as it would alone, merges each matrix's levels, so each
+level keeps its block and its vector in that block, and lifts every
+kept level into the whole basis.  ``dense_spectrum`` is ``dense_spectra``
+of one matrix, so a batched solve is bitwise the one-matrix solve.
 
 ``lanczos_lowest_k`` is a Krylov
 iteration with partial reorthogonalization (H. D. Simon, Math. Comp. 42,
@@ -47,7 +45,7 @@ class ConvergenceError(RuntimeError):
 @dataclass
 class EigenSolution:
     energies: np.ndarray       # ascending
-    vectors: np.ndarray        # orthonormal columns, one per lifted level, lowest first
+    vectors: np.ndarray        # orthonormal columns, one per level, lowest first
     residuals: np.ndarray      # |H v - E v|_2 per level
     meta: dict = field(default_factory=dict)
     # per level: (index of its block, its vector there); None when energies only
@@ -90,64 +88,46 @@ def _fix_phases(vectors: np.ndarray) -> np.ndarray:
     """``vectors`` with each column's largest-magnitude amplitude made
     positive, in place."""
     idx = np.argmax(np.abs(vectors), axis=0)
-    vectors *= np.where(vectors[idx, np.arange(vectors.shape[1])] < 0, -1.0, 1.0)
+    vectors *= np.copysign(1.0, vectors[idx, np.arange(vectors.shape[1])])
     return vectors
 
 
 def dense_spectrum(blocks: list, *, levels: int | None = None,
                    vectors: bool = True) -> EigenSolution:
     """Lowest ``levels`` eigenpairs (all by default) of a real symmetric
-    matrix, given as its invariant blocks.
+    matrix, given as its invariant blocks: ``dense_spectra`` of one
+    matrix."""
+    return dense_spectra(blocks, levels=levels, vectors=vectors)[0]
+
+
+def dense_spectra(blocks: list, *, levels: int | None = None,
+                  vectors: bool = True) -> list[EigenSolution]:
+    """Lowest ``levels`` eigenpairs (all by default) of P real symmetric
+    matrices with the same invariant blocks, one solution per matrix.
 
     ``blocks`` is a list of ``(rows, coefs, block)`` triples
-    (``models.HamiltonianAction.blocks``).  Column a of a d x d block
-    stands for the unit vector sum_t coefs[t, a] e_{rows[t, a]} of the
-    whole, with ``rows`` and ``coefs`` of shape (r, d).  The block
-    columns cover the whole exactly once, and each block is symmetric:
-    the layout that made the blocks checked both when it was built, so
-    neither is checked here.  LAPACK runs once per distinct block
-    object, so a block listed twice (a mirrored Sz sector) is solved
-    once, and every level of every block is kept until the merge.
+    (``models.stacked_blocks``; ``HamiltonianAction.blocks`` for one
+    matrix).  Column a of a d x d block stands for the unit vector
+    sum_t coefs[t, a] e_{rows[t, a]} of the whole, with ``rows`` and
+    ``coefs`` of shape (r, d), and ``block`` is a (P, d, d) stack, or one
+    d x d matrix.  The layout that made the blocks checked that they
+    cover the whole once and are symmetric, so neither is checked here.
+    LAPACK runs once per distinct block object (a mirrored Sz sector is
+    listed twice and solved once), on each matrix as it would alone.
 
-    Levels are merged in ascending order, except that levels within
-    ``degeneracy_tolerance`` of the spectrum's width of each other form
-    one multiplet, whose members keep the order of their blocks; so a
-    degenerate level's members come out in block order, not in the order
-    of their last bits.  The solution keeps each level as its block's
-    index in the list and its vector in that block, a copy
-    (``block_levels``), and lifts every kept level into the whole basis
-    as a ``vectors`` column, through its block's rows and coefficients,
-    with its largest-magnitude amplitude made positive.  Every residual
-    is |H_b v_b - E v_b| in the level's block.  With ``vectors=False``
-    LAPACK computes every energy alone and the lowest ``levels`` are
-    kept, so each kept level is bitwise the same for any ``levels``; the
-    solution then has no vector columns, no residuals and no block
-    levels.  A LAPACK failure raises ConvergenceError.
+    Levels are merged in ascending order, except that the members of a
+    multiplet (levels within ``degeneracy_tolerance`` of the width of
+    each other) keep the order of their blocks, not of their last bits.
+    A solution keeps each level's block index and its vector there, a
+    copy (``block_levels``), and lifts every kept level into the whole
+    basis as a ``vectors`` column, its largest-magnitude amplitude made
+    positive; every residual is |H_b v_b - E v_b| in the level's block.
+    So each solution is bitwise its matrix's own solve.  With
+    ``vectors=False`` LAPACK computes energies alone and the lowest
+    ``levels`` are kept, each bitwise the same for any ``levels``, with
+    no vectors, residuals or block levels.  A LAPACK failure on any
+    matrix raises ConvergenceError.
     """
-    return _dense_levels(blocks, levels, vectors, len)[0]
-
-
-def dense_spectra(blocks: list, *, levels: int | None = None) -> list[EigenSolution]:
-    """``dense_spectrum`` of P matrices with the same blocks at once, one
-    solution per matrix, in order: the block of each triple of ``blocks``
-    is a (P, d, d) stack, that block of each matrix
-    (``models.stacked_blocks``).
-
-    LAPACK runs once per distinct stack, on each of its matrices in turn
-    as it would on that matrix alone, and the levels of all P matrices
-    are merged together, so each solution's levels, residuals and block
-    levels are bitwise those ``dense_spectrum`` gives its matrix.  Each
-    solution lifts only its ground multiplet (the levels of
-    ``ground_multiplicity``), as the leading columns of ``dense_spectrum``'s
-    vectors.  A LAPACK failure on any matrix raises ConvergenceError.
-    """
-    return _dense_levels(blocks, levels, True, ground_multiplicity)
-
-
-def _dense_levels(blocks, levels, vectors, lifted) -> list[EigenSolution]:
-    """The solutions of ``dense_spectrum`` (2-D blocks, a stack of one)
-    and ``dense_spectra``, each lifting its first ``lifted(energies)``
-    levels."""
     rows, coefs, subs = zip(*blocks)
     dims = [idx.shape[1] for idx in rows]
     dim = sum(dims)
@@ -177,41 +157,37 @@ def _dense_levels(blocks, levels, vectors, lifted) -> list[EigenSolution]:
     block = np.repeat(np.arange(len(subs)), dims)[order]  # each kept level's block
     local = order - offsets[block]                         # and its column there
     resid = np.empty(order.shape)
+    lifted = np.empty((len(order), dim, order.shape[1]))
+    block_levels = [[None] * order.shape[1] for _ in order]
     for b in np.unique(block).tolist():
         e_b, v_b = per_block[b]
         kept = block == b
-        m = int(local[kept].max()) + 1
-        v_b = v_b[:, :, :m]
-        inside = np.linalg.norm(stacks[keys[b]] @ v_b - v_b * e_b[:, None, :m], axis=1)
-        resid[kept] = inside[np.nonzero(kept)[0], local[kept]]
-    eigvecs = [out[1] for out in per_block]
-    return [_matrix_solution(rows, coefs, dim, eigvecs, p, block[p].tolist(), energies[p],
-                             resid[p], lifted(energies[p]))
-            for p in range(len(energies))]
-
-
-def _matrix_solution(rows, coefs, dim, stacks, p, block: list, energies, resid,
-                     lifted: int) -> EigenSolution:
-    """The solution of matrix ``p`` of the blocks' eigenvector ``stacks``,
-    given the block of each kept level, lifting its first ``lifted`` levels."""
-    members = {}  # block -> its kept levels, which are its lowest, ascending
-    for c, b in enumerate(block):
-        members.setdefault(b, []).append(c)
-    vecs = np.empty((dim, lifted))
-    block_levels = [None] * len(block)
-    for b, cols in members.items():
-        v_b = stacks[b][p, :, :len(cols)]
-        # a copy, so a kept level holds its own vector, not the block's
-        # whole eigenvector matrix (or a whole stack of them)
-        for c, vec in zip(cols, v_b.T.copy()):
-            block_levels[c] = (b, vec)
-        up = sum(c < lifted for c in cols)  # the block's lifted levels lead
-        if up:
-            # entry (t, i, c) of the lift is coefs[t, i] v_b[i, c], on row rows[t, i]
-            full = np.bincount((rows[b][:, :, None] * up + np.arange(up)).ravel(),
-                               (coefs[b][:, :, None] * v_b[:, :up]).ravel(), dim * up)
-            vecs[:, cols[:up]] = _fix_phases(full.reshape(dim, up))
-    return EigenSolution(energies, vecs, resid, block_levels=tuple(block_levels))
+        p_of, c_of = np.nonzero(kept)  # matrix by matrix, each one's levels ascending
+        # a matrix keeps the block's lowest levels, and its residuals are
+        # read from a product of just that many columns, as in its
+        # one-matrix solve: BLAS rounds a column by the product's width
+        width = kept.sum(axis=1)
+        for m in set(width.tolist()) - {0}:
+            at = width == m
+            v = v_b[:, :, :m]
+            inside = np.linalg.norm(stacks[keys[b]] @ v - v * e_b[:, None, :m], axis=1)
+            resid[kept & at[:, None]] = inside[at].ravel()
+        members = {}  # matrix -> its kept levels of the block
+        for p, c in zip(p_of.tolist(), c_of.tolist()):
+            members.setdefault(p, []).append(c)
+        for p, cs in members.items():
+            # a copy, so a kept level holds its own vector, not the whole
+            # stack, and one per matrix, as small copies fragment the heap
+            for c, vec in zip(cs, v_b[p, :, :len(cs)].T.copy()):
+                block_levels[p][c] = (b, vec)
+        # entry (t, i, j) of the lift is coefs[t, i] v_j[i], on row rows[t, i]
+        # of level j, for the block's kept vectors v_j of every matrix
+        n = len(p_of)
+        full = np.bincount((rows[b][:, :, None] + np.arange(n) * dim).ravel(),
+                           (coefs[b][:, :, None] * v_b[p_of, :, local[kept]].T).ravel(), n * dim)
+        lifted[p_of, :, c_of] = _fix_phases(full.reshape(n, dim).T).T
+    return [EigenSolution(e, v, r, block_levels=tuple(levels_p))
+            for e, v, r, levels_p in zip(energies, lifted, resid, block_levels)]
 
 
 def _ritz(alphas: np.ndarray, betas: np.ndarray, nwant: int):

@@ -172,6 +172,14 @@ def test_classify_and_scaling_name_the_space_they_solved(capsys):
     assert [(e["n_sites"], e["space"]) for e in entries] == [(8, "full"), (10, "sz0")]
 
 
+def test_pair_of_one_site_is_config_error(capsys):
+    code, out, err = run_capture(
+        ["sweep", "--model", "xxz", "--sweep", "delta:0:1:0.5", "--sites", "4",
+         "--pairs", "0-0"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: pair 0-0 needs two distinct sites\n"
+
+
 def test_pair_outside_the_swept_pairs_is_config_error(capsys):
     code, out, err = run_capture(
         ["classify", "--model", "xxz", "--sweep", "delta:0:1:0.1", "--sites", "6",
@@ -480,6 +488,26 @@ def test_more_levels_than_the_space_is_config_error(argv, capsys):
                                  capsys)
     assert code == 2 and out == ""
     assert "k=6 exceeds dimension" in err
+
+
+def test_spectrum_without_levels_fits_a_small_sector(capsys):
+    # the one all-up state: four levels are asked for only where there are four
+    argv = ["spectrum", "--model", "ladder", "--j-rung", "1", "--sites", "4", "--sector", "sz:4"]
+    code, out, _ = run_capture(argv, capsys)
+    assert code == 0
+    payload = json.loads(out)["payload"]
+    assert (payload["dimension"], len(payload["energies"]), len(payload["labels"])) == (1, 1, 1)
+    assert payload["labels"][0]["sz_twice"] == 4
+    code, out, err = run_capture(argv + ["--levels", "2"], capsys)
+    assert (code, out, err) == (2, "", "error: k=2 exceeds dimension 1\n")
+
+
+def test_negative_dense_cutoff_is_config_error(capsys):
+    code, out, err = run_capture(
+        ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4", "--dense-cutoff", "-3"],
+        capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: dense_cutoff must be non-negative, not -3\n"
 
 
 @pytest.mark.parametrize("levels", ["0", "-1"])

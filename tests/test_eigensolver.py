@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy import sparse
@@ -7,10 +9,10 @@ from hypothesis import given, settings, strategies as st
 from oracle import hamiltonian_dense, one_block
 from spinqpt import eigensolver, models
 from spinqpt.lattice import SectorBasis, chain, enumerate_sector, ladder, popcount
-from spinqpt.models import (HamiltonianAction, _reflection, family_spec,
-                            general_xyz, j1j2, ladder_model, transverse_ising, xxz)
-from spinqpt.eigensolver import (CHECK_EVERY, dense_spectrum, degeneracy_tolerance,
-                                 lanczos_lowest_k, ConvergenceError)
+from spinqpt.models import (HamiltonianAction, _reflection, family_spec, general_xyz,
+                            j1j2, ladder_model, stacked_blocks, transverse_ising, xxz)
+from spinqpt.eigensolver import (CHECK_EVERY, dense_spectra, dense_spectrum,
+                                 degeneracy_tolerance, lanczos_lowest_k, ConvergenceError)
 from spinqpt.observables import parity, sz_twice_label
 
 
@@ -501,6 +503,44 @@ def test_mirrored_levels_are_equal_and_minus_m_comes_first():
         assert len(minus) == len(plus) > 0
         assert np.array_equal(sol.energies[minus], sol.energies[plus])
         assert np.all(minus < plus)
+
+
+@pytest.mark.parametrize("levels", [6, 256])
+@pytest.mark.parametrize("models", [
+    [xxz(d) for d in (-1.0, -0.3, 0.6, 1.0, 2.0)],  # mirrored Sz blocks, multiplets
+    [transverse_ising(lam) for lam in (0.5, 0.9, 1.0, 1.3)],  # parity groups
+    [general_xyz(0.8, 1.2, 0.9, h) for h in (0.1, 0.2, 0.4)],
+])
+def test_batched_solves_equal_single_solves(models, levels):
+    # every field of each matrix's solution, every lifted vector included, is
+    # bitwise that matrix's own solve, whatever levels the other matrices keep
+    basis = enumerate_sector(chain(8), None)
+    actions = [HamiltonianAction(model, basis) for model in models]
+    batch = dense_spectra(stacked_blocks(actions), levels=levels)
+    assert len(batch) == len(actions)
+    for action, got in zip(actions, batch):
+        want = dense_spectrum(action.blocks(), levels=levels)
+        assert got.vectors.shape == (basis.dimension, levels)
+        for name in ("energies", "vectors", "residuals"):
+            assert np.array_equal(getattr(got, name), getattr(want, name)), name
+        assert [b for b, _ in got.block_levels] == [b for b, _ in want.block_levels]
+        assert all(np.array_equal(g, w) for (_, g), (_, w) in
+                   zip(got.block_levels, want.block_levels))
+        assert (got.meta, got.block_labels) == (want.meta, want.block_labels)
+
+
+def test_full_spectrum_lift_stays_within_its_vectors_memory():
+    # the lift runs block by block, so no index array or temporary spans
+    # the whole matrix; one scatter over all blocks peaks at several times
+    blocks = HamiltonianAction(transverse_ising(0.9), enumerate_sector(chain(10), None)).blocks()
+    tracemalloc.start()
+    try:
+        sol = dense_spectrum(blocks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.vectors.shape == (1024, 1024)
+    assert peak <= 2.5 * sol.vectors.nbytes
 
 
 def test_energies_only_levels_do_not_depend_on_levels():

@@ -75,6 +75,8 @@ COMMANDS = (
     "sumrule --model xxz --delta 0.6 --sites 8 --operator all",
     "sumrule --model ising --lambda 1 --sites 8 --operator all",
     "sumrule --model ising --lambda 0.8 --sites 10 --operator all",  # the largest dense solve
+    # all 1024 levels lifted, mirrored Sz blocks included
+    "sumrule --model xxz --delta 0.6 --sites 10 --operator all",
     # scaling: dense, Sz = 0 Lanczos, full-space Lanczos
     "scaling --model xxz --sweep delta:-2:0:0.05 --sizes 6,8 --kind max --order 3",
     "scaling --model ising --sweep lambda:0.2:2:0.05 --sizes 6,8,10,12 --order 1",
