@@ -5,9 +5,10 @@ derivative extrema.
 A sweep splits its grid into contiguous chunks, one per worker process
 (one chunk in all without ``threads``), and each chunk runs the same
 function.  Dense grid points are solved in batches: consecutive points
-whose models share a block layout stack their block matrices, at most
-``BATCH_BYTES`` of them, for one ``dense_spectra`` call (``solve_batch``),
-and each batch is observed before the next is solved; a batch whose
+whose models share a block layout stack their block matrices for one
+``dense_spectra`` call (``solve_batch``), the matrices, eigenvectors and
+lifted levels of a batch at most ``BATCH_BYTES``, and each batch is
+observed before the next is solved; a batch whose
 LAPACK call fails is re-solved as batches of one.  A batched point is
 bitwise its one-point solve, every level lifted, so a point's result
 never depends on the points solved with it, and any worker count gives
@@ -52,9 +53,10 @@ from .entanglement import wootters_concurrence
 DEFAULT_SEED = 0x5EED
 # width to which crossing refinement brackets a gap minimum or boundary
 REFINE_TOL = 1e-9
-# the most bytes of block matrices a batch of dense grid points stacks for
-# LAPACK; their eigenvectors take as much again, and a batch is observed
-# before the next is solved, so this bounds what a sweep holds at once
+# the most bytes a batch of dense grid points holds: per point its block
+# matrices, as many again for their eigenvectors, and its k levels lifted
+# into the basis; a batch is observed before the next is solved, so this
+# bounds what a sweep holds at once
 BATCH_BYTES = 1 << 19
 
 
@@ -169,8 +171,12 @@ def parse_space(name: str) -> int | None:
 def _choose_space(family, lattice, space) -> int | None:
     """The ``sz_twice`` a sweep solves for ``space`` "auto", "full" or "sz0"."""
     if space == "auto":
-        # Sz = 0 for an Sz-conserving family at even N >= 10; a family that
-        # may cross between symmetry classes along a sweep stays in the full space
+        # Sz = 0 for every Sz-conserving family at even N >= 10, else the
+        # full space.  Levels outside Sz = 0 then drop out of the sweep, so
+        # two Table-1 rows, at their six levels, flip at N = 10 and 12: xxz
+        # at Delta = -1 (type I) reads II, as the ferromagnet has
+        # Sz = +-N/2, and xxz at Delta = 1 (type II) reads III, as two
+        # triplet members have Sz = +-1
         sz0 = (family_spec(family).sz_conserved and lattice.n_sites % 2 == 0
                and lattice.n_sites >= 10)
         return 0 if sz0 else None
@@ -322,8 +328,10 @@ def _sweep_chunk(cfg: PointConfig, values: np.ndarray) -> list[SweepPoint]:
 
     On a dense basis each run of consecutive points whose models have the
     same term keys (one block layout) is solved in batches
-    (``solve_batch``) of at most ``BATCH_BYTES`` of block matrices, and
-    each batch is observed before the next is solved.  Lanczos points are
+    (``solve_batch``) that hold at most ``BATCH_BYTES``: per point 2
+    ``block_entries`` floats for the block matrices and their
+    eigenvectors, and dim * k for the lifted levels.  Each batch is
+    observed before the next is solved.  Lanczos points are
     solved one by one (``_sweep_point``).
     """
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
@@ -333,7 +341,8 @@ def _sweep_chunk(cfg: PointConfig, values: np.ndarray) -> list[SweepPoint]:
     points = []
     start = 0
     while start < len(values):
-        size = max(1, BATCH_BYTES // (8 * actions[start].block_entries))
+        point = 2 * actions[start].block_entries + basis.dimension * cfg.k_levels
+        size = max(1, BATCH_BYTES // (8 * point))
         stop = start + 1
         while (stop < len(values) and stop - start < size
                and actions[stop].keys == actions[start].keys):

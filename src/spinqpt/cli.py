@@ -477,11 +477,12 @@ def run(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     try:
         command, settings = parse_settings(build_parser(), argv)
+        as_csv = settings.get("format", "json") == "csv"
+        if as_csv and command != "sweep":  # refused before anything is solved
+            raise ConfigError("csv output is only available for sweep results")
         started = time.perf_counter()
         payload = COMMANDS[command](settings)
-        if settings.get("format", "json") == "csv":
-            if not isinstance(payload, SweepResult):
-                raise ConfigError("csv output is only available for sweep results")
+        if as_csv:
             text = emit_csv(payload)
         else:
             if isinstance(payload, SweepResult):

@@ -2,7 +2,8 @@
 
 ``dense_spectra`` wraps LAPACK for small matrices.  It takes the blocks
 of P matrices on symmetry-adapted states (``models.stacked_blocks``:
-each block column a combination of up to four basis states), solves
+each block column a combination of one orbit of basis states under the
+lattice symmetries, up to 4N of them), solves
 each distinct block's (P, d, d) stack in one LAPACK call, which solves
 each matrix as it would alone, merges each matrix's levels, so each
 level keeps its block and its vector in that block, and lifts every
@@ -112,8 +113,9 @@ def dense_spectra(blocks: list, *, levels: int | None = None,
     ``coefs`` of shape (r, d), and ``block`` is a (P, d, d) stack, or one
     d x d matrix.  The layout that made the blocks checked that they
     cover the whole once and are symmetric, so neither is checked here.
-    LAPACK runs once per distinct block object (a mirrored Sz sector is
-    listed twice and solved once), on each matrix as it would alone.
+    LAPACK runs once per distinct block object (a mirrored Sz sector, or
+    the partner of a block, is listed twice and solved once), on each
+    matrix as it would alone.
 
     Levels are merged in ascending order, except that the members of a
     multiplet (levels within ``degeneracy_tolerance`` of the width of

@@ -18,8 +18,9 @@ command line all read them.  ``HamiltonianAction`` holds a model's
 terms on one basis, their keys built once: it applies H as one sparse
 product, and gives the dense blocks of H on symmetry-adapted states
 (``blocks``: popcount groups of the basis, popcount parity groups of
-the full basis where H does not conserve Sz, split by the lattice
-reflection and spin inversion) and their label terms (``labels``).
+the full basis where H does not conserve Sz, split by the real irreps
+of the lattice translations, the reflection and spin inversion) and
+their label terms (``labels``).
 ``stacked_blocks`` gives the blocks of several actions with the same
 terms at once, each block's matrices stacked, for a batched solve.
 Three things are cached per basis (``SectorBasis.cached``): each
@@ -372,25 +373,33 @@ class HamiltonianAction:
         model conserves Sz, else by popcount mod 2 (even first), which
         every model conserves; only labels the basis holds form groups,
         so an Sz sector basis is one group.  Each group splits by the
-        lattice reflection, and by spin inversion on a group it maps to
-        itself (Sz = 0, or a parity group at even N) when the model has
-        no z field (``_symmetry_blocks``).  The blocks, with each
-        operator term cached on the basis projected by one sparse product
-        W^T T W, form one ``_Layout`` cached on the basis, so a new
-        parameter value costs one product and one scatter for all blocks
-        together; a zz or anti term of amplitude 0 keeps its place in the
-        layout.  An entry of W^T T W coupling two blocks beyond 1e-12 of
-        the term's largest entry means a symmetry used is none of H's and
-        raises ValueError; this is the only check that H commutes with
-        the reflection and spin inversion.  The layout also checks, once,
+        real irreps of the group of the lattice translations (by a site
+        on a chain, by a rung on a ladder), the reflection and, on a
+        group it maps to itself (Sz = 0, or a parity group at even N)
+        when the model has no z field, spin inversion
+        (``_symmetry_blocks``): one block per reflection and inversion
+        sign at momentum 0 and pi, and per inversion sign at each
+        momentum between, a block and its partner.  At N = 8 the largest
+        full-space blocks are 7 for xxz and j1j2, 14 for the ladder and
+        18 for ising.  The blocks, with each operator term cached on the
+        basis projected by one sparse product W^T T W, form one
+        ``_Layout`` cached on the basis, so a new parameter value costs
+        one product and one scatter for all blocks together; a zz or anti
+        term of amplitude 0 keeps its place in the layout.  An entry of
+        W^T T W coupling two blocks beyond 1e-12 of the term's largest
+        entry means a symmetry used is none of H's and raises ValueError,
+        and so does a partner block that differs from its first block;
+        this is the only check that H commutes with the translations, the
+        reflection and spin inversion.  The layout also checks, once,
         that the blocks cover the basis and are symmetric.  The layout's
         arrays are read-only.
 
-        Without a z field, spin inversion maps Sz = -m onto Sz = +m and
-        commutes with H and the reflection, so on the full basis each -m
-        block is a +m block with its rows inverted and the very same
-        matrix object; only the Sz >= 0 blocks are built, and a solver
-        can recognize a repeated block by identity.
+        A partner block follows its first block and holds the very same
+        matrix object.  Without a z field, spin inversion maps Sz = -m
+        onto Sz = +m and commutes with H and the lattice symmetries, so on
+        the full basis each -m block is a +m block with its rows inverted
+        and the very same matrix object; only the Sz >= 0 blocks are
+        built, and a solver can recognize a repeated block by identity.
         """
         layout, stacks = _stacked_matrices([self])
         mats = [stack[0] for stack in stacks]
@@ -462,47 +471,113 @@ def _reflection(lattice: LatticeSpec) -> np.ndarray | None:
     return None if np.array_equal(perm, site) else perm
 
 
+def _translation(lattice: LatticeSpec) -> tuple:
+    """``(steps, shift)``: the lattice's translations T^t, t = 0 ...
+    steps - 1, move every bit of a configuration up by ``shift`` * t,
+    cyclically: by one site on a chain, by one rung (two sites) on a
+    ladder.  Whether H commutes with them is checked by ``_layout``."""
+    if lattice.geometry == "chain":
+        return lattice.n_sites, 1
+    return lattice.rungs, 2
+
+
+def _irreps(steps: int, t, a, b, reflect: bool, invert: bool) -> list:
+    """The real irreps of the group of elements T^t R^a F^b (arrays ``t``,
+    ``a``, ``b`` over its elements), in block order: per momentum k =
+    2 pi m / steps, m = 0 ... steps // 2, and then per sign of the
+    reflection (1-D irreps only) and of spin inversion.  Each is
+    ``(first, second)``: the first row D_1j(g) of the irrep's matrices,
+    (elements, d), and for a 2-D irrep the second row, else None.
+
+    At k = 0 and k = pi the irrep is 1-D, chi = e^{ikt} r^a f^b.  Between
+    them T^t is the rotation by kt, R is diag(1, -1) and F is f: the irrep
+    is real and absolutely irreducible, as it needs the reflection, which
+    every lattice with more than two translations has."""
+    irreps = []
+    for m in range(steps // 2 + 1):
+        one_d = 2 * m % steps == 0
+        for r in (1, -1) if reflect and one_d else (1,):
+            for f in (1, -1) if invert else (1,):
+                sign = f ** b
+                if one_d:
+                    chi = sign * r ** a * (-1) ** (2 * m * t // steps)
+                    irreps.append((chi[:, None].astype(float), None))
+                    continue
+                c, s = np.cos(2 * np.pi * m * t / steps), np.sin(2 * np.pi * m * t / steps)
+                mirror = 1 - 2 * a  # D(R)^a = diag(1, -1)^a
+                irreps.append((sign[:, None] * np.stack([c, -s * mirror], axis=1),
+                               sign[:, None] * np.stack([s, c * mirror], axis=1)))
+    return irreps
+
+
 def _symmetry_blocks(lattice: LatticeSpec, configs: np.ndarray, invert: bool) -> list:
     """The blocks of the ascending configurations ``configs`` under the
-    reflection of ``lattice`` and, with ``invert``, spin inversion, as
-    ``(rows, coefs)`` pairs: block column a is the state sum_t coefs[t, a]
-    |configs[rows[t, a]]> over up to four rows (one per group element; a
-    repeated row carries coefficient 0).
+    translations and reflection of ``lattice`` and, with ``invert``, spin
+    inversion, one ``(rows, coefs)`` entry per real irrep that has
+    columns here (in ``_irreps`` order): ``coefs`` holds one coefficient
+    array for a 1-D irrep, and two for a 2-D one, the block of its first
+    row and then its partner of the second row, on which H is the same
+    matrix; the two share ``rows``.  Block column a is the state
+    sum_t coefs[t, a] |configs[rows[t, a]]> over up to 4N rows, one per
+    group element; a repeated row carries coefficient 0.
 
-    Every configuration c has an orbit {c, Rc, Fc, RFc}; the smallest
-    index of each orbit is its representative.  A block is one character
-    (r, f) = (+-1, +-1) of the group; its columns are the representatives
-    whose stabilizer the character keeps (Rc = c needs r = 1, RFc = c
-    needs rf = 1), in ascending order, and column a is sum_g chi(g) |g c>
-    / sqrt(orbit size), coefficients +-1, +-1/sqrt(2) or +-1/2.  Blocks
-    come in the order (r, f) = (1, 1), (1, -1), (-1, 1), (-1, -1),
-    without the ones that are empty; with neither symmetry the one block
-    is ``configs`` itself.
+    Every configuration c has an orbit {g c}; the smallest index of each
+    orbit is its representative.  With D the irrep's matrices, row i of
+    column j of a representative is the state P_ij c = sum_g D_ij(g) |g c>
+    (Sandvik, AIP Conf. Proc. 1297, 135 (2010), the semi-momentum states
+    with reflection parity).  The P_1j c of one representative have Gram
+    matrix (|G| / d) sum_{s fixing c} D(s): zero, a projector of rank 1
+    (one column, the j of the larger norm) or a multiple of 1 (both
+    columns), so the kept columns are orthonormal once each is
+    normalized.  P_2j c with the same j is the partner column:
+    P_1j'^T H P_1j = P_2j'^T H P_2j for every H the group commutes with.
+    Columns come in ascending order of representative, then j.
     """
-    perm = _reflection(lattice)
-    images, elements = [configs], [(0, 0)]  # group elements as powers of (R, F)
+    n = lattice.n_sites
+    steps, shift = _translation(lattice)
+    perm, full = _reflection(lattice), (1 << n) - 1
+    images = [configs]  # R^a F^b c, in the order (a, b) = (0, 0), (1, 0), (0, 1), (1, 1)
     if perm is not None:
         images.append(sum(((configs >> i) & 1) << int(p) for i, p in enumerate(perm)))
-        elements.append((1, 0))
     if invert:
-        images += [img ^ ((1 << lattice.n_sites) - 1) for img in images]
-        elements += [(a, 1) for a, _ in elements]
-    images = np.array(images)
+        images += [img ^ full for img in images]
+    images = np.array([((img << (shift * t)) | (img >> (n - shift * t))) & full
+                       for img in images for t in range(steps)])  # T^t R^a F^b c
     index = np.searchsorted(configs, images)
     if np.any(np.take(configs, index, mode="clip") != images):
-        raise ValueError("the reflection or spin inversion would leave the sector")
+        raise ValueError("a translation, the reflection or spin inversion "
+                         "would leave the sector")
+    element = np.arange(len(images))
+    reflect = perm is not None
+    t, a, b = element % steps, element // steps % (1 + reflect), element // steps // (1 + reflect)
     orbit = index[:, index.min(axis=0) == np.arange(len(configs))]  # representatives' orbits
-    first = np.array([np.all(orbit[:t] != orbit[t], axis=0) for t in range(len(orbit))])
-    norm = np.sqrt(first.sum(axis=0))
-    fixes = orbit == orbit[0]  # which elements fix each representative
-    blocks = []
-    for r in (1, -1) if perm is not None else (1,):
-        for f in (1, -1) if invert else (1,):
-            chi = np.array([r ** a * f ** b for a, b in elements])
-            cols = np.all(fixes <= (chi == 1)[:, None], axis=0)
-            if cols.any():
-                coefs = np.where(first[:, cols], chi[:, None], 0) / norm[cols]
-                blocks.append((orbit[:, cols], coefs))
+    same = orbit.T[:, :, None] == orbit.T[:, None, :]  # (representative, element, element)
+    first = ~np.any(np.tril(same, -1), axis=2)  # no earlier element gives the configuration
+    irreps = _irreps(steps, t, a, b, reflect, invert)
+    # sum_g D_ij(g) |g c> for every row i, column j of every irrep, and every
+    # representative c, each configuration's coefficients summed on its first element
+    states = (same @ np.hstack([row for pair in irreps for row in pair if row is not None])
+              * first[:, :, None])
+    states[np.abs(states) < 1e-12] = 0.0
+    norms = np.einsum("rgc,rgc->rc", states, states)
+    blocks, start = [], 0
+    for first_row, second_row in irreps:
+        d = first_row.shape[1]
+        cols = start + np.arange(d)
+        start += d if second_row is None else 2 * d
+        norm = norms[:, cols]
+        take = norm > 0.5  # nonzero squared norms are at least 1
+        if d == 2:  # both columns where the Gram matrix has rank 2, else the longer
+            cross = np.einsum("rg,rg->r", states[:, :, cols[0]], states[:, :, cols[1]])
+            rank_two = norm.prod(axis=1) - cross ** 2 > 0.5 * norm.prod(axis=1)
+            take &= rank_two[:, None] | (np.arange(2) == np.argmax(norm, axis=1)[:, None])
+        rep, j = np.nonzero(take)
+        if not len(rep):
+            continue
+        coefs = [states[rep, :, cols[j]].T / np.sqrt(norm[rep, j])]
+        if second_row is not None:
+            coefs.append(states[rep, :, cols[j] + d].T / np.sqrt(norms[rep, cols[j] + d]))
+        blocks.append((orbit[:, rep], tuple(coefs)))
     return blocks
 
 
@@ -514,8 +589,10 @@ class _Layout:
     (start, d) = spans[m]; ``blocks`` holds (rows, coefs, m) in order,
     and ``groups`` each block's popcount, or popcount mod 2 where
     ``parity_groups``.  Row t of ``weights`` is term t projected as
-    W^T T W, with ``iso`` the W (``_layout``).  Its arrays are read-only,
-    since every solve on the basis shares them."""
+    W^T T W, with W the blocks ``columns`` ((rows, coefs) each) side by
+    side (``_isometry``) and ``owners`` the matrix of each (``_layout``).
+    Its arrays are read-only, since every solve on the basis shares
+    them."""
     index: np.ndarray
     weights: np.ndarray  # (terms, len(index)): each term's block entries
     size: int
@@ -523,29 +600,67 @@ class _Layout:
     blocks: tuple
     groups: tuple
     parity_groups: bool
-    iso: sparse.csr_matrix
+    columns: tuple
+    owners: tuple
 
 
-def _project(basis: SectorBasis, iso, spans: tuple, key: tuple):
+def _project(basis: SectorBasis, iso, spans: tuple, owners: tuple, key: tuple):
     """The term ``key`` ((pairs, part), cached on ``basis``) projected as
-    W^T T W, with the blocks of ``spans`` side by side in ``iso`` (W):
-    its entries inside a block, as (places in a value buffer laid out as
-    in ``_Layout``, values); whether an entry between two blocks passes
-    1e-12 of its largest entry; and whether the blocks are symmetric to
-    ``SYMMETRY_TOL``."""
+    W^T T W, where ``iso`` (W) holds side by side the blocks whose
+    matrices are ``owners`` (indices into ``spans``), a matrix's first
+    block first and then its partner, if it has one.  Entries within
+    1e-12 of 0, relative to the term's largest entry, are rounding and
+    dropped.  Returns the entries inside the first block of each matrix,
+    as (places in a value buffer laid out as in ``_Layout``, values), and
+    what is wrong, or None: an entry between two blocks, a partner block
+    that differs from its first block by more than that rounding, or
+    blocks that are not symmetric to ``SYMMETRY_TOL``."""
     starts, widths = np.array(spans).T
-    block = np.repeat(np.arange(len(widths)), widths)  # the block of each column of W
-    local = np.arange(len(block)) - (np.cumsum(widths) - widths)[block]
+    owners = np.array(owners)
+    source = np.diff(owners, prepend=-1) > 0  # each matrix's first block
+    sizes = widths[owners]
+    block = np.repeat(np.arange(len(owners)), sizes)  # the block of each column of W
+    local = np.arange(len(block)) - (np.cumsum(sizes) - sizes)[block]
     term = _term(basis, *key)
     term = sparse.diags(term) if isinstance(term, np.ndarray) else term
     proj = (iso.T @ term @ iso).tocoo()
-    inside = block[proj.row] == block[proj.col]
     largest = np.abs(proj.data).max(initial=0.0)
-    couples = bool(np.any(np.abs(proj.data[~inside]) > 1e-12 * largest))
-    i, j, m = proj.row[inside], proj.col[inside], block[proj.row[inside]]
-    blocks = sparse.csr_matrix((proj.data[inside], (i, j)), shape=proj.shape)
-    symmetric = abs(blocks - blocks.T).max() <= SYMMETRY_TOL * max(1.0, largest)
-    return starts[m] + local[i] * widths[m] + local[j], proj.data[inside], couples, symmetric
+    real = np.abs(proj.data) > 1e-12 * largest  # the rest is rounding of W^T T W
+    row, col, data = proj.row[real], proj.col[real], proj.data[real]
+    at = block[row]
+    inside = at == block[col]
+    m = owners[at]
+    flat = starts[m] + local[row] * widths[m] + local[col]
+    kept, partner = inside & source[at], inside & ~source[at]
+    # the value buffer, the partners' buffer, and each place's mirror image
+    place = np.repeat(np.arange(len(spans)), widths ** 2)  # the matrix of each place
+    mine, theirs = np.zeros(len(place)), np.zeros(len(place))
+    mine[flat[kept]], theirs[flat[partner]] = data[kept], data[partner]
+    offset, width = np.arange(len(place)) - starts[place], widths[place]
+    mirror = starts[place] + offset % width * width + offset // width
+    shared = np.isin(place, owners[~source])
+    if not inside.all():
+        fault = ("H couples two symmetry blocks: a translation, the reflection "
+                 "or spin inversion is not a symmetry of the model")
+    elif np.any(np.abs(mine - theirs)[shared] > 1e-12 * largest):
+        fault = "a partner block of H differs from its first block"
+    elif np.max(np.abs(mine - mine[mirror])) > SYMMETRY_TOL * max(1.0, largest):
+        fault = "a term of H is not symmetric in the blocks"
+    else:
+        fault = None
+    return flat[kept], data[kept], fault
+
+
+def _isometry(columns: tuple, dim: int) -> sparse.csr_matrix:
+    """W: the blocks ``columns`` ((rows, coefs) each) side by side, as a
+    sparse matrix of ``dim`` rows."""
+    sizes = [rows.shape[1] for rows, _ in columns]
+    entries = []  # (coefficient, row, column) of W, block by block
+    for (rows, coefs), offset in zip(columns, np.cumsum(sizes) - sizes):
+        t, a = np.nonzero(coefs)
+        entries.append((coefs[t, a], rows[t, a], offset + a))
+    data, rows, cols = map(np.concatenate, zip(*entries))
+    return sparse.csr_matrix((data, (rows, cols)), shape=(dim, sum(sizes)))
 
 
 def _check_cover(rows, coefs, dim: int) -> None:
@@ -564,20 +679,22 @@ def _block_matrices(values: np.ndarray, spans: tuple) -> list:
 
 def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
     """The ``_Layout`` of ``basis`` for the terms ``keys`` ((pairs, part)
-    each, cached on ``basis``), with W every distinct block's isometry
-    side by side.  An entry of W^T T W between two blocks, beyond
-    rounding, means the reflection or spin inversion is no symmetry of
-    the terms and raises ValueError.  So do blocks that do not cover
-    every row once (``_check_cover``) and a term whose blocks are not
-    symmetric, so every combination of the terms is symmetric; these are
-    the only checks of the blocks ``dense_spectrum`` solves."""
+    each, cached on ``basis``), with W every block's isometry side by
+    side, partner blocks included (a mirrored Sz block is not).  An entry
+    of W^T T W between two blocks, beyond rounding, means a translation,
+    the reflection or spin inversion is no symmetry of the terms and
+    raises ValueError.  So do a partner block whose matrix is not its
+    first block's, blocks that do not cover every row once
+    (``_check_cover``) and a term whose blocks are not symmetric, so every
+    combination of the terms is symmetric; these are the only checks of
+    the blocks ``dense_spectrum`` solves."""
     n, configs = basis.n_sites, basis.configs
     parts = {part for _, part in keys}
     no_field, conserves_sz = "field" not in parts, "aligned" not in parts
     labels = basis.popcounts if conserves_sz else basis.popcounts % 2
     groups = np.unique(labels)
     mirrored = no_field and conserves_sz and basis.is_full
-    per_group, isometries = {}, []
+    per_group, columns, owners = {}, [], []
     for label in groups[::-1].tolist():  # Sz >= 0 first, so every mirror has its source
         if mirrored and 2 * label < n:
             per_group[label] = [(rows ^ ((1 << n) - 1), coefs, m)
@@ -586,27 +703,22 @@ def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
         members = np.flatnonzero(labels == label)
         invert = no_field and (2 * label == n if conserves_sz else n % 2 == 0)
         per_group[label] = []
-        for rows, coefs in _symmetry_blocks(basis.lattice, configs[members], invert):
-            per_group[label].append((members[rows], coefs, len(isometries)))
-            isometries.append((members[rows], coefs))
-    widths = np.array([rows.shape[1] for rows, _ in isometries])
-    offsets, starts = np.cumsum(widths) - widths, np.cumsum(widths ** 2) - widths ** 2
+        for rows, shared in _symmetry_blocks(basis.lattice, configs[members], invert):
+            m = owners[-1] + 1 if owners else 0
+            rows = members[rows].astype(np.int32)
+            for coefs in shared:
+                per_group[label].append((rows, coefs, m))
+                columns.append((rows, coefs))
+                owners.append(m)
+    widths = np.array([rows.shape[1] for rows, _ in columns])[np.diff(owners, prepend=-1) > 0]
+    starts = np.cumsum(widths ** 2) - widths ** 2
     spans = tuple(zip(starts.tolist(), widths.tolist()))
-    entries = []  # (coefficient, row, column) of W, block by block
-    for (rows, coefs), offset in zip(isometries, offsets):
-        t, a = np.nonzero(coefs)
-        entries.append((coefs[t, a], rows[t, a], offset + a))
-    data, rows, cols = map(np.concatenate, zip(*entries))
-    iso = sparse.csr_matrix((data, (rows, cols)), shape=(basis.dimension, int(widths.sum())))
-    size = int(np.sum(widths ** 2))
+    iso = _isometry(columns, basis.dimension)
     flats, values = [], []
     for key in keys:
-        flat, vals, couples, symmetric = _project(basis, iso, spans, key)
-        if couples:
-            raise ValueError("H couples two symmetry blocks: the reflection or "
-                             "spin inversion is not a symmetry of the model")
-        if not symmetric:
-            raise ValueError("a term of H is not symmetric in the blocks")
+        flat, vals, fault = _project(basis, iso, spans, owners, key)
+        if fault:
+            raise ValueError(fault)
         flats.append(flat)
         values.append(vals)
     index = np.unique(np.concatenate(flats))
@@ -618,9 +730,9 @@ def _layout(basis: SectorBasis, keys: tuple) -> _Layout:
                  basis.dimension)
     for arr in (index, weights, *(a for rows, coefs, _ in blocks for a in (rows, coefs))):
         arr.setflags(write=False)
-    return _Layout(index, weights, size, spans, blocks,
+    return _Layout(index, weights, int(np.sum(widths ** 2)), spans, blocks,
                    tuple(label for label in groups.tolist() for _ in per_group[label]),
-                   not conserves_sz, iso)
+                   not conserves_sz, tuple(columns), tuple(owners))
 
 
 @dataclass(frozen=True, eq=False)
@@ -645,9 +757,9 @@ def _block_labels(basis: SectorBasis, layout: _Layout) -> tuple:
     label_keys = [(pairs, "zz"), (pairs, "anti")]
     if layout.parity_groups:
         label_keys.append((None, "field"))
-    terms = []
+    terms, iso = [], _isometry(layout.columns, basis.dimension)
     for key in label_keys:
-        flat, vals, _, _ = _project(basis, layout.iso, layout.spans, key)
+        flat, vals, _ = _project(basis, iso, layout.spans, layout.owners, key)
         values = np.zeros(layout.size)
         values[flat] = vals
         terms.append(_block_matrices(values, layout.spans))

@@ -324,9 +324,10 @@ def test_batched_sweep_points_equal_single_solves(family, fixed, grid, pairs, sp
     for space in spaces:
         basis = enumerate_sector(lattice, 0 if space == "sz0" else None)
         model = build_model(family, {**fixed, grid.name: grid.stop})
-        # batches of three points, so the grid spans several
-        monkeypatch.setattr(analysis, "BATCH_BYTES",
-                            3 * 8 * HamiltonianAction(model, basis).block_entries)
+        # batches of three points, so the grid spans several: each point
+        # holds its block matrices, their eigenvectors and 10 lifted levels
+        point = 2 * HamiltonianAction(model, basis).block_entries + 10 * basis.dimension
+        monkeypatch.setattr(analysis, "BATCH_BYTES", 3 * 8 * point)
         res = sweep(family, fixed, grid, lattice, k_levels=10, pairs=pairs, space=space)
         _same_points(res.points, [analysis._sweep_point(res.config, g)
                                   for g in grid.values()])
@@ -638,7 +639,7 @@ def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
     ("ising", (), "lam", chain(8), 0.9),
     ("xyz", (("jx", 0.8), ("jy", 1.2), ("jz", 0.9)), "h", chain(8), 0.0),
 ])
-def test_dense_sweep_point_lifts_only_its_ground_multiplet(family, fixed, swept, lattice, g):
+def test_dense_batch_of_one_lifts_every_level(family, fixed, swept, lattice, g):
     import spinqpt.analysis as analysis
     from spinqpt.models import HamiltonianAction
     pairs = (("a", (0, 1)), ("b", (0, 2)), ("c", (1, 5)))

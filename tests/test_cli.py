@@ -370,6 +370,25 @@ def test_csv_unavailable_for_classify(capsys):
     assert "csv" in err.lower()
 
 
+@pytest.mark.parametrize("argv", [
+    ["spectrum", "--model", "xxz", "--delta", "1", "--sites", "4"],
+    ["sumrule", "--model", "xxz", "--delta", "1", "--sites", "4"],
+    ["classify", "--model", "xxz", "--sweep", "delta:0.5:1.5:0.1", "--sites", "4"],
+    ["scaling", "--model", "xxz", "--sweep", "delta:0.5:1.5:0.1", "--sizes", "4,6",
+     "--order", "1"],
+], ids=lambda argv: argv[0])
+def test_csv_is_refused_before_any_solve(argv, monkeypatch, capsys):
+    import spinqpt.models as models
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(models.HamiltonianAction, "__init__", no_solve)
+    code, out, err = run_capture(argv + ["--format", "csv"], capsys)
+    assert (code, out) == (2, "")
+    assert err == "error: csv output is only available for sweep results\n"
+
+
 def test_bad_grid_is_config_error(capsys):
     for grid in ("delta:1:0:0.1", "delta:0:inf:0.5"):
         code, out, err = run_capture(

@@ -120,12 +120,16 @@ def test_block_solve_rejects_blocks_the_matrix_leaves():
         HamiltonianAction(xxz(1.0), partial).matrix
     with pytest.raises(ValueError, match="leave the sector"):
         HamiltonianAction(xxz(1.0), partial).blocks()
-    # a sector basis is one sector: Sz = 0 splits by reflection and
-    # inversion, with rows indexing the basis itself
+    # a sector basis is one sector: Sz = 0 splits by momentum, reflection
+    # and inversion, with rows indexing the basis itself, one per element
+    # of the group (6 translations, the reflection, inversion); each block
+    # of the two momenta between 0 and pi is followed by its partner, which
+    # holds its matrix
     sector = enumerate_sector(chain(6), 0)
     blocks = HamiltonianAction(xxz(1.0), sector).blocks()
-    assert [len(mat) for _, _, mat in blocks] == [6, 6, 4, 4]
-    assert all(rows.shape[0] == 4 for rows, _, _ in blocks)
+    assert [len(mat) for _, _, mat in blocks] == [3, 1, 1, 1, 2, 2, 2, 2, 1, 1, 3, 1]
+    assert all(rows.shape[0] == 24 for rows, _, _ in blocks)
+    assert [m for m in range(len(blocks)) if blocks[m][2] is blocks[m - 1][2]] == [3, 5, 7, 9]
     covered = np.concatenate([rows[coefs != 0] for rows, coefs, _ in blocks])
     assert np.array_equal(np.unique(covered), np.arange(sector.dimension))
 
@@ -146,8 +150,9 @@ def _reflected(lattice, vecs):
 @pytest.mark.parametrize("model, n", [
     (model, n) for model in (xxz(-0.7), j1j2(1.0, 0.3), transverse_ising(0.8),
                              ladder_model(0.6), general_xyz(0.8, 1.2, 0.9),
-                             general_xyz(0.8, 1.2, 0.9, 0.3), general_xyz(0.8, 0.8, 1.3))
-    for n in range(2, 9) if not (model.family == "ladder" and (n % 2 or n < 4))],
+                             general_xyz(0.8, 1.2, 0.9, 0.3), general_xyz(0.8, 0.8, 1.3),
+                             general_xyz(0.8, 0.8, 1.3, 0.3))
+    for n in range(2, 10) if not (model.family == "ladder" and (n % 2 or n < 4))],
     ids=lambda v: getattr(v, "family", v))
 def test_symmetry_blocks_resolve_the_full_space(model, n):
     # N = 2 chains and 4-site ladders have a reflection that moves no site,
@@ -182,6 +187,27 @@ def test_symmetry_blocks_resolve_the_full_space(model, n):
             assert np.max(np.abs(inverted[:, c] - flip * vec)) <= 1e-12
 
 
+@pytest.mark.parametrize("model, n", [
+    (model, n) for model in (xxz(-0.7), j1j2(1.0, 0.3), ladder_model(0.6),
+                             general_xyz(0.8, 0.8, 1.3), general_xyz(0.8, 0.8, 1.3, 0.3))
+    for n in (range(4, 9, 2) if model.family == "ladder" else range(2, 10))],
+    ids=lambda v: getattr(v, "family", v))
+def test_momentum_blocks_match_the_oracle_in_sz_sectors(model, n):
+    # each Sz sector basis of a family that conserves Sz, with and without
+    # a field; the full bases are test_symmetry_blocks_resolve_the_full_space's
+    lattice = family_spec(model.family).lattice(n)
+    for sz_twice in range(-n, n + 1, 2):
+        basis = enumerate_sector(lattice, sz_twice)
+        action = HamiltonianAction(model, basis)
+        sol = dense_spectrum(action.blocks())
+        exact = np.linalg.eigvalsh(hamiltonian_dense(model, basis))
+        assert np.max(np.abs(np.sort(sol.energies) - exact)) <= 1e-12
+        vecs = sol.vectors
+        assert np.max(np.abs(vecs.T @ vecs - np.eye(basis.dimension))) <= 1e-12
+        assert np.max(sol.residuals) <= 1e-12
+        assert np.max(np.linalg.norm(action(vecs) - vecs * sol.energies, axis=0)) <= 1e-12
+
+
 def test_layout_refuses_a_reflection_the_bonds_break(monkeypatch, fresh_bases):
     assert np.array_equal(_reflection(chain(5)), [0, 4, 3, 2, 1])
     assert np.array_equal(_reflection(ladder(8)), [0, 1, 6, 7, 4, 5, 2, 3])
@@ -194,6 +220,18 @@ def test_layout_refuses_a_reflection_the_bonds_break(monkeypatch, fresh_bases):
         HamiltonianAction(xxz(0.5), enumerate_sector(chain(6), None)).blocks()
 
 
+def test_layout_refuses_a_translation_the_bonds_break(monkeypatch, fresh_bases):
+    # the 5-site ring cut between sites 2 and 3 keeps the reflection i -> -i
+    # but no translation, so only the momentum blocks are no symmetry of H
+    cut = [(3, 4), (4, 0), (0, 1), (1, 2)]
+    mirrored = {tuple(sorted(int(_reflection(chain(5))[i]) for i in pair)) for pair in cut}
+    assert mirrored == {tuple(sorted(pair)) for pair in cut}
+    monkeypatch.setitem(models.BOND_PAIRS, "nn", lambda lat: cut)
+    for sz_twice in (None, 1):
+        with pytest.raises(ValueError, match="couples two symmetry blocks"):
+            HamiltonianAction(xxz(0.5), enumerate_sector(chain(5), sz_twice)).blocks()
+
+
 def test_layout_checks_cover_and_symmetry_once(monkeypatch):
     # a solve on a layout's blocks skips both checks, so the layout runs them
     lattice = chain(6)
@@ -204,8 +242,8 @@ def test_layout_checks_cover_and_symmetry_once(monkeypatch):
 
     def dropping(lat, configs, invert):  # the last block loses a column
         blocks = real_blocks(lat, configs, invert)
-        rows, coefs = blocks[-1]
-        return blocks[:-1] + [(rows[:, :-1], coefs[:, :-1])]
+        rows, (coefs,) = blocks[-1]  # momentum pi: a 1-D irrep, no partner
+        return blocks[:-1] + [(rows[:, :-1], (coefs[:, :-1],))]
 
     monkeypatch.setattr(models, "_symmetry_blocks", dropping)
     with pytest.raises(ValueError, match="exactly once"):
@@ -221,6 +259,25 @@ def test_layout_checks_cover_and_symmetry_once(monkeypatch):
     monkeypatch.setattr(models, "_term", lopsided)
     with pytest.raises(ValueError, match="not symmetric"):
         HamiltonianAction(xxz(0.5), fresh()).blocks()
+
+
+def test_layout_checks_each_partner_against_its_first_block(monkeypatch):
+    # a partner with its first column negated spans the same states, so
+    # nothing couples two blocks, but its matrix is not its first block's
+    real_blocks = models._symmetry_blocks
+
+    def negated(lat, configs, invert):
+        blocks = real_blocks(lat, configs, invert)
+        for b, (rows, coefs) in enumerate(blocks):
+            if len(coefs) == 2 and rows.shape[1] > 1:
+                partner = coefs[1].copy()
+                partner[:, 0] *= -1.0
+                blocks[b] = (rows, (coefs[0], partner))
+        return blocks
+
+    monkeypatch.setattr(models, "_symmetry_blocks", negated)
+    with pytest.raises(ValueError, match="partner block of H differs"):
+        HamiltonianAction(xxz(0.5), SectorBasis(chain(6), None, np.arange(2 ** 6))).blocks()
 
 
 @pytest.mark.parametrize("delta", [-0.5, 0.5, 1.0, 2.0])
@@ -482,9 +539,11 @@ def _lapack_calls(monkeypatch):
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("vectors", [True, False])
 def test_mirrored_sectors_cost_one_lapack_call_each(monkeypatch, n, vectors):
-    # one call per distinct block: the Sz >= 0 sectors split by the
-    # reflection, and Sz = 0 by spin inversion too; the -m blocks are free
-    dims = {6: [1, 2, 4, 4, 4, 6, 6, 6, 9], 8: [1, 3, 5, 12, 16, 16, 16, 19, 19, 25, 31]}[n]
+    # one call per distinct block: the Sz >= 0 sectors split by momentum
+    # and the reflection, and Sz = 0 by spin inversion too; the -m blocks
+    # and the partner of each block between momenta 0 and pi are free
+    dims = {6: [1] * 11 + [2] * 3 + [3] * 4,
+            8: [1] * 8 + [2] * 5 + [3] * 4 + [4] * 4 + [5] * 6 + [7] * 4}[n]
     blocks = HamiltonianAction(xxz(0.6), enumerate_sector(chain(n), None)).blocks()
     calls = _lapack_calls(monkeypatch)
     dense_spectrum(blocks, levels=3, vectors=vectors)

@@ -38,14 +38,16 @@ def _block_sector(rows, coefs, sz_conserved):
 def test_conserved_quantities():
     # the full space splits into N + 1 Sz sectors when the model conserves
     # Sz (per model: xyz with jx == jy does), else into two parity groups,
-    # and each sector further by the reflection (sites 1 <-> 3 at N = 4)
-    # and, with no z field, spin inversion where it maps a sector to itself
+    # and each sector further by momentum (k = 0, pi / 2, pi), the
+    # reflection (sites 1 <-> 3 at N = 4) and, with no z field, spin
+    # inversion where it maps a sector to itself
     full = enumerate_sector(chain(4), None)
     for model, sz_conserved, dims in (
-            (xxz(0.3), True, [1, 3, 1, 2, 2, 1, 1, 3, 1, 1]),
-            (general_xyz(1.0, 1.0, 0.5), True, [1, 3, 1, 2, 2, 1, 1, 3, 1, 1]),
-            (transverse_ising(1.0), False, [6, 2, 6, 2]),
-            (general_xyz(1.0, 0.5, 0.5), False, [3, 3, 1, 1, 3, 3, 1, 1])):
+            (xxz(0.3), True, [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
+            (general_xyz(1.0, 1.0, 0.5), True, [1, 1, 1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 1, 1]),
+            (transverse_ising(1.0), False, [4, 1, 1, 1, 1, 2, 2, 2, 2]),
+            (general_xyz(1.0, 0.5, 0.5), False,
+             [3, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1])):
         blocks = HamiltonianAction(model, full).blocks()
         assert [len(mat) for _, _, mat in blocks] == dims
         sectors = [_block_sector(rows, coefs, sz_conserved) for rows, coefs, _ in blocks]
@@ -344,9 +346,9 @@ def _isometry(rows, coefs, dim):
     for n in (6, 7, 8) if not (model.family == "ladder" and n % 2)],
     ids=lambda v: getattr(v, "family", v))
 def test_zero_field_sz_sectors_share_their_mirror(model, n):
-    # spin inversion maps Sz = -m onto +m and commutes with H and the
-    # reflection, so each -m block is the +m block object itself, paired
-    # with the inverted orbit table
+    # spin inversion maps Sz = -m onto +m and commutes with H, the
+    # translations and the reflection, so each -m block is the +m block
+    # object itself, paired with the inverted orbit table
     lattice = ladder(n) if model.family == "ladder" else chain(n)
     full = enumerate_sector(lattice, None)
     blocks = HamiltonianAction(model, full).blocks()
@@ -354,8 +356,13 @@ def test_zero_field_sz_sectors_share_their_mirror(model, n):
     for block in blocks:
         by_up.setdefault(_block_sector(block[0], block[1], True), []).append(block)
     assert sorted(by_up) == list(range(n + 1))
-    assert len({id(mat) for _, _, mat in blocks}) == sum(
-        len(by_up[up]) for up in by_up if 2 * up >= n)
+    # the distinct matrices are the Sz >= 0 blocks but the partners, each
+    # of which follows its first block and holds that block's matrix
+    sources = [mat for up in by_up if 2 * up >= n
+               for i, (_, _, mat) in enumerate(by_up[up])
+               if i == 0 or mat is not by_up[up][i - 1][2]]
+    assert len({id(mat) for _, _, mat in blocks}) == len({id(mat) for mat in sources}) \
+        == len(sources) < sum(len(by_up[up]) for up in by_up if 2 * up >= n)
     for up in range(n + 1):
         if 2 * up >= n:
             continue
@@ -371,18 +378,80 @@ def test_zero_field_sz_sectors_share_their_mirror(model, n):
         assert np.max(np.abs(iso.T @ dense @ iso - mat)) <= 1e-13
 
 
+def _translated(lattice, configs):
+    """Each configuration moved by one translation: one site along a chain,
+    one rung along a ladder (tests only)."""
+    n, shift = lattice.n_sites, 1 if lattice.geometry == "chain" else 2
+    return ((configs << shift) | (configs >> (n - shift))) & ((1 << n) - 1)
+
+
+@pytest.mark.parametrize("model, lattice, sz_twice", [
+    (xxz(-0.7), chain(8), None), (xxz(-0.7), chain(7), 1), (j1j2(1.0, 0.3), chain(6), 0),
+    (ladder_model(0.6), ladder(8), None), (ladder_model(0.6), ladder(6), 0),
+    (transverse_ising(0.8), chain(8), None), (transverse_ising(0.8), chain(5), None),
+    (general_xyz(0.8, 0.8, 1.3, 0.3), chain(6), None)],
+    ids=lambda v: getattr(v, "family", str(v)))
+def test_translation_acts_on_blocks_by_their_momentum(model, lattice, sz_twice):
+    # T maps a 1-D block's columns to +-1 times themselves (k = 0 or pi),
+    # and a block and its partner to each other as the rotation by k
+    basis = enumerate_sector(lattice, sz_twice)
+    blocks = HamiltonianAction(model, basis).blocks()
+    steps = lattice.n_sites if lattice.geometry == "chain" else lattice.rungs
+    moved = np.searchsorted(basis.configs, _translated(lattice, basis.configs))
+    partnered, rotations = set(), 0
+    for b, (rows, coefs, mat) in enumerate(blocks):
+        if b in partnered:
+            continue
+        iso = _isometry(rows, coefs, basis.dimension)
+        d = iso.shape[1]
+        nxt = blocks[b + 1] if b + 1 < len(blocks) else None
+        if nxt is not None and nxt[2] is mat and np.array_equal(nxt[0], rows):
+            partnered.add(b + 1)
+            iso = np.hstack([iso, _isometry(nxt[0], nxt[1], basis.dimension)])
+        shifted = np.zeros_like(iso)
+        shifted[moved] = iso
+        act = iso.T @ shifted
+        assert np.max(np.abs(shifted - iso @ act)) <= 1e-12  # the columns span T's image
+        cos = act[0, 0]
+        if iso.shape[1] == d:
+            assert abs(abs(cos) - 1.0) <= 1e-12
+            assert np.max(np.abs(act - cos * np.eye(d))) <= 1e-12
+            continue
+        rotations += 1
+        m = steps * np.arccos(cos) / (2 * np.pi)
+        assert 0 < round(m) < steps / 2 and abs(m - round(m)) <= 1e-9
+        sin = np.sin(2 * np.pi * round(m) / steps)
+        want = np.kron([[cos, -sin], [sin, cos]], np.eye(d))
+        assert np.max(np.abs(act - want)) <= 1e-12
+    assert rotations > 0 and len(partnered) == rotations
+
+
+@pytest.mark.parametrize("model, lattice, largest", [
+    (xxz(0.6), chain(8), 7), (j1j2(1.0, 0.3), chain(8), 7),
+    (ladder_model(0.6), ladder(8), 14), (transverse_ising(0.8), chain(8), 18)],
+    ids=lambda v: getattr(v, "family", str(v)))
+def test_largest_full_space_blocks_at_eight_sites(model, lattice, largest):
+    blocks = HamiltonianAction(model, enumerate_sector(lattice, None)).blocks()
+    assert max(len(mat) for _, _, mat in blocks) == largest
+
+
 def test_a_z_field_shares_no_sector_matrix():
     model = general_xyz(0.8, 0.8, 1.3, 0.3)
     full = enumerate_sector(chain(6), None)
     blocks = HamiltonianAction(model, full).blocks()
-    assert len({id(mat) for _, _, mat in blocks}) == len(blocks)
-    # no spin inversion anywhere: the orbit tables hold the reflection's
-    # two rows, and Sz = 0 splits in two, not four
-    assert all(len(rows) == 2 for rows, _, _ in blocks)
+    # a block shares its matrix only with the partner that follows it, in
+    # its own sector
+    partners = [m for m in range(1, len(blocks)) if blocks[m][2] is blocks[m - 1][2]]
+    assert len({id(mat) for _, _, mat in blocks}) == len(blocks) - len(partners) == 26
+    assert all(_block_sector(*blocks[m][:2], True) == _block_sector(*blocks[m - 1][:2], True)
+               for m in partners)
+    # no spin inversion anywhere: the orbit tables hold 12 rows, one per
+    # translation and reflection, and Sz = 0 splits in 8 blocks, not 12
+    assert all(len(rows) == 12 for rows, _, _ in blocks)
     by_up = {}
     for rows, coefs, mat in blocks:
         by_up.setdefault(_block_sector(rows, coefs, True), []).append((rows, coefs, mat))
-    assert [len(by_up[up]) for up in range(7)] == [1, 2, 2, 2, 2, 2, 1]
+    assert [len(by_up[up]) for up in range(7)] == [1, 6, 7, 8, 7, 6, 1]
     for up, sector_blocks in by_up.items():
         covered = np.concatenate([rows[coefs != 0] for rows, coefs, _ in sector_blocks])
         assert np.array_equal(np.unique(covered),

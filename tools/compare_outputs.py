@@ -46,6 +46,10 @@ COMMANDS = (
     "spectrum --model xyz --jx 0.8 --jy 1.2 --jz 0.9 --sites 8 --levels 6",
     # every level of a dense full space, each lifted into the basis
     "spectrum --model xxz --delta 1 --sites 8 --levels 256",
+    # every level of a ladder, whose translations move a rung
+    "spectrum --model ladder --j-rung 0.7 --sites 8 --levels 256",
+    # odd N: no momentum pi, and every other momentum pairs with its partner
+    "spectrum --model j1j2 --j1 1 --j2 0.3 --sites 7 --levels 128",
     # sweep: CSV and JSON, dense full space and Lanczos Sz = 0
     "sweep --model j1j2 --j1 1 --sweep j2:0:1:0.01 --sites 8 --levels 5 --format csv",
     "sweep --model ladder --j-leg 1 --sweep j_rung:-1:1:0.05 --sites 8 --levels 6 "
