@@ -4,16 +4,15 @@ derivative extrema.
 
 A sweep splits its grid into contiguous chunks, one per worker process
 (one chunk in all without ``threads``), and each chunk runs the same
-function.  Dense grid points are solved in batches: consecutive points
-whose models share a block layout stack their block matrices for one
-``dense_spectra`` call (``solve_batch``), the matrices, eigenvectors and
-lifted levels of a batch at most ``BATCH_BYTES``, and each batch is
-observed before the next is solved; a batch whose
-LAPACK call fails is re-solved as batches of one.  A batched point is
-bitwise its one-point solve, every level lifted, so a point's result
-never depends on the points solved with it, and any worker count gives
-the same bytes.  Lanczos grid points and refinement probes are solved
-one at a time (``solve_levels``).
+function.  Dense grid points are solved in batches (``_batches``): the
+points whose models share a block layout stack their block matrices for
+one ``dense_spectra`` call (``solve_batch``), the matrices, eigenvectors
+and lifted levels of a batch at most ``BATCH_BYTES``, and each batch is
+observed before the next is solved; a batch whose LAPACK call fails is
+re-solved point by point.  A batched point is bitwise its one-point
+solve, every level lifted, so a point's result never depends on the
+points solved with it, and any worker count gives the same bytes.
+Lanczos grid points are solved one at a time (``solve_levels``).
 
 Crossings are found on the sorted level curves of a sweep.  Because the
 solvers resolve degenerate multiplets exactly, a crossing shows up in
@@ -23,10 +22,16 @@ interior dip that touches zero.  ``_candidates`` lists the grid cells to
 refine, within each stretch of solved points: a cell around an isolated
 touch (a run of one or two degenerate points) or an open dip, searched
 for the gap minimum by golden section, and the cell at each end of a
-longer run, where the "gap below tolerance" boundary is bisected.  Every
-cell is refined in one loop.  A probe value is solved once per sweep,
-energies only; a dense probe solves every level of the sweep and serves
-each level pair, a Lanczos one asks for the levels its pair needs.  A
+longer run, where the "gap below tolerance" boundary is bisected.  Each
+search is a generator that yields the values it probes, and ``classify``
+runs the searches of every cell of every level pair in lockstep rounds
+(``_crossings``): each round, the values not solved yet are solved
+together (``solve_probes``), dense probes in batches by the grid's rule
+and Lanczos probes one at a time.  A probe value is solved once per
+sweep, energies only; a dense probe solves every level of the sweep and
+serves each level pair, a Lanczos one asks for the levels its pair
+needs.  A probe whose solve fails ends the searches that need it, each
+with an "unresolved" event, and the rest go on.  A
 refined gap at or below the degeneracy tolerance is a true crossing; a
 dip that stays open between levels carrying the same quantum numbers is
 an avoided crossing, and one between levels of different symmetry is no
@@ -53,9 +58,10 @@ from .entanglement import wootters_concurrence
 DEFAULT_SEED = 0x5EED
 # width to which crossing refinement brackets a gap minimum or boundary
 REFINE_TOL = 1e-9
-# the most bytes a batch of dense grid points holds: per point its block
-# matrices, as many again for their eigenvectors, and its k levels lifted
-# into the basis; a batch is observed before the next is solved, so this
+# the most bytes a batch of dense grid points or refinement probes holds:
+# per point its block matrices, as many again for their eigenvectors, and
+# its levels (a grid point's k levels lifted into the basis, a probe's
+# energies); a batch is observed before the next is solved, so this
 # bounds what a sweep holds at once
 BATCH_BYTES = 1 << 19
 
@@ -243,6 +249,40 @@ def solve_levels(cfg: PointConfig, g: float, k: int, *,
                        energies_only=energies_only), basis
 
 
+def solve_probes(cfg: PointConfig, values, k: int) -> list:
+    """Crossing refinement's probes: for each of ``values``, the lowest
+    ``cfg.k_levels`` levels by value of the sweep's model, energies only,
+    of the k levels solved there, or the ConvergenceError its solve raised.
+
+    Dense probes are solved in batches (``_batches``) by one
+    ``dense_spectra`` call each, every probe bitwise its one-point solve;
+    a batch whose LAPACK call fails is re-solved probe by probe.  Lanczos
+    probes are solved one at a time (``solve_levels``).
+    """
+    basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
+    if not _dense(basis, cfg.options):
+        return [_lanczos_probe(cfg, g, k) for g in values]
+
+    def solve(actions):
+        solutions = dense_spectra(stacked_blocks(actions), levels=k, vectors=False)
+        return [np.sort(sol.energies)[:cfg.k_levels] for sol in solutions]
+
+    actions = [HamiltonianAction(cfg.model_at(g), basis) for g in values]
+    levels = [None] * len(actions)
+    for batch in _batches(actions, basis.dimension):
+        for i, out in zip(batch, _each_or_error(solve, [actions[i] for i in batch])):
+            levels[i] = out
+    return levels
+
+
+def _lanczos_probe(cfg: PointConfig, g: float, k: int):
+    try:
+        sol, _ = solve_levels(cfg, g, k, energies_only=True)
+    except ConvergenceError as err:
+        return err
+    return np.sort(sol.energies)[:cfg.k_levels]
+
+
 @dataclass
 class PairRecord:
     sites: tuple[int, int]
@@ -269,7 +309,8 @@ class SweepResult:
     grid_spec: GridSpec
     points: list[SweepPoint]
     # (g, k) -> the lowest levels by value, energies only, of the k solved
-    # at g by crossing refinement, shared by every level pair of this sweep
+    # at g by crossing refinement, or the ConvergenceError that solve
+    # raised, shared by every level pair of this sweep (``solve_probes``)
     _probes: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -326,44 +367,55 @@ def _observe_or_flag(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> S
 def _sweep_chunk(cfg: PointConfig, values: np.ndarray) -> list[SweepPoint]:
     """The points of consecutive grid ``values``.
 
-    On a dense basis each run of consecutive points whose models have the
-    same term keys (one block layout) is solved in batches
-    (``solve_batch``) that hold at most ``BATCH_BYTES``: per point 2
-    ``block_entries`` floats for the block matrices and their
-    eigenvectors, and dim * k for the lifted levels.  Each batch is
-    observed before the next is solved.  Lanczos points are
-    solved one by one (``_sweep_point``).
+    On a dense basis the points are solved in batches (``_batches``,
+    ``solve_batch``), each lifting k levels per point, and each batch is
+    observed before the next is solved.  Lanczos points are solved one by
+    one (``_sweep_point``).
     """
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
     if not _dense(basis, cfg.options):
         return [_sweep_point(cfg, g) for g in values]
     actions = [HamiltonianAction(cfg.model_at(g), basis) for g in values]
-    points = []
-    start = 0
-    while start < len(values):
-        point = 2 * actions[start].block_entries + basis.dimension * cfg.k_levels
-        size = max(1, BATCH_BYTES // (8 * point))
-        stop = start + 1
-        while (stop < len(values) and stop - start < size
-               and actions[stop].keys == actions[start].keys):
-            stop += 1
-        points += _batch_points(cfg, basis, actions[start:stop], values[start:stop])
-        start = stop
+    points = [None] * len(values)
+    for batch in _batches(actions, basis.dimension * cfg.k_levels):
+        solutions = _each_or_error(lambda part: solve_batch(part, cfg.k_levels),
+                                   [actions[i] for i in batch])
+        for i, sol in zip(batch, solutions):
+            g = values[i]
+            points[i] = (_flagged(cfg, g, sol) if isinstance(sol, ConvergenceError)
+                         else _observe_or_flag(cfg, g, sol, basis))
     return points
 
 
-def _batch_points(cfg: PointConfig, basis, actions: list, values) -> list[SweepPoint]:
-    """The points of one batch of dense grid points.  A LAPACK failure
-    re-solves the batch as batches of one, so only a point that fails on
-    its own is flagged."""
+def _batches(actions: list, extra: int) -> list[list[int]]:
+    """The indices of dense ``actions``, on one basis, in batches for one
+    ``dense_spectra`` call each: the actions whose models have the same
+    term keys (one block layout), in order, cut so that a batch holds at
+    most ``BATCH_BYTES``, counting per point 2 ``block_entries`` floats
+    for its block matrices and their eigenvectors, and ``extra`` floats
+    for its levels.  Sweep grid points and refinement probes are batched
+    by this one rule."""
+    layouts = {}
+    for i, action in enumerate(actions):
+        layouts.setdefault(action.keys, []).append(i)
+    batches = []
+    for members in layouts.values():
+        point = 2 * actions[members[0]].block_entries + extra
+        size = max(1, BATCH_BYTES // (8 * point))
+        batches += [members[i:i + size] for i in range(0, len(members), size)]
+    return batches
+
+
+def _each_or_error(solve, actions: list) -> list:
+    """``solve(actions)``, one result per action.  When LAPACK fails on
+    the batch, each action is solved alone, and one that fails alone gets
+    its ConvergenceError in place of a result."""
     try:
-        solutions = solve_batch(actions, cfg.k_levels)
+        return solve(actions)
     except ConvergenceError as err:
         if len(actions) == 1:
-            return [_flagged(cfg, values[0], err)]
-        return [point for action, g in zip(actions, values)
-                for point in _batch_points(cfg, basis, [action], [g])]
-    return [_observe_or_flag(cfg, g, sol, basis) for g, sol in zip(values, solutions)]
+            return [err]
+        return [out for action in actions for out in _each_or_error(solve, [action])]
 
 
 def _observe_point(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
@@ -447,44 +499,105 @@ def detect_crossings(sweep_result: SweepResult, a: int, b: int) -> list[Crossing
     """Crossing events between sorted levels ``a`` and ``b`` (a < b)."""
     if not 0 <= a < b < sweep_result.k_levels:
         raise ValueError(f"levels ({a}, {b}) not contained in the sweep")
+    return _crossings(sweep_result, [(a, b)])[0]
+
+
+@dataclass
+class _Search:
+    """One candidate cell's refinement: a ``_golden_min`` or
+    ``_bisect_boundary`` generator, the probe value it waits on, and
+    its result once it returns."""
+    pair: tuple[int, int]
+    k: int                 # the levels each of its probes solves
+    cell: tuple[int, int]  # its grid points, ascending
+    dip: bool              # a golden-section search, else a bisection
+    steps: object
+    wanted: float | None = None
+    result: tuple | None = None
+
+    def advance(self, reply) -> None:
+        """Send the search ``reply`` (None to start it, a gap, or a
+        ConvergenceError, thrown in) and note what it wants next."""
+        try:
+            if isinstance(reply, ConvergenceError):
+                self.wanted = self.steps.throw(reply)
+            else:
+                self.wanted = self.steps.send(reply)
+        except StopIteration as stop:
+            self.wanted, self.result = None, stop.value
+
+
+def _crossings(sweep_result: SweepResult, pairs) -> list[list[CrossingEvent]]:
+    """Crossing events of each level pair (a, b) of ``pairs``, one list
+    per pair.
+
+    Every candidate cell of every pair is refined at once, in rounds:
+    each live search posts the next value it needs, the values not yet in
+    ``SweepResult._probes`` are solved together (``solve_probes``), and
+    each search is sent its gap.  A probe's levels do not depend on the
+    probes solved with it, so every search probes the values, and finds
+    the event, that it would on its own.  A probe that fails ends the
+    searches that need it; each reports an "unresolved" event with the
+    bracket it had reached and the smallest gap it had seen, the sweep's
+    gaps at the cell's ends included.
+    """
     cfg = sweep_result.config
     deg = degeneracy_tolerance(_spectral_width(sweep_result))
-
     # levels count by value here, while a dense solve lists the members of
     # a degenerate multiplet in block order and keeps the first k so listed.
     # LAPACK returns every level at one cost, so a dense probe takes them
     # all and serves every pair with the lowest k_levels by value; a
     # Lanczos solve grows with the levels asked, so it asks for b + 1
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
-    k = basis.dimension if _dense(basis, cfg.options) else b + 1
-
-    def gap_at(g: float) -> float:
-        levels = sweep_result._probes.get((g, k))
-        if levels is None:
-            sol, _ = solve_levels(cfg, g, k, energies_only=True)
-            levels = sweep_result._probes[g, k] = np.sort(sol.energies)[:cfg.k_levels]
-        return float(levels[b] - levels[a])
-
+    dense = _dense(basis, cfg.options)
     grid = sweep_result.grid
     ordered = np.sort([sweep_result.energy(n) for n in range(sweep_result.k_levels)],
                       axis=0)
-    gap = ordered[b] - ordered[a]
-    events: list[CrossingEvent] = []
-    for inside, outside, dip in _candidates(gap, deg):
-        i, j = sorted((inside, outside))
-        if dip:
-            loc, min_gap = _golden_min(gap_at, grid[i], grid[j], REFINE_TOL)
+    gaps = {pair: ordered[pair[1]] - ordered[pair[0]] for pair in pairs}
+    searches = []
+    for (a, b), gap in gaps.items():
+        for inside, outside, dip in _candidates(gap, deg):
+            i, j = sorted((inside, outside))
+            steps = (_golden_min(grid[i], grid[j], REFINE_TOL) if dip else
+                     _bisect_boundary(grid[inside], grid[outside], float(gap[inside]),
+                                      deg, REFINE_TOL))
+            searches.append(_Search((a, b), basis.dimension if dense else b + 1,
+                                    (i, j), dip, steps))
+    for search in searches:
+        search.advance(None)
+    probes = sweep_result._probes
+    while live := [s for s in searches if s.result is None]:
+        new = sorted({(s.wanted, s.k) for s in live} - probes.keys())
+        for k in sorted({k for _, k in new}):
+            values = [g for g, k_g in new if k_g == k]
+            probes.update(zip([(g, k) for g in values], solve_probes(cfg, values, k)))
+        for search in live:
+            levels = probes[search.wanted, search.k]
+            a, b = search.pair
+            search.advance(levels if isinstance(levels, ConvergenceError)
+                           else float(levels[b] - levels[a]))
+
+    events = {pair: [] for pair in pairs}
+    for search in searches:
+        i, j = search.cell
+        gap = gaps[search.pair]
+        loc, min_gap, failed = search.result
+        if failed is not None:
+            events[search.pair].append(CrossingEvent(
+                search.pair, 0.5 * (failed[0] + failed[1]), failed, "unresolved",
+                float(min(min_gap, gap[i], gap[j]))))
+            continue
+        if search.dip:
             slope = (max(gap[i], gap[j]) - min_gap) / (grid[j] - grid[i])
             touch_tol = max(deg, 4.0 * slope * REFINE_TOL)
         else:
-            loc, min_gap = _bisect_boundary(gap_at, grid[inside], grid[outside],
-                                            float(gap[inside]), deg, REFINE_TOL)
             touch_tol = deg
-        event = _make_event(sweep_result, (a, b), loc, i, j, min_gap, touch_tol)
+        event = _make_event(sweep_result, search.pair, loc, i, j, min_gap, touch_tol)
         if event is not None:
-            events.append(event)
-    events.sort(key=lambda e: e.location)
-    return events
+            events[search.pair].append(event)
+    for found in events.values():
+        found.sort(key=lambda e: e.location)
+    return list(events.values())
 
 
 def _runs(mask) -> list[tuple[int, int]]:
@@ -555,41 +668,57 @@ def _make_event(sweep_result, pair, loc, i, j, min_gap, touch_tol):
                          kind=kind, min_gap=min_gap)
 
 
-def _golden_min(f, lo, hi, tol):
-    """Golden-section minimum of a unimodal gap; returns (location, value)."""
+# A refinement search is a generator: it yields each value whose gap it
+# needs and is sent that gap, and returns (location, gap, None).  A failed
+# probe is thrown in as its ConvergenceError, and the search then returns
+# (None, the smallest gap it has seen, the bracket it has reached).
+
+def _golden_min(lo, hi, tol):
+    """Golden-section search for the minimum of a unimodal gap; its
+    location is the probe with the smallest gap."""
     invphi = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    best = (c, fc) if fc <= fd else (d, fd)
-    while b - a > tol:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-        cand = (c, fc) if fc <= fd else (d, fd)
-        if cand[1] < best[1]:
-            best = cand
-    return best
+    best = (None, math.inf)
+    try:
+        fc = yield c
+        best = (c, fc)
+        fd = yield d
+        best = (c, fc) if fc <= fd else (d, fd)
+        while b - a > tol:
+            if fc < fd:
+                b, d, fd = d, c, fc
+                c = b - invphi * (b - a)
+                fc = yield c
+            else:
+                a, c, fc = c, d, fd
+                d = a + invphi * (b - a)
+                fd = yield d
+            cand = (c, fc) if fc <= fd else (d, fd)
+            if cand[1] < best[1]:
+                best = cand
+    except ConvergenceError:
+        return None, best[1], (a, b)
+    return (*best, None)
 
 
-def _bisect_boundary(gap_at, g_true, g_false, min_gap, deg, tol):
-    """Bisect the point where the gap leaves the degeneracy tolerance,
-    starting from the sweep's own gap ``min_gap`` at ``g_true``."""
-    while abs(g_false - g_true) > tol:
-        mid = 0.5 * (g_true + g_false)
-        gm = gap_at(mid)
-        if gm <= deg:
-            g_true = mid
-            min_gap = min(min_gap, gm)
-        else:
-            g_false = mid
-    return 0.5 * (g_true + g_false), min_gap
+def _bisect_boundary(g_true, g_false, min_gap, deg, tol):
+    """Bisection search for the point where the gap leaves the degeneracy
+    tolerance, starting from the sweep's own gap ``min_gap`` at
+    ``g_true``; the gap it returns is the smallest within the tolerance."""
+    try:
+        while abs(g_false - g_true) > tol:
+            mid = 0.5 * (g_true + g_false)
+            gm = yield mid
+            if gm <= deg:
+                g_true = mid
+                min_gap = min(min_gap, gm)
+            else:
+                g_false = mid
+    except ConvergenceError:
+        return None, min_gap, tuple(sorted((g_true, g_false)))
+    return 0.5 * (g_true + g_false), min_gap, None
 
 
 # ---------------------------------------------------------------------------
@@ -712,10 +841,9 @@ def classify(sweep_result: SweepResult, *, jump_tol: float | None = None,
     tol = jump_tol if jump_tol is not None \
         else max(10.0 * float(np.median(adjacent)), 1e-8)
 
-    gs_events = detect_crossings(sweep_result, 0, 1)
-    es_events = []
-    for a in range(1, sweep_result.k_levels - 1):
-        es_events.extend(detect_crossings(sweep_result, a, a + 1))
+    gs_events, *excited = _crossings(
+        sweep_result, [(a, a + 1) for a in range(sweep_result.k_levels - 1)])
+    es_events = [event for events in excited for event in events]
     gs_true = [e for e in gs_events if e.kind == "true_crossing"]
     es_true = [e for e in es_events if e.kind == "true_crossing"]
     evidence = TransitionEvidence(gs_events=gs_events, es_events=es_events,

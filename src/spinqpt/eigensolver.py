@@ -3,9 +3,9 @@
 ``dense_spectra`` wraps LAPACK for small matrices.  It takes the blocks
 of P matrices on symmetry-adapted states (``models.stacked_blocks``:
 each block column a combination of one orbit of basis states under the
-lattice symmetries, up to 4N of them), solves
-each distinct block's (P, d, d) stack in one LAPACK call, which solves
-each matrix as it would alone, merges each matrix's levels, so each
+lattice symmetries, up to 4N of them), solves the distinct blocks of
+each dimension d, every one a (P, d, d) stack, in one LAPACK call, which
+solves each matrix as it would alone, merges each matrix's levels, so each
 level keeps its block and its vector in that block, and lifts every
 kept level into the whole basis.  ``dense_spectrum`` is ``dense_spectra``
 of one matrix, so a batched solve is bitwise the one-matrix solve.
@@ -113,9 +113,10 @@ def dense_spectra(blocks: list, *, levels: int | None = None,
     ``coefs`` of shape (r, d), and ``block`` is a (P, d, d) stack, or one
     d x d matrix.  The layout that made the blocks checked that they
     cover the whole once and are symmetric, so neither is checked here.
-    LAPACK runs once per distinct block object (a mirrored Sz sector, or
-    the partner of a block, is listed twice and solved once), on each
-    matrix as it would alone.
+    LAPACK runs once per block dimension, on the stacks of every distinct
+    block object of that dimension at once (a mirrored Sz sector, or the
+    partner of a block, is listed twice and solved once), and solves each
+    matrix of the stack as it would alone.
 
     Levels are merged in ascending order, except that the members of a
     multiplet (levels within ``degeneracy_tolerance`` of the width of
@@ -135,10 +136,23 @@ def dense_spectra(blocks: list, *, levels: int | None = None,
     dim = sum(dims)
     # a 2-D block is a stack of one, and a block listed twice is solved once
     keys = [id(sub) for sub in subs]
-    stacks = {key: sub.reshape(-1, *sub.shape[-2:]) for key, sub in zip(keys, subs)}
+    stacks, by_dim = {}, {}  # by_dim: block dimension -> its distinct stacks' keys
+    for key, sub in zip(keys, subs):
+        if key not in stacks:
+            stacks[key] = sub if sub.ndim == 3 else sub[None]
+            by_dim.setdefault(sub.shape[-1], []).append(key)
     solve = np.linalg.eigh if vectors else np.linalg.eigvalsh
+    solved = {}
     try:
-        solved = {key: solve(stack) for key, stack in stacks.items()}
+        for same in by_dim.values():
+            # one call on every stack of this dimension, cut back into stacks
+            out = solve(np.concatenate([stacks[key] for key in same]) if len(same) > 1
+                        else stacks[same[0]])
+            stop = 0
+            for key in same:
+                start, stop = stop, stop + len(stacks[key])
+                solved[key] = (out[0][start:stop], out[1][start:stop]) if vectors \
+                    else out[start:stop]
     except np.linalg.LinAlgError as err:
         raise ConvergenceError(f"dense eigensolver failed: {err}") from err
     per_block = [solved[key] for key in keys]

@@ -471,7 +471,7 @@ def test_flat_gap_with_last_bit_noise_has_no_dips(monkeypatch):
         refined.append(args)
         raise AssertionError("a flat gap must not be refined")
 
-    monkeypatch.setattr(analysis, "solve_levels", no_refinement)
+    monkeypatch.setattr(analysis, "solve_probes", no_refinement)
     assert detect_crossings(res, 1, 2) == []
     assert refined == []
 
@@ -514,11 +514,11 @@ def test_crossing_candidates_on_a_piecewise_linear_gap(monkeypatch):
     res = analysis.SweepResult(cfg, grid, points)
     solves = []
 
-    def piecewise_linear(cfg, g, k, **kwargs):
-        solves.append(g)
-        return types.SimpleNamespace(energies=np.array([0.0, gap(g)])), None
+    def piecewise_linear(cfg, values, k):
+        solves.extend(values)
+        return [np.array([0.0, gap(g)]) for g in values]
 
-    monkeypatch.setattr(analysis, "solve_levels", piecewise_linear)
+    monkeypatch.setattr(analysis, "solve_probes", piecewise_linear)
     events = detect_crossings(res, 0, 1)
     g = grid.values()
     assert [(e.kind, e.bracket) for e in events] == [
@@ -560,14 +560,14 @@ def test_refinement_solves_each_probe_once_for_every_level_pair(monkeypatch):
     import spinqpt.analysis as analysis
     res = sweep("xxz", {}, GridSpec("delta", -2.0, 0.0, 0.05), chain(6),
                 k_levels=6, space="full")
-    real = analysis.solve_levels
+    real = analysis.solve_probes
     probes = []
 
-    def recorded(cfg, g, k, **kwargs):
-        probes.append(g)
-        return real(cfg, g, k, **kwargs)
+    def recorded(cfg, values, k):
+        probes.extend(values)
+        return real(cfg, values, k)
 
-    monkeypatch.setattr(analysis, "solve_levels", recorded)
+    monkeypatch.setattr(analysis, "solve_probes", recorded)
     report = classify(res)
     shared = list(probes)
     assert shared and len(set(shared)) == len(shared)
@@ -628,6 +628,158 @@ def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
     asked.clear()
     detect_crossings(res, 1, 2)
     assert asked and set(asked) == {3}
+
+
+def _sequential_probes(res, pairs):
+    """Refine every candidate cell of ``pairs`` one search at a time, each
+    probe solved alone by ``solve_levels`` and once per sweep; returns the
+    probe values in solve order and the levels kept for each (g, k)."""
+    import spinqpt.analysis as analysis
+    from spinqpt.eigensolver import degeneracy_tolerance
+    cfg = res.config
+    deg = degeneracy_tolerance(analysis._spectral_width(res))
+    k = analysis.enumerate_sector(cfg.lattice, cfg.sz_twice).dimension
+    grid = res.grid
+    ordered = np.sort([res.energy(n) for n in range(res.k_levels)], axis=0)
+    solved, levels = [], {}
+    for a, b in pairs:
+        gap = ordered[b] - ordered[a]
+        for inside, outside, dip in analysis._candidates(gap, deg):
+            i, j = sorted((inside, outside))
+            steps = (analysis._golden_min(grid[i], grid[j], analysis.REFINE_TOL) if dip else
+                     analysis._bisect_boundary(grid[inside], grid[outside],
+                                               float(gap[inside]), deg, analysis.REFINE_TOL))
+            reply = None
+            while True:
+                try:
+                    g = steps.send(reply)
+                except StopIteration:
+                    break
+                if (g, k) not in levels:
+                    solved.append(g)
+                    sol, _ = analysis.solve_levels(cfg, g, k, energies_only=True)
+                    levels[g, k] = np.sort(sol.energies)[:cfg.k_levels]
+                reply = float(levels[g, k][b] - levels[g, k][a])
+    return solved, levels
+
+
+def test_lockstep_probes_equal_a_sequential_run(monkeypatch):
+    # classify refines every cell of every level pair in rounds; it solves
+    # the probes, and keeps the levels, of one search at a time, and each
+    # round makes one dense_spectra call per block layout among its values
+    import spinqpt.analysis as analysis
+    from spinqpt.models import HamiltonianAction
+    res = sweep("xxz", {}, GridSpec("delta", -2.0, 0.0, 0.05), chain(6),
+                k_levels=6, space="full")
+    pairs = [(a, a + 1) for a in range(res.k_levels - 1)]
+    solved, levels = _sequential_probes(res, pairs)
+    real_probes, real_spectra = analysis.solve_probes, analysis.dense_spectra
+    rounds = []  # per round: its probe values and its dense_spectra calls
+
+    def recorded_round(cfg, values, k):
+        rounds.append((list(values), []))
+        return real_probes(cfg, values, k)
+
+    def recorded_call(blocks, **kwargs):
+        rounds[-1][1].append(len(blocks[0][2]))
+        return real_spectra(blocks, **kwargs)
+
+    monkeypatch.setattr(analysis, "solve_probes", recorded_round)
+    monkeypatch.setattr(analysis, "dense_spectra", recorded_call)
+    classify(res)
+    probes = [g for values, _ in rounds for g in values]
+    assert len(probes) == len(solved) and sorted(probes) == sorted(solved)
+    assert res._probes.keys() == levels.keys()
+    assert all(np.array_equal(res._probes[key], levels[key]) for key in levels)
+    assert len(rounds) < len(probes)
+    # every round holds one layout here; a round of values across the z
+    # field's zero holds two, so it makes two calls
+    assert all(calls == [len(values)] for values, calls in rounds)
+    cfg = PointConfig("xyz", (("jy", 0.6),), "h", chain(6), None, 3, (), SolverOptions())
+    basis = analysis.enumerate_sector(cfg.lattice, None)
+    values = [-0.1, 0.0, 0.1, 0.2]
+    rounds.append(([], []))
+    got = analysis.solve_probes(cfg, values, basis.dimension)
+    assert rounds[-1][1] == [3, 1]
+    assert len({HamiltonianAction(cfg.model_at(g), basis).keys for g in values}) == 2
+    for g, out in zip(values, got):
+        sol, _ = analysis.solve_levels(cfg, g, basis.dimension, energies_only=True)
+        assert np.array_equal(out, np.sort(sol.energies)[:cfg.k_levels])
+
+
+def test_dense_probes_across_a_layout_change_match_per_pair_detection():
+    # the z field's zero drops the field term, and so changes the block
+    # layout, at the grid point h = 0, inside the cells refined around it
+    import spinqpt.analysis as analysis
+    from spinqpt.models import HamiltonianAction
+    res = sweep("xyz", {"jy": 0.6}, GridSpec("h", -0.5, 0.5, 0.05), chain(8), k_levels=4)
+    basis = analysis.enumerate_sector(res.config.lattice, None)
+    keys = {HamiltonianAction(res.config.model_at(g), basis).keys for g in res.grid}
+    assert len(keys) == 2
+    report = classify(res)
+    per_pair = []
+    for a in range(res.k_levels - 1):
+        per_pair.extend(detect_crossings(dataclasses.replace(res), a, a + 1))
+    assert per_pair == report.evidence.gs_events + report.evidence.es_events
+    assert report.type == "II"
+    assert sorted(e.kind for e in per_pair) == ["true_crossing", "unresolved"]
+    assert all(e.bracket[0] < 0.0 < e.bracket[1] for e in per_pair)
+    assert min(g for g, _ in res._probes) < 0.0 < max(g for g, _ in res._probes)
+
+
+def test_a_failed_probe_ends_its_search_not_the_run(monkeypatch):
+    # j1j2 at N = 6: the ground pair crosses at J2 = 0.5 (type I), and
+    # levels 1 and 2 touch at 0.25 and 1.  LAPACK fails on one probe of
+    # the touch at 0.25: that search alone ends, as an unresolved event
+    import spinqpt.analysis as analysis
+    res = sweep("j1j2", {"j1": 1.0}, GridSpec("j2", 0.0, 1.0, 0.02), chain(6), k_levels=4)
+    real_probes = analysis.solve_probes
+    probes = []
+
+    def recorded(cfg, values, k):
+        probes.extend(values)
+        return real_probes(cfg, values, k)
+
+    monkeypatch.setattr(analysis, "solve_probes", recorded)
+    clean = classify(dataclasses.replace(res))
+    clean_probes = list(probes)
+    touch = [g for g in clean_probes if 0.24 < g < 0.26]
+    failing = touch[9]  # the touch's tenth probe, its bracket well inside the cell
+
+    real_stacked, real_eigvalsh = analysis.stacked_blocks, np.linalg.eigvalsh
+    current, attempts = [], []
+
+    def noting(actions):
+        current[:] = [action.model.param("j2") for action in actions]
+        return real_stacked(actions)
+
+    def failing_at(mat):
+        if failing in current:
+            attempts.append(len(current))
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+        return real_eigvalsh(mat)
+
+    monkeypatch.setattr(analysis, "stacked_blocks", noting)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing_at)
+    probes.clear()
+    report = classify(res)
+    # its round failed as a batch and was re-solved probe by probe; the
+    # failure is kept, so no search solves that value again
+    assert attempts[0] > 1 and attempts[1:] == [1]
+    assert isinstance(res._probes[failing, 2 ** 6], ConvergenceError)  # dense: every level
+    assert probes.count(failing) == 1 and set(probes) <= set(clean_probes)
+    assert {g for g in set(clean_probes) - set(probes)} <= set(touch)
+    touched = clean.evidence.es_events[0]
+    assert touched.bracket == (pytest.approx(0.24), pytest.approx(0.26))
+    event = report.evidence.es_events[0]
+    assert (event.level_pair, event.kind) == ((1, 2), "unresolved")
+    assert 0.24 < event.bracket[0] <= failing <= event.bracket[1] < 0.26
+    assert event.location == 0.5 * (event.bracket[0] + event.bracket[1])
+    assert touched.min_gap <= event.min_gap <= 1e-3
+    # the rest of the report is the unpatched run's
+    evidence = dataclasses.replace(clean.evidence,
+                                   es_events=[event, *clean.evidence.es_events[1:]])
+    assert report == dataclasses.replace(clean, evidence=evidence)
 
 
 @pytest.mark.parametrize("family, fixed, swept, lattice, g", [

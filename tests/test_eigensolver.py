@@ -523,13 +523,13 @@ def test_lanczos_closes_the_ferromagnetic_multiplet():
 
 def _lapack_calls(monkeypatch):
     """Record every symmetric LAPACK call ``dense_spectrum`` makes, with
-    the dimension of its matrices."""
+    a copy of the (P, d, d) stack of matrices it solves."""
     calls = []
     for name in ("eigh", "eigvalsh"):
         real = getattr(np.linalg, name)
 
         def counted(mat, _real=real, _name=name):
-            calls.append((_name, mat.shape[-1]))
+            calls.append((_name, np.array(mat)))
             return _real(mat)
 
         monkeypatch.setattr(np.linalg, name, counted)
@@ -539,17 +539,52 @@ def _lapack_calls(monkeypatch):
 @pytest.mark.parametrize("n", [6, 8])
 @pytest.mark.parametrize("vectors", [True, False])
 def test_mirrored_sectors_cost_one_lapack_call_each(monkeypatch, n, vectors):
-    # one call per distinct block: the Sz >= 0 sectors split by momentum
+    # one call per distinct block dimension, whose stack holds each distinct
+    # block of that dimension once: the Sz >= 0 sectors split by momentum
     # and the reflection, and Sz = 0 by spin inversion too; the -m blocks
     # and the partner of each block between momenta 0 and pi are free
     dims = {6: [1] * 11 + [2] * 3 + [3] * 4,
             8: [1] * 8 + [2] * 5 + [3] * 4 + [4] * 4 + [5] * 6 + [7] * 4}[n]
     blocks = HamiltonianAction(xxz(0.6), enumerate_sector(chain(n), None)).blocks()
+    distinct = list({id(mat): mat for _, _, mat in blocks}.values())
+    assert sorted(len(mat) for mat in distinct) == dims
     calls = _lapack_calls(monkeypatch)
     dense_spectrum(blocks, levels=3, vectors=vectors)
-    assert len(calls) == len({id(mat) for _, _, mat in blocks}) == len(dims)
+    assert len(calls) == len(set(dims))
     assert all(name == ("eigh" if vectors else "eigvalsh") for name, _ in calls)
-    assert sorted(dim for _, dim in calls) == dims
+    for _, stack in calls:
+        same = [mat for mat in distinct if len(mat) == stack.shape[-1]]
+        assert np.array_equal(stack, np.stack(same))
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_blocks_of_one_dim_in_one_call_equal_their_own_calls(monkeypatch, vectors):
+    # two distinct 4 x 4 blocks of a batch of three matrices share one
+    # LAPACK call; each level comes out bitwise as when its block is
+    # solved as a matrix of its own, in a call of its own
+    rng = np.random.RandomState(3)
+    stacks = [rng.standard_normal((3, 4, 4)) for _ in range(2)]
+    stacks = [s + s.transpose(0, 2, 1) for s in stacks]
+    rows = [np.array([[0, 2, 4, 6]]), np.array([[1, 3, 5, 7]])]
+    ones = np.ones((1, 4))
+    calls = _lapack_calls(monkeypatch)
+    both = dense_spectra([(r, ones, s) for r, s in zip(rows, stacks)], vectors=vectors)
+    assert [stack.shape for _, stack in calls] == [(6, 4, 4)]
+    calls.clear()
+    alone = [dense_spectra([(np.arange(4)[None], ones, s)], vectors=vectors) for s in stacks]
+    assert [stack.shape for _, stack in calls] == [(3, 4, 4)] * 2
+    for p, got in enumerate(both):
+        own = [solutions[p] for solutions in alone]
+        assert np.array_equal(got.energies, np.sort(np.concatenate([o.energies for o in own])))
+        if not vectors:
+            continue
+        for b, (r, want) in enumerate(zip(rows, own)):
+            kept = [c for c, (block, _) in enumerate(got.block_levels) if block == b]
+            assert np.array_equal(got.energies[kept], want.energies)
+            assert np.array_equal(got.residuals[kept], want.residuals)
+            assert np.array_equal(got.vectors[r[0]][:, kept], want.vectors)
+            assert all(np.array_equal(got.block_levels[c][1], vec)
+                       for c, (_, vec) in zip(kept, want.block_levels))
 
 
 def test_mirrored_levels_are_equal_and_minus_m_comes_first():

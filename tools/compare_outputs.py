@@ -75,6 +75,8 @@ COMMANDS = (
     "classify --model xxz --sweep delta:0:2:0.05 --sites 8 --levels 4",
     "classify --model j1j2 --j1 1 --sweep j2:0:1:0.05 --sites 10 --levels 3",
     "classify --model ising --sweep lambda:0.05:1:0.05 --sites 10 --levels 3",
+    # dense probes on both sides of h = 0, where the field term and the layout drop out
+    "classify --model xyz --jy 0.6 --sweep h:-0.5:0.5:0.05 --sites 8 --levels 4",
     # sumrule
     "sumrule --model xxz --delta 0.6 --sites 8 --operator all",
     "sumrule --model ising --lambda 1 --sites 8 --operator all",
