@@ -2,17 +2,21 @@
 concurrence, transition-type classification, and finite-size drift of
 derivative extrema.
 
-A sweep splits its grid into contiguous chunks, one per worker process
+Every parameter value, a sweep's grid point or a crossing probe, is
+solved by one path, ``solve_points``, and every solve reaches LAPACK or
+Lanczos through ``_solve``; ``solve_model`` is its one-model case.  A
+sweep splits its grid into contiguous chunks, one per worker process
 (one chunk in all without ``threads``), and each chunk runs the same
-function.  Dense grid points are solved in batches (``_batches``): the
-points whose models share a block layout stack their block matrices for
-one ``dense_spectra`` call (``solve_batch``), the matrices, eigenvectors
-and lifted levels of a batch at most ``BATCH_BYTES``, and each batch is
-observed before the next is solved; a batch whose LAPACK call fails is
-re-solved point by point.  A batched point is bitwise its one-point
-solve, every level lifted, so a point's result never depends on the
-points solved with it, and any worker count gives the same bytes.
-Lanczos grid points are solved one at a time (``solve_levels``).
+function.  Dense values are solved in batches (``_batches``): the
+values whose models share a block layout stack their block matrices for
+one ``dense_spectra`` call, the matrices, eigenvectors and levels of a
+batch at most ``BATCH_BYTES``, and each batch is observed before the
+next is solved; a batch whose LAPACK call fails is re-solved value by
+value.  A batched point is bitwise its one-point solve, every level
+lifted, so a point's result never depends on the points solved with
+it, and any worker count gives the same bytes.  Lanczos values are
+solved one at a time, each holding its sparse operator only for its
+own solve.
 
 Crossings are found on the sorted level curves of a sweep.  Because the
 solvers resolve degenerate multiplets exactly, a crossing shows up in
@@ -26,12 +30,11 @@ longer run, where the "gap below tolerance" boundary is bisected.  Each
 search is a generator that yields the values it probes, and ``classify``
 runs the searches of every cell of every level pair in lockstep rounds
 (``_crossings``): each round, the values not solved yet are solved
-together (``solve_probes``), dense probes in batches by the grid's rule
-and Lanczos probes one at a time.  A probe value is solved once per
-sweep, energies only; a dense probe solves every level of the sweep and
-serves each level pair, a Lanczos one asks for the levels its pair
-needs.  A probe whose solve fails ends the searches that need it, each
-with an "unresolved" event, and the rest go on.  A
+together (``solve_probes``) by the grid points' path.  A probe value
+is solved once per sweep, energies only; a dense probe solves every
+level of the sweep and serves each level pair, a Lanczos one asks for
+the levels its pair needs.  A probe whose solve fails ends the searches
+that need it, each with an "unresolved" event, and the rest go on.  A
 refined gap at or below the degeneracy tolerance is a true crossing; a
 dip that stays open between levels carrying the same quantum numbers is
 an avoided crossing, and one between levels of different symmetry is no
@@ -49,9 +52,8 @@ import numpy as np
 from .lattice import LatticeSpec, SectorBasis, enumerate_sector
 from .models import (BOND_PAIRS, FAMILY_TABLE, ModelSpec, HamiltonianAction,
                      build_model, family_spec, stacked_blocks)
-from .eigensolver import (EigenSolution, dense_spectra, dense_spectrum,
-                          degeneracy_tolerance, ground_multiplicity, lanczos_lowest_k,
-                          ConvergenceError)
+from .eigensolver import (EigenSolution, dense_spectra, degeneracy_tolerance,
+                          ground_multiplicity, lanczos_lowest_k, ConvergenceError)
 from .observables import StateLabels, level_labels, pair_correlators, two_site_rdm
 from .entanglement import wootters_concurrence
 
@@ -94,8 +96,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class SolverOptions:
-    """How ``solve_model`` solves one point.  The sum rules' full-spectrum
-    cap is not here: it is ``observables.DENSE_CAP_DEFAULT``."""
+    """How a sweep or ``solve_model`` solves a point.  The sum rules'
+    full-spectrum cap is not here: it is ``observables.DENSE_CAP_DEFAULT``."""
     tol: float = 1e-10           # Lanczos residual tolerance, relative to the width
     seed: int = DEFAULT_SEED     # Lanczos start vectors
     dense_cutoff: int = 512      # spaces of this dimension or less use LAPACK
@@ -192,95 +194,89 @@ def _choose_space(family, lattice, space) -> int | None:
 
 
 def solve_model(model: ModelSpec, basis: SectorBasis, k: int,
-                options: SolverOptions, *, energies_only: bool = False) -> EigenSolution:
+                options: SolverOptions) -> EigenSolution:
     """Lowest k levels of one model on one basis, dense or Lanczos by size,
-    each with its vector in the basis; k below 1 or above the dimension
-    raises ValueError on both paths.
+    each with its vector in the basis: ``_solve`` of one model, so it is
+    bitwise the model's point in a sweep.  k below 1 or above the
+    dimension raises ValueError on both paths."""
+    return _solve([HamiltonianAction(model, basis)], k, options)[0]
 
-    The dense path (``dense_spectrum``) solves each symmetry block of the
-    basis on its own and keeps every level in its block
-    (``EigenSolution.block_levels``), with each block's label terms
-    (``block_labels``), and takes every residual in the level's block.
-    ``energies_only`` lets it skip eigenvectors and residuals; Lanczos
-    produces every vector either way, with sparse residuals.  One
-    ``HamiltonianAction`` gives the blocks and their labels, or the
-    operator, so the model's terms are built once per solve.
+
+def _solve(actions: list, k: int, options: SolverOptions,
+           energies_only: bool = False) -> list[EigenSolution]:
+    """The lowest k levels of each of ``actions``, models on one basis;
+    the one place a solve reaches LAPACK or Lanczos.
+
+    On a dense basis (``_dense``) the actions have the same term keys,
+    and one ``dense_spectra`` call solves each symmetry block of every
+    model, keeping every level in its block (``EigenSolution.block_levels``)
+    with each block's label terms (``block_labels``), and every residual
+    in the level's block; ``energies_only`` skips eigenvectors and
+    residuals.  Each solution is bitwise its model's solve alone.  Else
+    each action is the operator of one Lanczos solve, which produces every
+    vector either way, with sparse residuals.
     """
-    _check_levels(k, basis)
-    action = HamiltonianAction(model, basis)
-    if not _dense(basis, options):
-        return lanczos_lowest_k(action, basis.dimension, k,
-                                tol=options.tol, seed=options.seed)
-    solution = dense_spectrum(action.blocks(), levels=k, vectors=not energies_only)
-    if solution.block_levels is not None:
-        solution.block_labels = action.labels()
-    return solution
-
-
-def solve_batch(actions: list, k: int) -> list[EigenSolution]:
-    """The lowest k levels of each of ``actions``, models on one dense
-    basis with the same term keys, by one ``dense_spectra`` call; each
-    solution is bitwise ``solve_model``'s."""
-    _check_levels(k, actions[0].basis)
-    solutions = dense_spectra(stacked_blocks(actions), levels=k)
-    labels = actions[0].labels()
-    for solution in solutions:
-        solution.block_labels = labels
-    return solutions
-
-
-def _check_levels(k: int, basis: SectorBasis) -> None:
+    basis = actions[0].basis
     if k < 1:
         raise ValueError("need k >= 1")
     if k > basis.dimension:
         raise ValueError(f"k={k} exceeds dimension {basis.dimension}")
+    if not _dense(basis, options):
+        return [lanczos_lowest_k(action, basis.dimension, k, tol=options.tol,
+                                 seed=options.seed) for action in actions]
+    solutions = dense_spectra(stacked_blocks(actions), levels=k, vectors=not energies_only)
+    if not energies_only:
+        labels = actions[0].labels()
+        for solution in solutions:
+            solution.block_labels = labels
+    return solutions
 
 
 def _dense(basis: SectorBasis, options: SolverOptions) -> bool:
-    """Whether ``solve_model`` solves on ``basis`` with LAPACK."""
+    """Whether ``_solve`` solves on ``basis`` with LAPACK."""
     return basis.dimension <= options.dense_cutoff
 
 
-def solve_levels(cfg: PointConfig, g: float, k: int, *,
-                 energies_only: bool = False) -> tuple[EigenSolution, SectorBasis]:
-    """Lowest k levels of a sweep's model at one parameter value."""
+def solve_points(cfg: PointConfig, values, k: int, *, energies_only: bool = False):
+    """Yield ``(i, solution)`` for each of ``values``: the lowest k levels
+    of the sweep's model at ``values[i]`` (``_solve``, energies alone with
+    ``energies_only``), or the ConvergenceError its solve raised.
+
+    Dense values are solved in batches (``_batches``), one ``dense_spectra``
+    call each; a batch whose LAPACK call fails is re-solved value by
+    value.  Lanczos values are solved one at a time, each operator built
+    for its own solve and dropped after it.  A batch is yielded before the
+    next is solved, so a caller that observes each solution as it comes
+    holds one batch, or one sparse operator, at a time.
+    """
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
-    return solve_model(cfg.model_at(g), basis, k, cfg.options,
-                       energies_only=energies_only), basis
+    if _dense(basis, cfg.options):
+        actions = [HamiltonianAction(cfg.model_at(g), basis) for g in values]
+        batches = _batches(actions, k if energies_only else basis.dimension * k)
+    else:
+        actions, batches = None, [[i] for i in range(len(values))]
+
+    def part(batch):
+        # a Lanczos action keeps its sparse operator once applied, so it is
+        # built for its solve alone and is gone before its solution is yielded
+        if actions is None:
+            return [HamiltonianAction(cfg.model_at(values[i]), basis) for i in batch]
+        return [actions[i] for i in batch]
+
+    for batch in batches:
+        yield from zip(batch, _each_or_error(
+            lambda acts: _solve(acts, k, cfg.options, energies_only), part(batch)))
 
 
 def solve_probes(cfg: PointConfig, values, k: int) -> list:
     """Crossing refinement's probes: for each of ``values``, the lowest
-    ``cfg.k_levels`` levels by value of the sweep's model, energies only,
-    of the k levels solved there, or the ConvergenceError its solve raised.
-
-    Dense probes are solved in batches (``_batches``) by one
-    ``dense_spectra`` call each, every probe bitwise its one-point solve;
-    a batch whose LAPACK call fails is re-solved probe by probe.  Lanczos
-    probes are solved one at a time (``solve_levels``).
-    """
-    basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
-    if not _dense(basis, cfg.options):
-        return [_lanczos_probe(cfg, g, k) for g in values]
-
-    def solve(actions):
-        solutions = dense_spectra(stacked_blocks(actions), levels=k, vectors=False)
-        return [np.sort(sol.energies)[:cfg.k_levels] for sol in solutions]
-
-    actions = [HamiltonianAction(cfg.model_at(g), basis) for g in values]
-    levels = [None] * len(actions)
-    for batch in _batches(actions, basis.dimension):
-        for i, out in zip(batch, _each_or_error(solve, [actions[i] for i in batch])):
-            levels[i] = out
+    ``cfg.k_levels`` levels by value of the k solved there, energies only
+    (``solve_points``), or the ConvergenceError its solve raised."""
+    levels = [None] * len(values)
+    for i, sol in solve_points(cfg, values, k, energies_only=True):
+        levels[i] = sol if isinstance(sol, ConvergenceError) else \
+            np.sort(sol.energies)[:cfg.k_levels]
     return levels
-
-
-def _lanczos_probe(cfg: PointConfig, g: float, k: int):
-    try:
-        sol, _ = solve_levels(cfg, g, k, energies_only=True)
-    except ConvergenceError as err:
-        return err
-    return np.sort(sol.energies)[:cfg.k_levels]
 
 
 @dataclass
@@ -343,47 +339,20 @@ class SweepResult:
         return [p for p in self.points if p.flag is not None]
 
 
-def _sweep_point(cfg: PointConfig, g: float) -> SweepPoint:
-    """One Lanczos grid point; a point whose solve or observables fail is
-    flagged with the message, and the sweep carries on."""
-    try:
-        sol, basis = solve_levels(cfg, g, cfg.k_levels)
-    except ConvergenceError as err:
-        return _flagged(cfg, g, err)
-    return _observe_or_flag(cfg, g, sol, basis)
-
-
-def _flagged(cfg: PointConfig, g: float, err: Exception) -> SweepPoint:
-    return SweepPoint(g, np.full(cfg.k_levels, np.nan), [], {}, flag=str(err))
-
-
-def _observe_or_flag(cfg: PointConfig, g: float, sol: EigenSolution, basis) -> SweepPoint:
-    try:
-        return _observe_point(cfg, g, sol, basis)
-    except ValueError as err:  # an invalid state or RDM at this point only
-        return _flagged(cfg, g, err)
-
-
 def _sweep_chunk(cfg: PointConfig, values: np.ndarray) -> list[SweepPoint]:
-    """The points of consecutive grid ``values``.
-
-    On a dense basis the points are solved in batches (``_batches``,
-    ``solve_batch``), each lifting k levels per point, and each batch is
-    observed before the next is solved.  Lanczos points are solved one by
-    one (``_sweep_point``).
-    """
+    """The points of consecutive grid ``values``, each observed as
+    ``solve_points`` yields it.  A point whose solve or observables fail
+    is flagged with the message, and the sweep carries on."""
     basis = enumerate_sector(cfg.lattice, cfg.sz_twice)
-    if not _dense(basis, cfg.options):
-        return [_sweep_point(cfg, g) for g in values]
-    actions = [HamiltonianAction(cfg.model_at(g), basis) for g in values]
     points = [None] * len(values)
-    for batch in _batches(actions, basis.dimension * cfg.k_levels):
-        solutions = _each_or_error(lambda part: solve_batch(part, cfg.k_levels),
-                                   [actions[i] for i in batch])
-        for i, sol in zip(batch, solutions):
-            g = values[i]
-            points[i] = (_flagged(cfg, g, sol) if isinstance(sol, ConvergenceError)
-                         else _observe_or_flag(cfg, g, sol, basis))
+    for i, sol in solve_points(cfg, values, cfg.k_levels):
+        try:
+            if isinstance(sol, ConvergenceError):
+                raise sol
+            points[i] = _observe_point(cfg, values[i], sol, basis)
+        except (ConvergenceError, ValueError) as err:  # ValueError: an invalid state or RDM
+            points[i] = SweepPoint(values[i], np.full(cfg.k_levels, np.nan), [], {},
+                                   flag=str(err))
     return points
 
 
@@ -393,8 +362,7 @@ def _batches(actions: list, extra: int) -> list[list[int]]:
     term keys (one block layout), in order, cut so that a batch holds at
     most ``BATCH_BYTES``, counting per point 2 ``block_entries`` floats
     for its block matrices and their eigenvectors, and ``extra`` floats
-    for its levels.  Sweep grid points and refinement probes are batched
-    by this one rule."""
+    for its levels (k energies, or k levels lifted into the basis)."""
     layouts = {}
     for i, action in enumerate(actions):
         layouts.setdefault(action.keys, []).append(i)
@@ -931,6 +899,8 @@ def scaling_study(family: str, fixed_params: dict, swept: GridSpec,
     sizes = list(sizes)
     if len(set(sizes)) < len(sizes):
         raise ValueError(f"each size may appear once, not {sizes}")
+    if not 1 <= derivative_order <= 4:
+        raise ValueError(f"derivative_order must be between 1 and 4, not {derivative_order}")
     entries = []
     skipped = []
     for n in sizes:

@@ -329,8 +329,11 @@ def test_batched_sweep_points_equal_single_solves(family, fixed, grid, pairs, sp
         point = 2 * HamiltonianAction(model, basis).block_entries + 10 * basis.dimension
         monkeypatch.setattr(analysis, "BATCH_BYTES", 3 * 8 * point)
         res = sweep(family, fixed, grid, lattice, k_levels=10, pairs=pairs, space=space)
-        _same_points(res.points, [analysis._sweep_point(res.config, g)
-                                  for g in grid.values()])
+        cfg = res.config
+        _same_points(res.points, [
+            analysis._observe_point(cfg, g, analysis.solve_model(cfg.model_at(g), basis, 10,
+                                                                 cfg.options), basis)
+            for g in grid.values()])
         multiplicities |= {p.gs_multiplicity for p in res.points}
     if family == "xxz":
         assert 9 in multiplicities
@@ -346,18 +349,26 @@ def test_batched_sweep_parallel_matches_serial():
     _same_points(parallel.points, serial.points)
 
 
-def test_batched_levels_hold_their_own_vectors():
+def test_batched_levels_hold_their_own_vectors(monkeypatch):
     # a kept level's block vector is a copy: it keeps at most k vectors
     # alive, never a block's whole eigenvector stack
-    from spinqpt.analysis import solve_batch
-    from spinqpt.lattice import enumerate_sector
-    from spinqpt.models import HamiltonianAction, xxz
-    basis = enumerate_sector(chain(8), None)
-    k = 4
-    actions = [HamiltonianAction(xxz(delta), basis) for delta in (-1.0, 0.3, 1.0, 2.0)]
-    for sol in solve_batch(actions, k):
-        for _, vec in sol.block_levels:
-            assert vec.base is None or vec.base.size <= k * len(vec)
+    import spinqpt.analysis as analysis
+    real = analysis._solve
+    batches = []
+
+    def recorded(actions, k, options, energies_only=False):
+        solutions = real(actions, k, options, energies_only)
+        batches.append((k, solutions))
+        return solutions
+
+    monkeypatch.setattr(analysis, "_solve", recorded)
+    sweep("xxz", {}, GridSpec("delta", -1.0, 2.0, 0.1), chain(8), k_levels=4, space="full")
+    assert max(len(solutions) for _, solutions in batches) > 1
+    for k, solutions in batches:
+        for sol in solutions:
+            assert len(sol.block_levels) == k
+            for _, vec in sol.block_levels:
+                assert vec.base is None or vec.base.size <= k * len(vec)
 
 
 # --- crossings and classification ---------------------------------------------
@@ -443,6 +454,39 @@ def test_sweep_flags_failed_points_and_continues(monkeypatch):
     assert len(res.points) == 3
     assert len(res.flagged) == 3
     assert np.all(np.isnan(res.concurrence()))
+
+
+def test_lanczos_sweep_holds_one_operator_at_a_time(monkeypatch):
+    # each grid point's action holds its sparse operator once solved, so a
+    # Lanczos sweep must let go of a point's action before the next solve,
+    # and before the point is observed
+    import weakref
+    import spinqpt.analysis as analysis
+    real_action, real_lanczos = analysis.HamiltonianAction, analysis.lanczos_lowest_k
+    real_observe = analysis._observe_point
+    alive, counts, observed = weakref.WeakSet(), [], []
+
+    def tracked(*args):
+        action = real_action(*args)
+        alive.add(action)
+        return action
+
+    def counted(apply, dim, k, **kwargs):
+        counts.append(len(alive))
+        return real_lanczos(apply, dim, k, **kwargs)
+
+    def observe(*args):
+        observed.append(len(alive))
+        return real_observe(*args)
+
+    monkeypatch.setattr(analysis, "HamiltonianAction", tracked)
+    monkeypatch.setattr(analysis, "lanczos_lowest_k", counted)
+    monkeypatch.setattr(analysis, "_observe_point", observe)
+    res = sweep("xxz", {}, GridSpec("delta", 0.4, 0.7, 0.1), chain(10),
+                k_levels=2, space="sz0", options=SolverOptions(dense_cutoff=8))
+    assert not res.flagged
+    assert counts == [1] * len(res.points)
+    assert observed == [0] * len(res.points)
 
 
 def test_detect_skips_flagged_segments():
@@ -536,16 +580,16 @@ def test_crossing_candidates_on_a_piecewise_linear_gap(monkeypatch):
 
 def test_sweep_flags_a_bad_point_and_continues(monkeypatch):
     import spinqpt.analysis as analysis
-    real = analysis.solve_batch
+    real = analysis._solve
 
-    def unnormalized_at_one(actions, k):
-        solutions = real(actions, k)
+    def unnormalized_at_one(actions, k, options, energies_only=False):
+        solutions = real(actions, k, options, energies_only)
         for action, sol in zip(actions, solutions):
             if abs(action.model.param("delta") - 1.0) < 1e-12:
                 sol.vectors[:, 0] *= 2.0
         return solutions
 
-    monkeypatch.setattr(analysis, "solve_batch", unnormalized_at_one)
+    monkeypatch.setattr(analysis, "_solve", unnormalized_at_one)
     res = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)
     assert len(res.points) == 5
     assert [p.g for p in res.flagged] == [pytest.approx(1.0)]
@@ -583,20 +627,20 @@ def test_refinement_solves_each_probe_once_for_every_level_pair(monkeypatch):
 
 def test_sweep_flags_a_lapack_failure_and_continues(monkeypatch):
     import spinqpt.analysis as analysis
-    real_batch = analysis.solve_batch
+    real_solve = analysis._solve
     real_eigh = np.linalg.eigh
     current = []  # the grid values being solved: every dense point is a batch's
 
-    def noting_batch(actions, k):
+    def noting_batch(actions, k, options, energies_only=False):
         current[:] = [action.model.param("delta") for action in actions]
-        return real_batch(actions, k)
+        return real_solve(actions, k, options, energies_only)
 
     def failing_at_one(mat):
         if any(abs(g - 1.0) < 1e-12 for g in current):
             raise np.linalg.LinAlgError("Eigenvalues did not converge")
         return real_eigh(mat)
 
-    monkeypatch.setattr(analysis, "solve_batch", noting_batch)
+    monkeypatch.setattr(analysis, "_solve", noting_batch)
     monkeypatch.setattr(np.linalg, "eigh", failing_at_one)
     res = sweep("xxz", {}, GridSpec("delta", 0.9, 1.1, 0.05), chain(6), k_levels=2)
     assert len(res.points) == 5
@@ -615,14 +659,14 @@ def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
     import spinqpt.analysis as analysis
     res = sweep("xxz", {}, GridSpec("delta", -2.0, 0.0, 0.05), chain(6),
                 k_levels=4, space="full", options=SolverOptions(dense_cutoff=32))
-    real = analysis.solve_levels
+    real = analysis.lanczos_lowest_k
     asked = []
 
-    def recorded(cfg, g, k, **kwargs):
+    def recorded(apply, dim, k, **kwargs):
         asked.append(k)
-        return real(cfg, g, k, **kwargs)
+        return real(apply, dim, k, **kwargs)
 
-    monkeypatch.setattr(analysis, "solve_levels", recorded)
+    monkeypatch.setattr(analysis, "lanczos_lowest_k", recorded)
     events = detect_crossings(res, 0, 1)
     assert events and set(asked) == {2}
     asked.clear()
@@ -632,7 +676,7 @@ def test_lanczos_refinement_asks_each_probe_for_its_pair_only(monkeypatch):
 
 def _sequential_probes(res, pairs):
     """Refine every candidate cell of ``pairs`` one search at a time, each
-    probe solved alone by ``solve_levels`` and once per sweep; returns the
+    probe solved alone by ``solve_points`` and once per sweep; returns the
     probe values in solve order and the levels kept for each (g, k)."""
     import spinqpt.analysis as analysis
     from spinqpt.eigensolver import degeneracy_tolerance
@@ -657,7 +701,7 @@ def _sequential_probes(res, pairs):
                     break
                 if (g, k) not in levels:
                     solved.append(g)
-                    sol, _ = analysis.solve_levels(cfg, g, k, energies_only=True)
+                    (_, sol), = analysis.solve_points(cfg, [g], k, energies_only=True)
                     levels[g, k] = np.sort(sol.energies)[:cfg.k_levels]
                 reply = float(levels[g, k][b] - levels[g, k][a])
     return solved, levels
@@ -703,7 +747,7 @@ def test_lockstep_probes_equal_a_sequential_run(monkeypatch):
     assert rounds[-1][1] == [3, 1]
     assert len({HamiltonianAction(cfg.model_at(g), basis).keys for g in values}) == 2
     for g, out in zip(values, got):
-        sol, _ = analysis.solve_levels(cfg, g, basis.dimension, energies_only=True)
+        (_, sol), = analysis.solve_points(cfg, [g], basis.dimension, energies_only=True)
         assert np.array_equal(out, np.sort(sol.energies)[:cfg.k_levels])
 
 
@@ -793,15 +837,20 @@ def test_a_failed_probe_ends_its_search_not_the_run(monkeypatch):
 ])
 def test_dense_batch_of_one_lifts_every_level(family, fixed, swept, lattice, g):
     import spinqpt.analysis as analysis
+    from spinqpt.eigensolver import dense_spectrum
     from spinqpt.models import HamiltonianAction
     pairs = (("a", (0, 1)), ("b", (0, 2)), ("c", (1, 5)))
     cfg = PointConfig(family, fixed, swept, lattice, None, 6, pairs, SolverOptions())
+    basis = analysis.enumerate_sector(lattice, None)
     point, = analysis._sweep_chunk(cfg, np.array([g]))
-    sol, basis = analysis.solve_levels(cfg, g, cfg.k_levels)  # every level lifted
+    sol = analysis.solve_model(cfg.model_at(g), basis, cfg.k_levels, cfg.options)
     lifted = analysis._observe_point(cfg, g, sol, basis)
-    assert point.flag is None and sol.vectors.shape[1] == cfg.k_levels
+    assert point.flag is None and sol.vectors.shape[1] == cfg.k_levels  # every level lifted
     assert np.array_equal(point.energies, lifted.energies)
     assert point.pairs == lifted.pairs
     assert point.gs_multiplicity == lifted.gs_multiplicity
-    ground, = analysis.solve_batch([HamiltonianAction(cfg.model_at(g), basis)], cfg.k_levels)
-    assert np.array_equal(ground.vectors, sol.vectors)
+    # a batch of one is bitwise the one-matrix solve of the action's own blocks
+    alone = dense_spectrum(HamiltonianAction(cfg.model_at(g), basis).blocks(),
+                           levels=cfg.k_levels)
+    assert np.array_equal(alone.vectors, sol.vectors)
+    assert np.array_equal(alone.residuals, sol.residuals)

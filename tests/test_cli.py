@@ -262,6 +262,19 @@ def test_scaling_payload(capsys):
         assert set(payload["fit"]) == {"intercept", "slope", "residual_norm"}
 
 
+@pytest.mark.parametrize("value", ["0", "5"])
+def test_scaling_order_outside_one_to_four_fails_before_any_sweep(value, capsys,
+                                                                   monkeypatch):
+    import spinqpt.analysis as analysis
+    swept = []
+    monkeypatch.setattr(analysis, "sweep", lambda *args, **kwargs: swept.append(args))
+    code, out, err = run_capture(
+        ["scaling", "--model", "ising", "--sweep", "lambda:0.5:1.5:0.1",
+         "--sizes", "6,8", "--order", value], capsys)
+    assert (code, out, swept) == (2, "", [])
+    assert err == f"error: derivative_order must be between 1 and 4, not {value}\n"
+
+
 # --- config handling ---------------------------------------------------------
 
 def test_config_file_and_flag_override(tmp_path, capsys):
