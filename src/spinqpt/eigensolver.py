@@ -22,13 +22,18 @@ enough for Ritz pairs to working accuracy.  Every step is projected
 against the converged states.  Degenerate levels are recovered by
 restarting with deflation against everything already converged (a single
 Krylov sequence carries one vector per distinct eigenvalue, so multiplets
-need the restarts).
+need the restarts).  A call allocates one workspace, a Krylov store as
+long as its longest sequence and the scratch rows of the recurrences;
+every restart writes into it in place and it is freed when the call
+returns, so a solve peaks at about one Krylov store, whatever its
+restarts.
 
 Both solvers fix eigenvector phase by making the largest-magnitude
 amplitude positive, and both report explicit residuals: |H_b v_b - E v_b|
 in the level's block for LAPACK, |H v - E v| for Lanczos.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -256,6 +261,13 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
     them (``second_passes``), and keeps the first sequence's lowest Ritz
     values (``ritz_history``) and the ``spectral_width`` estimate.
     Each residual is the one measured when its Ritz pair was accepted.
+
+    The call holds one workspace for all its sequences: the Krylov store
+    (one row of ``dim`` per step of the longest sequence, plus one), one
+    scratch vector, the alphas and betas, and Simon's three estimate rows
+    with one scratch row.  Each restart overwrites it, no view of it is
+    returned, and it is freed on return, so the call peaks at about one
+    Krylov store.  Nothing is kept between calls.
     """
     if k < 1:
         raise ValueError("need k >= 1")
@@ -278,6 +290,15 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
     # rounding each step adds to the overlap estimates: a matvec is
     # accurate to about sqrt(dim) * eps * |H|
     noise = np.sqrt(dim) * EPS
+    # the workspace every Krylov sequence of this call writes in place: the
+    # Krylov rows, one scratch vector, the recurrence coefficients, Simon's
+    # three estimate rows and one scratch row for their recurrence
+    q_rows = np.empty((max_iter + 1, dim))
+    tmp = np.empty(dim)
+    alphas = np.empty(max_iter)
+    betas = np.empty(max_iter)
+    omega_rows = np.empty((3, max_iter + 1))
+    scratch = np.empty(max_iter + 1)
 
     def matvec(v):
         nonlocal matvecs
@@ -288,6 +309,16 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
         if len(found):
             w -= (found @ w) @ found
         return w
+
+    def reorthogonalize(w, m):
+        """``w`` minus its projection on the Krylov rows 0..m, by one
+        classical Gram-Schmidt pass (a contiguous gemv each way), in place;
+        returns its norm after."""
+        krylov = q_rows[:m + 1]
+        np.matmul(krylov, w, out=scratch[:m + 1])
+        np.matmul(scratch[:m + 1], krylov, out=tmp)
+        w -= tmp
+        return math.sqrt(w.dot(w))
 
     certified = False
     while restarts <= max_restarts:
@@ -311,13 +342,11 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
             continue
 
         steps = min(max_iter, dim - len(found_vals))
-        q_rows = np.empty((steps + 1, dim))
-        q_rows[0] = q / norm
-        alphas = np.empty(steps)
-        betas = np.empty(steps)
+        np.divide(q, norm, out=q_rows[0])
         # at step m, omega[i] estimates q_m . q_i, omega_prev the same for
         # q_{m-1}, and omega_next receives the estimates for q_{m+1}
-        omega, omega_prev, omega_next = np.zeros((3, steps + 1))
+        omega_rows.fill(0.0)
+        omega, omega_prev, omega_next = omega_rows
         omega[0] = 1.0
         h_norm = 0.0
         pending = False
@@ -326,43 +355,49 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
         for m in range(steps):
             w = matvec(q_rows[m])
             alphas[m] = q_rows[m] @ w
-            w -= alphas[m] * q_rows[m]
+            np.multiply(alphas[m], q_rows[m], out=tmp)
+            w -= tmp
             if m > 0:
-                w -= betas[m - 1] * q_rows[m - 1]
+                np.multiply(betas[m - 1], q_rows[m - 1], out=tmp)
+                w -= tmp
             w = deflate(w)
-            beta = float(np.linalg.norm(w))
+            beta = math.sqrt(w.dot(w))  # np.linalg.norm's sum for a float vector
             krylov_steps += 1
             # Simon's recurrence: est[i] is beta * omega_{m+1,i}, from the
             # Lanczos relation dotted with q_i plus a rounding term of the
-            # sign that grows it
+            # sign that grows it, summed term by term in this order
             h_norm = max(h_norm, abs(alphas[m]) + beta + (betas[m - 1] if m else 0.0))
             tol_round = noise * h_norm
             est = omega_next[:m + 1]
             est[m] = tol_round
             if m:
-                est[:m] = (betas[:m] * omega[1:m + 1] + (alphas[:m] - alphas[m]) * omega[:m]
-                           - betas[m - 1] * omega_prev[:m])
-                est[1:m] += betas[:m - 1] * omega[:m - 1]
-                est[:m] += np.copysign(tol_round, est[:m])
+                head, term = est[:m], scratch[:m]
+                np.multiply(betas[:m], omega[1:m + 1], out=head)
+                np.subtract(alphas[:m], alphas[m], out=term)
+                term *= omega[:m]
+                head += term
+                np.multiply(betas[m - 1], omega_prev[:m], out=term)
+                head -= term
+                np.multiply(betas[:m - 1], omega[:m - 1], out=term[:m - 1])
+                est[1:m] += term[:m - 1]
+                np.copysign(tol_round, head, out=term)
+                head += term
             # the full pass runs when an estimate passes sqrt(eps), and again
             # on the next step, whose recurrence still carries the drift of
             # q_m, which was not reorthogonalized
-            reorth = pending or bool(np.max(np.abs(est)) >= SEMI_ORTHOGONAL * beta)
+            reorth = pending or bool(np.abs(est, out=scratch[:m + 1]).max()
+                                     >= SEMI_ORTHOGONAL * beta)
             pending = reorth and not pending
             if reorth:
-                # one classical pass against the Krylov rows, a contiguous
-                # gemv; a second, with deflation, only when the first
+                # a second pass, with deflation, only when the first
                 # cancelled most of w (DGKS: Daniel, Gragg, Kaufman &
                 # Stewart, Math. Comp. 30, 772 (1976))
                 reorthogonalizations += 1
-                krylov = q_rows[:m + 1]
-                w -= (krylov @ w) @ krylov
-                before, beta = beta, float(np.linalg.norm(w))
+                before, beta = beta, reorthogonalize(w, m)
                 if beta < before / np.sqrt(2.0):
                     second_passes += 1
                     w = deflate(w)
-                    w -= (krylov @ w) @ krylov
-                    beta = float(np.linalg.norm(w))
+                    beta = reorthogonalize(w, m)
                 est[:] = EPS
             else:
                 est /= beta
@@ -384,7 +419,7 @@ def lanczos_lowest_k(apply, dim: int, k: int, *, tol: float = 1e-10,
                     break
             if exhausted:
                 break
-            q_rows[m + 1] = w / beta
+            np.divide(w, beta, out=q_rows[m + 1])
 
         if ritz is None:
             restarts += 1

@@ -1,3 +1,4 @@
+import copy
 import tracemalloc
 
 import numpy as np
@@ -673,3 +674,50 @@ def test_lapack_failure_is_a_convergence_error(monkeypatch, vectors):
     monkeypatch.setattr(np.linalg, "eigh" if vectors else "eigvalsh", broken)
     with pytest.raises(ConvergenceError, match="did not converge"):
         dense_spectrum(one_block(np.eye(3)), vectors=vectors)
+
+
+@pytest.mark.parametrize("model, sites, sz_twice, k", [
+    (j1j2(1.0, 0.3), 14, 0, 2),    # dim 3432, one certifying restart
+    (xxz(-1.0), 10, None, 12),     # dim 1024, 22 restarts on an 11-fold ground level
+])
+def test_lanczos_stays_within_one_krylov_store(model, sites, sz_twice, k):
+    # every deflation restart reuses the call's one Krylov store; a fresh
+    # store per restart, allocated while the last is still held, peaks at two
+    basis = enumerate_sector(chain(sites), sz_twice)
+    dim = basis.dimension
+    action = HamiltonianAction(model, basis)
+    action(np.zeros(dim))  # the operator is built and cached before tracing
+    store = (min(dim, max(3 * k + 80, 320)) + 1) * dim * 8
+    tracemalloc.start()
+    try:
+        sol = lanczos_lowest_k(action, dim, k)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sol.meta["restarts"] >= 2
+    assert peak <= 1.5 * store
+
+
+def test_lanczos_workspace_leaks_nothing_between_calls():
+    # A, then B on another basis of another dimension, then A again with
+    # the same seed: A's first solution is left as it was returned, the
+    # second is bitwise equal to it, and no returned array shares memory
+    # with another solution's
+    basis_a, basis_b = enumerate_sector(chain(10), 0), enumerate_sector(chain(8), None)
+    action_a = HamiltonianAction(j1j2(1.0, 0.5), basis_a)
+    action_b = HamiltonianAction(xxz(-1.0), basis_b)
+    first = lanczos_lowest_k(action_a, basis_a.dimension, 3, seed=11)
+    returned = copy.deepcopy(first)
+    other = lanczos_lowest_k(action_b, basis_b.dimension, 4, seed=11)
+    again = lanczos_lowest_k(action_a, basis_a.dimension, 3, seed=11)
+    names = ("energies", "vectors", "residuals")
+    for sol in (first, again):
+        for name in names:
+            assert getattr(sol, name).tobytes() == getattr(returned, name).tobytes()
+        assert sol.meta == returned.meta
+    assert other.meta["restarts"] >= 2 and other.vectors.shape == (256, 4)
+    arrays = [(i, getattr(sol, name)) for i, sol in enumerate((first, other, again))
+              for name in names]
+    for i, x in arrays:
+        for j, y in arrays:
+            assert i == j or not np.shares_memory(x, y)

@@ -10,9 +10,10 @@ says "identical", or names each JSON field path (list indices written
 ``[]``) or CSV column that changed, with its largest absolute move.
 The exit status is 1 when any command differs, else 0.
 
-The list covers every subcommand, the dense and Lanczos solver paths,
-full, Sz = 0 and integer sectors, CSV and JSON, and the canonical
-Table-1 preset, with and without a setting it reads.
+The list covers every subcommand, the dense and Lanczos solver paths
+(Lanczos at the default and at a set seed), full, Sz = 0 and integer
+sectors, CSV and JSON, and the canonical Table-1 preset, with and
+without a setting it reads.
 """
 
 import csv
@@ -40,6 +41,9 @@ COMMANDS = (
     "spectrum --model ladder --j-rung 0.8 --sites 12 --levels 4",
     "spectrum --model xyz --jx 0.9 --jy 1.1 --jz 0.8 --hz 0.2 --sites 12 --sector full",
     "spectrum --model xxz --delta -1 --sites 12 --sector full --levels 14",
+    # Lanczos at a set seed on the degenerate Majumdar-Ghosh pair (dim 924),
+    # whose certifying restarts reuse the Krylov workspace
+    "spectrum --model j1j2 --j1 1 --j2 0.5 --sites 12 --sector sz0 --levels 4 --seed 7",
     # Lanczos on the 4-site ring, whose NNN bond list holds each pair twice
     "spectrum --model j1j2 --j1 1 --j2 0.5 --sites 4 --dense-cutoff 1 --levels 2",
     # parity groups of the full basis split by the reflection and spin inversion
